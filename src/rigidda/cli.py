@@ -8,8 +8,10 @@ end2end. Exit codes: 0 success, 2 validation error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -17,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .engine import MODES, OptimConfig, register_pair
+from .engine import MODES, OptimConfig, PairObjective, register_pair
 from .errors import RigiddaError, ValidationError
 from .io import read_volume, write_volume
-from .losses import LossWeights, total_loss
+from .losses import LossWeights
 from .metrics import evaluate_labels, postprocess_labels
 from .phantom import AnalyticSegmenter, PhantomPair, PhantomSpec, make_pair
 from .pipeline import apply_task, run_end2end
@@ -65,6 +67,9 @@ def _parse_transform_arg(text: str) -> np.ndarray:
     raise ValidationError("--transform expects a JSON file, 9 parameters, or 16 matrix entries")
 
 
+_WEIGHT_NAMES = tuple(f.name for f in dataclasses.fields(LossWeights))
+
+
 def _parse_weights_arg(text: str | None) -> LossWeights:
     if not text:
         return LossWeights()
@@ -75,7 +80,15 @@ def _parse_weights_arg(text: str | None) -> LossWeights:
         if "=" not in item:
             raise ValidationError(f"bad weights item {item!r}, expected name=value")
         name, value = item.split("=", 1)
-        kwargs[name.strip()] = float(value)
+        name = name.strip()
+        if name not in _WEIGHT_NAMES:
+            raise ValidationError(f"unknown weight {name!r}; choose from {', '.join(_WEIGHT_NAMES)}")
+        try:
+            kwargs[name] = float(value)
+        except ValueError:
+            raise ValidationError(f"weight {name} must be a number, got {value!r}") from None
+        if not math.isfinite(kwargs[name]):
+            raise ValidationError(f"weight {name} must be finite, got {value!r}")
     return LossWeights(**kwargs)
 
 
@@ -215,7 +228,8 @@ def cmd_losses_check(args) -> int:
     params = RigidParams.from_vector([float(p) for p in args.params.split(",")])
     spec = PhantomSpec.from_json(Path(args.spec).read_text()) if args.spec else PhantomSpec()
     task = AnalyticSegmenter(spec, ax.geometry)
-    report = total_loss(ax, sax, params, gt_m, gt_m_inv, task, weights)
+    objective = PairObjective(ax, sax, gt_m, gt_m_inv, task, weights, mode="full")
+    report, _ = objective(params.to_vector())
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
 

@@ -23,9 +23,10 @@ from .losses import (
     focus_smooth_upstream,
     in_plane_weight,
 )
+from .phantom import TaskModule
 from .resampler import SampleTape, target_coords, transform_volume, transform_volume_with_tape
 from .rigid import N_PARAMS, RigidParams, affine_jacobian, euler_to_affine
-from .volume import Volume
+from .volume import FOREGROUND_CLASSES, GridGeometry, Volume
 
 MODES = ("baseline", "cycle", "cycle+focus", "full")
 
@@ -171,8 +172,41 @@ class RegistrationTrace:
                 )
 
 
+# Voxels per slab: 128 KB per float64 array, so a step's temporaries stay
+# cache-sized and malloc reuses them, and the slab-sized (3x4)(4xN) and
+# (3xN)(Nx4) BLAS products stay below OpenBLAS's threading threshold.
+SLAB_VOXELS = 16384
+
+
+@dataclass(frozen=True)
+class _Slab:
+    """Whole target slices z0:z1 and the parts of the objective that do not change."""
+
+    geometry: GridGeometry
+    coords: np.ndarray  # (4, n) homogeneous normalized coordinates in the whole grid
+    fixed_fwd: np.ndarray
+    mask_fwd: np.ndarray
+    fixed_bwd: np.ndarray | None
+    mask_bwd: np.ndarray | None
+    task: TaskModule | None
+
+
+def slab_bounds(shape: tuple[int, int, int]) -> list[tuple[int, int]]:
+    """Slice ranges ``(z0, z1)`` of about SLAB_VOXELS voxels covering the grid."""
+    w, h, d = shape
+    depth = max(1, SLAB_VOXELS // (w * h))
+    return [(z0, min(z0 + depth, d)) for z0 in range(0, d, depth)]
+
+
 class PairObjective:
-    """Loss and analytic 9-parameter gradient for one preprocessed pair."""
+    """Loss and analytic 9-parameter gradient for one preprocessed pair.
+
+    A step runs slab by slab over whole target slices along z, the axis the
+    in-plane weight and the task module treat slice-wise. Only the loss sums,
+    the focus count and the 9-vector gradient pass from one slab to the next,
+    so every temporary is slab-sized; the reported terms equal the
+    whole-grid values.
+    """
 
     def __init__(
         self,
@@ -193,29 +227,45 @@ class PairObjective:
         self.mode = mode
         self.i_vol = i_vol
         self.j_vol = j_vol
-        self.task = task
         self.weights = weights
-        self.target = i_vol.geometry
-        self.coords = target_coords(self.target)
         self.use_focus = mode in ("cycle+focus", "full")
         self.use_cycle_bwd = mode != "baseline"
-        w_field = in_plane_weight(self.target) if mode == "full" else None
-        self.fixed_fwd = transform_volume(i_vol, gt_m, self.target, self.coords)
-        self.mask_fwd = self.fixed_fwd.validity if w_field is None else self.fixed_fwd.validity * w_field
-        if self.use_cycle_bwd:
-            self.fixed_bwd = transform_volume(j_vol, gt_m_inv, self.target, self.coords)
-            self.mask_bwd = (
-                self.fixed_bwd.validity if w_field is None else self.fixed_bwd.validity * w_field
-            )
+        target = i_vol.geometry
+        self.n = target.num_voxels
+        coords = target_coords(target).reshape(4, *target.shape)
+        w_field = in_plane_weight(target) if mode == "full" else None
 
-    def _mse_term(self, tape: SampleTape, fixed, mask: np.ndarray, d_m: np.ndarray):
-        """Half mean squared masked difference plus its parameter gradient."""
-        diff = (tape.result.image.data - fixed.image.data) * mask
-        n = diff.size
-        loss = 0.5 * float(np.sum(diff * diff)) / n
-        upstream = diff * mask / n
-        grad = tape.vjp(d_m, upstream)
-        return loss, grad
+        def fixed_and_mask(vol, m):
+            fixed = transform_volume(vol, m, target, coords.reshape(4, -1))
+            mask = fixed.validity if w_field is None else fixed.validity * w_field
+            return fixed.image.data, mask
+
+        fixed_fwd, mask_fwd = fixed_and_mask(i_vol, gt_m)
+        fixed_bwd = mask_bwd = None
+        if self.use_cycle_bwd:
+            fixed_bwd, mask_bwd = fixed_and_mask(j_vol, gt_m_inv)
+
+        def cut(a, z0, z1):
+            return None if a is None else np.ascontiguousarray(a[..., z0:z1])
+
+        self.slabs = [
+            _Slab(
+                geometry=target.z_slab(z0, z1),
+                coords=cut(coords, z0, z1).reshape(4, -1),
+                fixed_fwd=cut(fixed_fwd, z0, z1),
+                mask_fwd=cut(mask_fwd, z0, z1),
+                fixed_bwd=cut(fixed_bwd, z0, z1),
+                mask_bwd=cut(mask_bwd, z0, z1),
+                task=task.restrict(z0, z1) if self.use_focus else None,
+            )
+            for z0, z1 in slab_bounds(target.shape)
+        ]
+
+    def _mse_term(self, tape: SampleTape, fixed: np.ndarray, mask: np.ndarray, d_m: np.ndarray):
+        """A slab's sum of squared masked differences, and its part of the half-mean gradient."""
+        diff = (tape.result.image.data - fixed) * mask
+        grad = tape.vjp(d_m, diff * mask / self.n)
+        return float(np.sum(diff * diff)), grad
 
     def __call__(self, vec: np.ndarray) -> tuple[LossReport, np.ndarray]:
         params = RigidParams.from_vector(vec)
@@ -224,36 +274,41 @@ class PairObjective:
         w = self.weights
         a1 = 1.0 if self.mode == "baseline" else w.alpha1
         a2 = w.alpha2 if self.use_focus else 0.0
+        n_fg = len(FOREGROUND_CLASSES)
         grad = np.zeros(N_PARAMS)
+        sq_fwd = sq_bwd = smooth_mean = 0.0
+        above = 0  # foreground entries above r, counted over the whole grid
 
-        tape_fwd = transform_volume_with_tape(self.i_vol, mats.m, self.target, self.coords)
-        fwd_loss, fwd_grad = self._mse_term(tape_fwd, self.fixed_fwd, self.mask_fwd, jac.d_m)
-        grad += a1 * fwd_grad
+        for slab in self.slabs:
+            tape = transform_volume_with_tape(self.i_vol, mats.m, slab.geometry, slab.coords)
+            sq, part = self._mse_term(tape, slab.fixed_fwd, slab.mask_fwd, jac.d_m)
+            sq_fwd += sq
+            grad += a1 * part
 
-        bwd_loss = 0.0
-        if self.use_cycle_bwd:
-            tape_bwd = transform_volume_with_tape(self.j_vol, mats.m_inv, self.target, self.coords)
-            bwd_loss, bwd_grad = self._mse_term(
-                tape_bwd, self.fixed_bwd, self.mask_bwd, jac.d_m_inv
-            )
-            grad += a1 * bwd_grad
+            if self.use_cycle_bwd:
+                tape = transform_volume_with_tape(self.j_vol, mats.m_inv, slab.geometry, slab.coords)
+                sq, part = self._mse_term(tape, slab.fixed_bwd, slab.mask_bwd, jac.d_m_inv)
+                sq_bwd += sq
+                grad += a1 * part
 
-        f_exact = 0.0
-        f_smooth = 0.0
-        if self.use_focus:
-            tape_t = transform_volume_with_tape(self.i_vol, mats.m_t, self.target, self.coords)
-            q = self.task.evaluate(tape_t.result.image)
-            f_exact = focus_exact(q, w.r)
-            f_smooth = focus_smooth(q, w.r, w.tau)
-            up_q = focus_smooth_upstream(q, w.r, w.tau)
-            up_img = self.task.gradient(tape_t.result.image, up_q)
-            grad += a2 * tape_t.vjp(jac.d_m_t, up_img)
+            if self.use_focus:
+                tape = transform_volume_with_tape(self.i_vol, mats.m_t, slab.geometry, slab.coords)
+                image = tape.result.image
+                q = slab.task.evaluate(image)
+                n = slab.geometry.num_voxels
+                share = n / self.n
+                # focus_exact is 1 - count / size; the slab's count is recovered
+                # exactly, so the whole-grid value is not an average of averages
+                above += round((1.0 - focus_exact(q, w.r)) * n_fg * n)
+                smooth_mean += share * (1.0 - focus_smooth(q, w.r, w.tau))
+                up_q = share * focus_smooth_upstream(q, w.r, w.tau)
+                grad += a2 * tape.vjp(jac.d_m_t, slab.task.gradient(image, up_q))
 
         report = LossReport(
-            cycle_fwd=fwd_loss,
-            cycle_bwd=bwd_loss,
-            focus_exact=f_exact,
-            focus_smooth=f_smooth,
+            cycle_fwd=0.5 * sq_fwd / self.n,
+            cycle_bwd=0.5 * sq_bwd / self.n,
+            focus_exact=1.0 - above / (n_fg * self.n) if self.use_focus else 0.0,
+            focus_smooth=1.0 - smooth_mean if self.use_focus else 0.0,
             alpha1=a1,
             alpha2=a2,
         )

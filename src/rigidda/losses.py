@@ -1,7 +1,10 @@
-"""Loss terms: segmentation losses, masked MSE, cycle loss, focus loss.
+"""Loss terms: segmentation losses, masked MSE, focus loss.
 
 All reductions are means over voxels (and foreground classes where a class
-sum appears), so loss magnitudes do not scale with the grid size.
+sum appears), so loss magnitudes do not scale with the grid size. The
+registration objective, ``engine.PairObjective``, combines the cycle and
+focus terms; it evaluates them on slabs of slices and weights each slab's
+mean by the slab's share of the grid.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .resampler import SampleResult, transform_volume
+from .resampler import SampleResult
 from .volume import FOREGROUND_CLASSES, GridGeometry, NUM_CLASSES, Volume
 
 PROB_EPS = 1e-7
@@ -126,27 +129,6 @@ def masked_mse(
     return 0.5 * float(np.mean(diff * diff))
 
 
-def cycle_loss(
-    i_vol: Volume,
-    j_vol: Volume,
-    m: np.ndarray,
-    m_inv: np.ndarray,
-    gt_m: np.ndarray,
-    gt_m_inv: np.ndarray,
-    target: GridGeometry,
-    weight: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Forward and backward masked MSE terms of the cycle loss."""
-    fixed_fwd = transform_volume(i_vol, gt_m, target)
-    fixed_bwd = transform_volume(j_vol, gt_m_inv, target)
-    moving_fwd = transform_volume(i_vol, m, target)
-    moving_bwd = transform_volume(j_vol, m_inv, target)
-    return (
-        masked_mse(moving_fwd, fixed_fwd, weight),
-        masked_mse(moving_bwd, fixed_bwd, weight),
-    )
-
-
 def focus_exact(q: ProbabilityVolume, r: float = 0.9) -> float:
     """1 minus the fraction of foreground entries strictly above threshold r."""
     fg = q.foreground()
@@ -177,40 +159,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def total_loss(
-    i_vol: Volume,
-    j_vol: Volume,
-    params,
-    gt_m: np.ndarray,
-    gt_m_inv: np.ndarray,
-    task,
-    weights: LossWeights,
-    target: GridGeometry | None = None,
-    use_in_plane_weight: bool = True,
-) -> "LossReport":
-    """Combined loss alpha1 * cycle + alpha2 * focus, with an itemized report.
-
-    The focus terms are evaluated on task(T(I, R T_t)), the task-branch image.
-    """
-    from .rigid import euler_to_affine
-
-    if target is None:
-        target = i_vol.geometry
-    mats = euler_to_affine(params)
-    w = in_plane_weight(target) if use_in_plane_weight else None
-    fwd, bwd = cycle_loss(i_vol, j_vol, mats.m, mats.m_inv, gt_m, gt_m_inv, target, w)
-    i_t = transform_volume(i_vol, mats.m_t, target)
-    q = task.evaluate(i_t.image)
-    return LossReport(
-        cycle_fwd=fwd,
-        cycle_bwd=bwd,
-        focus_exact=focus_exact(q, weights.r),
-        focus_smooth=focus_smooth(q, weights.r, weights.tau),
-        alpha1=weights.alpha1,
-        alpha2=weights.alpha2,
-    )
 
 
 @dataclass

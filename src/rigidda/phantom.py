@@ -10,6 +10,7 @@ matches its canonical pose.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -216,13 +217,24 @@ def generate_phantom(
 
 
 class TaskModule(Protocol):
-    """Fixed, differentiable per-voxel class-probability provider."""
+    """Fixed, differentiable per-voxel class-probability provider.
+
+    Slab contract: a task module works on each target slice (a fixed z) on
+    its own, as a per-slice 2D network does. ``restrict(z0, z1)`` returns the
+    module for the whole slices ``z0:z1`` of its grid: its ``evaluate`` and
+    ``gradient`` take volumes on ``geometry.z_slab(z0, z1)`` and give exactly
+    the values the whole-grid module gives on those slices. The registration
+    objective builds one restricted module per slab, once, and evaluates the
+    focus term slab by slab.
+    """
 
     classes: tuple[int, ...]
 
     def evaluate(self, vol: Volume) -> ProbabilityVolume: ...
 
     def gradient(self, vol: Volume, upstream: np.ndarray) -> np.ndarray: ...
+
+    def restrict(self, z0: int, z1: int) -> "TaskModule": ...
 
 
 class AnalyticSegmenter:
@@ -255,6 +267,14 @@ class AnalyticSegmenter:
         }
         template, _ = generate_phantom(spec, geometry, noise_sigma=0.0, pose=pose)
         self._template = template.data
+
+    def restrict(self, z0: int, z1: int) -> "AnalyticSegmenter":
+        """This segmenter on the slices ``z0:z1``, with contiguous copies of its fields."""
+        part = copy.copy(self)
+        part.geometry = self.geometry.z_slab(z0, z1)
+        part._prior = {c: np.ascontiguousarray(p[..., z0:z1]) for c, p in self._prior.items()}
+        part._template = np.ascontiguousarray(self._template[..., z0:z1])
+        return part
 
     def _check(self, vol: Volume):
         if vol.geometry.shape != self.geometry.shape:

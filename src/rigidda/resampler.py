@@ -99,6 +99,8 @@ class SampleTape:
         """Accumulate <upstream, d(output)/d(params)> for a (K,4,4) matrix Jacobian.
 
         ``upstream`` is d(loss)/d(output voxel), flattened or volume-shaped.
+        The sum runs over this tape's voxels only, so the parts of a slabbed
+        evaluation add up to the whole-grid vector-Jacobian product.
         """
         u = np.asarray(upstream, dtype=float).reshape(-1)
         weighted = self.grad_norm * u[None, :]  # (3, N)
@@ -114,7 +116,12 @@ def transform_volume_with_tape(
     target: GridGeometry,
     coords: np.ndarray | None = None,
 ) -> SampleTape:
-    """Like transform_volume but records the spatial gradients for backprop."""
+    """Like transform_volume but records the spatial gradients for backprop.
+
+    ``coords`` may be any part of a grid's coordinate columns, such as a slab
+    of whole slices, with ``target`` the geometry of those voxels; the
+    registration objective warps one slab at a time this way.
+    """
     if coords is None:
         coords = target_coords(target)
     idx, valid = _source_samples(src.geometry.shape, m, coords)

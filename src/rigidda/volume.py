@@ -115,6 +115,13 @@ class GridGeometry:
         axes = [2.0 * np.arange(n) / (n - 1.0) - 1.0 for n in self.shape]
         return np.meshgrid(*axes, indexing="ij")
 
+    def z_slab(self, z0: int, z1: int) -> "GridGeometry":
+        """The sub-grid of whole slices ``z0:z1``, at their world positions."""
+        if not 0 <= z0 < z1 <= self.shape[2]:
+            raise ValidationError(f"slices {z0}:{z1} outside a grid of depth {self.shape[2]}")
+        origin = self.origin + self.direction @ np.array([0.0, 0.0, z0 * self.spacing[2]])
+        return GridGeometry((self.shape[0], self.shape[1], z1 - z0), self.spacing, origin, self.direction)
+
 
 def world_to_normalized(g: GridGeometry, p: np.ndarray) -> np.ndarray:
     """Normalized coordinate of world point(s) p; the grid center maps to 0."""
@@ -175,12 +182,17 @@ class LabelVolume:
 
 
 def resample_isotropic(v: Volume, iso: float) -> Volume:
-    """Resample to uniform isotropic spacing with trilinear interpolation."""
+    """Resample to uniform isotropic spacing with trilinear interpolation.
+
+    A volume that already has spacing ``iso`` on every axis is returned as is.
+    """
     if iso <= 0:
         raise ValidationError("isotropic spacing must be positive")
     if any(n < 2 for n in v.geometry.shape):
         raise ValidationError("resampling needs >= 2 voxels per axis")
     g = v.geometry
+    if np.all(g.spacing == iso):
+        return v
     old_n = np.asarray(g.shape, dtype=float)
     new_shape = tuple(int(round((n - 1) * sp / iso)) + 1 for n, sp in zip(old_n, g.spacing))
     new_shape = tuple(max(2, n) for n in new_shape)
@@ -274,15 +286,16 @@ def preprocess_labels(
     iso: float = 1.5,
     grid: tuple[int, int, int] = (224, 224, 96),
 ) -> LabelVolume:
-    """Label preprocessing: per-class linear resample then argmax, pad/crop."""
-    channels = lv.one_hot()
-    resampled = []
-    for c in range(NUM_CLASSES):
-        vol = Volume(lv.geometry, channels[c])
-        vol = resample_isotropic(vol, iso)
-        resampled.append(vol)
-    stacked = np.stack([r.data for r in resampled], axis=0)
-    labels = np.argmax(stacked, axis=0).astype(np.int16)
-    inter = LabelVolume(resampled[0].geometry, labels)
+    """Label preprocessing: per-class linear resample then argmax, pad/crop.
+
+    Labels that already have spacing ``iso`` on every axis skip the resampling.
+    """
+    inter = lv
+    if np.any(lv.geometry.spacing != iso):
+        channels = lv.one_hot()
+        resampled = [resample_isotropic(Volume(lv.geometry, channels[c]), iso) for c in range(NUM_CLASSES)]
+        stacked = np.stack([r.data for r in resampled], axis=0)
+        labels = np.argmax(stacked, axis=0).astype(np.int16)
+        inter = LabelVolume(resampled[0].geometry, labels)
     padded = pad_to_grid(Volume(inter.geometry, inter.data.astype(float)), grid)
     return LabelVolume(padded.geometry, np.rint(padded.data).astype(np.int16))

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from rigidda.cli import main
+from rigidda.cli import _parse_weights_arg, main
 from rigidda.config import PipelineConfig
 from rigidda.errors import ValidationError
 from rigidda.io import read_volume
@@ -218,6 +218,23 @@ class TestLossesCheck:
                 "--gt-transform", str(pair_dir / "gtM.json"),
                 "--params", "0,0,0,0,0,0,0,0,0",
                 "--weights", "alpha1",
+                "--spec", str(spec_path),
+            ]
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("weights", ["alpha1=abc", "beta=1", "tau=nan", "alpha2=0.5,alpha1=0.1"])
+    def test_malformed_weights_exit_2(self, pair_dir, spec_path, weights):
+        with pytest.raises(ValidationError):
+            _parse_weights_arg(weights)
+        code = main(
+            [
+                "losses-check",
+                "--ax", str(pair_dir / "I.nii"),
+                "--sax", str(pair_dir / "J.nii"),
+                "--gt-transform", str(pair_dir / "gtM.json"),
+                "--params", "0,0,0,0,0,0,0,0,0",
+                "--weights", weights,
                 "--spec", str(spec_path),
             ]
         )

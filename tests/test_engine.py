@@ -1,6 +1,7 @@
 """Optimizer, scheduler, and pair-objective tests."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +17,21 @@ from rigidda.engine import (
     adam_step,
     baseline_register,
     register_pair,
+    slab_bounds,
 )
 from rigidda.errors import NumericalError, ValidationError
-from rigidda.losses import LossWeights
-from rigidda.phantom import AnalyticSegmenter, make_pair, world_rigid
+from rigidda.losses import (
+    LossReport,
+    LossWeights,
+    focus_exact,
+    focus_smooth,
+    focus_smooth_upstream,
+    in_plane_weight,
+)
+from rigidda.phantom import AnalyticSegmenter, PhantomSpec, make_pair, world_rigid
+from rigidda.resampler import target_coords, transform_volume, transform_volume_with_tape
+from rigidda.rigid import N_PARAMS, RigidParams, affine_jacobian, euler_to_affine
+from rigidda.volume import Volume
 from conftest import central_difference, gentle_task_spec, gradient_scale_error
 
 
@@ -27,6 +39,92 @@ def _small_pair(seed=0):
     spec = gentle_task_spec()
     rel = world_rigid((0.1, -0.05, 0.08), (2.0, -1.0, 1.5))
     return spec, make_pair(spec, rel, grid=(16, 16, 16), iso=3.0, seed=seed, noise_sigma=0.0)
+
+
+class WholeGridObjective:
+    """Reference objective: every term evaluated over the whole grid at once."""
+
+    def __init__(self, i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode):
+        self.mode = mode
+        self.i_vol = i_vol
+        self.j_vol = j_vol
+        self.task = task
+        self.weights = weights
+        self.target = i_vol.geometry
+        self.coords = target_coords(self.target)
+        self.use_focus = mode in ("cycle+focus", "full")
+        self.use_cycle_bwd = mode != "baseline"
+        w_field = in_plane_weight(self.target) if mode == "full" else None
+        self.fixed_fwd = transform_volume(i_vol, gt_m, self.target, self.coords)
+        self.mask_fwd = self.fixed_fwd.validity if w_field is None else self.fixed_fwd.validity * w_field
+        if self.use_cycle_bwd:
+            self.fixed_bwd = transform_volume(j_vol, gt_m_inv, self.target, self.coords)
+            self.mask_bwd = (
+                self.fixed_bwd.validity if w_field is None else self.fixed_bwd.validity * w_field
+            )
+
+    def _mse_term(self, tape, fixed, mask, d_m):
+        diff = (tape.result.image.data - fixed.image.data) * mask
+        n = diff.size
+        loss = 0.5 * float(np.sum(diff * diff)) / n
+        upstream = diff * mask / n
+        grad = tape.vjp(d_m, upstream)
+        return loss, grad
+
+    def __call__(self, vec):
+        params = RigidParams.from_vector(vec)
+        mats = euler_to_affine(params)
+        jac = affine_jacobian(params)
+        w = self.weights
+        a1 = 1.0 if self.mode == "baseline" else w.alpha1
+        a2 = w.alpha2 if self.use_focus else 0.0
+        grad = np.zeros(N_PARAMS)
+
+        tape_fwd = transform_volume_with_tape(self.i_vol, mats.m, self.target, self.coords)
+        fwd_loss, fwd_grad = self._mse_term(tape_fwd, self.fixed_fwd, self.mask_fwd, jac.d_m)
+        grad += a1 * fwd_grad
+
+        bwd_loss = 0.0
+        if self.use_cycle_bwd:
+            tape_bwd = transform_volume_with_tape(self.j_vol, mats.m_inv, self.target, self.coords)
+            bwd_loss, bwd_grad = self._mse_term(
+                tape_bwd, self.fixed_bwd, self.mask_bwd, jac.d_m_inv
+            )
+            grad += a1 * bwd_grad
+
+        f_exact = 0.0
+        f_smooth = 0.0
+        if self.use_focus:
+            tape_t = transform_volume_with_tape(self.i_vol, mats.m_t, self.target, self.coords)
+            q = self.task.evaluate(tape_t.result.image)
+            f_exact = focus_exact(q, w.r)
+            f_smooth = focus_smooth(q, w.r, w.tau)
+            up_q = focus_smooth_upstream(q, w.r, w.tau)
+            up_img = self.task.gradient(tape_t.result.image, up_q)
+            grad += a2 * tape_t.vjp(jac.d_m_t, up_img)
+
+        report = LossReport(
+            cycle_fwd=fwd_loss,
+            cycle_bwd=bwd_loss,
+            focus_exact=f_exact,
+            focus_smooth=f_smooth,
+            alpha1=a1,
+            alpha2=a2,
+        )
+        return report, grad
+
+
+def _pair_on(grid):
+    """A criterion-4 style pair on ``grid`` at 1.5 mm, and a segmenter for it."""
+    spec = PhantomSpec().scaled(min(grid) / 64.0)
+    rel = world_rigid((0.3, -0.2, 0.25), (6.0, -4.0, 3.0))
+    pair = make_pair(spec, rel, grid=grid, iso=1.5, seed=4)
+    return pair, AnalyticSegmenter(spec, pair.i.geometry)
+
+
+# 64^3 makes 16 slabs of 4 slices; 40x40x23 slabs of 10, 10 and 3 slices;
+# 17x13x11 and 8x7x6 a single slab each
+SLAB_GRIDS = ((64, 64, 64), (40, 40, 23), (17, 13, 11), (8, 7, 6))
 
 
 class TestAdam:
@@ -223,3 +321,62 @@ class TestRegisterPair:
         assert all(len(r) == len(TRACE_COLUMNS) for r in rows)
         # repr round trip keeps full float precision
         assert float(rows[1][2]) == trace.rows[0].report.total
+
+
+class TestSlabObjective:
+    def test_slab_bounds_cover_the_depth(self):
+        assert slab_bounds((64, 64, 64)) == [(z, z + 4) for z in range(0, 64, 4)]
+        assert slab_bounds((40, 40, 23)) == [(0, 10), (10, 20), (20, 23)]
+        assert slab_bounds((17, 13, 11)) == [(0, 11)]
+        assert slab_bounds((300, 300, 5)) == [(z, z + 1) for z in range(5)]
+        assert slab_bounds((48, 48, 48))[-1] == (42, 48)
+
+    @pytest.mark.parametrize("grid", SLAB_GRIDS)
+    def test_matches_whole_grid_oracle(self, grid):
+        pair, task = _pair_on(grid)
+        w = LossWeights(tau=0.1)
+        rng = np.random.default_rng(9)
+        vecs = [np.concatenate([rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.15, 0.15, 6)]) for _ in range(2)]
+        vecs.append(np.zeros(9))
+        for mode in MODES:
+            args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, w, mode)
+            slabbed, oracle = PairObjective(*args), WholeGridObjective(*args)
+            for vec in vecs:
+                rep, grad = slabbed(vec)
+                ref, ref_grad = oracle(vec)
+                for term in ("cycle_fwd", "cycle_bwd", "focus_smooth", "total"):
+                    assert getattr(rep, term) == pytest.approx(getattr(ref, term), rel=1e-12, abs=0.0)
+                assert rep.focus_exact == ref.focus_exact
+                assert (rep.alpha1, rep.alpha2) == (ref.alpha1, ref.alpha2)
+                assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+    def test_restricted_segmenter_matches_whole_grid_slices(self, rng):
+        pair, task = _pair_on((17, 13, 11))
+        part = task.restrict(3, 8)
+        sub = pair.i.geometry.z_slab(3, 8)
+        q = task.evaluate(pair.i).q
+        q_part = part.evaluate(Volume(sub, pair.i.data[..., 3:8])).q
+        np.testing.assert_array_equal(q_part, q[..., 3:8])
+        upstream = rng.normal(size=q.shape)
+        g = task.gradient(pair.i, upstream)
+        g_part = part.gradient(Volume(sub, pair.i.data[..., 3:8]), upstream[..., 3:8])
+        np.testing.assert_array_equal(g_part, g[..., 3:8])
+        with pytest.raises(ValidationError):
+            task.restrict(5, 12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_step_allocates_no_whole_grid_temporaries(self, mode):
+        pair, task = _pair_on((64, 64, 64))
+        obj = PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), mode)
+        vec = np.full(9, 0.05)
+        obj(vec)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            obj(vec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # one float64 array over the 64^3 grid alone is 2 MiB
+        assert peak < 8 * 2**20

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidda.engine import PairObjective
 from rigidda.errors import ValidationError
 from rigidda.losses import (
+    LossReport,
     LossWeights,
     ProbabilityVolume,
     bce,
     ce,
-    cycle_loss,
     focus_exact,
     focus_smooth,
     focus_smooth_upstream,
@@ -23,10 +24,11 @@ from rigidda.losses import (
     seg_loss,
     soft_dice,
 )
+from rigidda.phantom import AnalyticSegmenter, make_pair, world_rigid
 from rigidda.resampler import transform_volume
 from rigidda.rigid import RigidParams, euler_to_affine
 from rigidda.volume import GridGeometry, Volume
-from conftest import smooth_field
+from conftest import gentle_task_spec, smooth_field
 
 EPS = 1e-7
 
@@ -56,6 +58,34 @@ def brute_focus_exact(fg, r):
         if v > r:
             count += 1
     return 1.0 - count / np.size(fg)
+
+
+def cycle_loss(i_vol, j_vol, m, m_inv, gt_m, gt_m_inv, target, weight=None):
+    """Forward and backward masked MSE terms of the cycle loss, four whole-grid warps."""
+    fixed_fwd = transform_volume(i_vol, gt_m, target)
+    fixed_bwd = transform_volume(j_vol, gt_m_inv, target)
+    moving_fwd = transform_volume(i_vol, m, target)
+    moving_bwd = transform_volume(j_vol, m_inv, target)
+    return (
+        masked_mse(moving_fwd, fixed_fwd, weight),
+        masked_mse(moving_bwd, fixed_bwd, weight),
+    )
+
+
+def total_loss(i_vol, j_vol, params, gt_m, gt_m_inv, task, weights):
+    """Full-mode loss report: in-plane weighted cycle, focus on the task-branch image."""
+    target = i_vol.geometry
+    mats = euler_to_affine(params)
+    fwd, bwd = cycle_loss(i_vol, j_vol, mats.m, mats.m_inv, gt_m, gt_m_inv, target, in_plane_weight(target))
+    q = task.evaluate(transform_volume(i_vol, mats.m_t, target).image)
+    return LossReport(
+        cycle_fwd=fwd,
+        cycle_bwd=bwd,
+        focus_exact=focus_exact(q, weights.r),
+        focus_smooth=focus_smooth(q, weights.r, weights.tau),
+        alpha1=weights.alpha1,
+        alpha2=weights.alpha2,
+    )
 
 
 def random_prob_pair(rng, shape=(3, 4, 2)):
@@ -176,6 +206,25 @@ class TestCycleLoss:
         fwd, bwd = cycle_loss(vol_i, vol_j, off.m, off.m_inv, gt.m, gt.m_inv, g)
         assert fwd > 0.0
         assert bwd > 0.0
+
+
+class TestFullObjectiveReport:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_objective_matches_total_loss_oracle(self, seed):
+        spec = gentle_task_spec()
+        rel = world_rigid((0.1, -0.05, 0.08), (2.0, -1.0, 1.5))
+        pair = make_pair(spec, rel, grid=(24, 20, 18), iso=3.0, seed=seed)
+        task = AnalyticSegmenter(spec, pair.i.geometry)
+        w = LossWeights(alpha1=1.5, alpha2=0.2, tau=0.1)
+        rng = np.random.default_rng(seed)
+        params = RigidParams.from_vector(rng.uniform(-0.15, 0.15, 9))
+        objective = PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, w, mode="full")
+        report, _ = objective(params.to_vector())
+        oracle = total_loss(pair.i, pair.j, params, pair.gt_m, pair.gt_m_inv, task, w)
+        got, want = report.to_dict(), oracle.to_dict()
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=1e-15), key
 
 
 class TestFocus:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidda.errors import ValidationError
+from rigidda.interp import trilinear
 from rigidda.volume import (
     GridGeometry,
     LabelVolume,
@@ -136,6 +137,29 @@ class TestResampleIsotropic:
         vol = Volume(small_geometry, np.zeros(small_geometry.shape))
         with pytest.raises(ValidationError):
             resample_isotropic(vol, -1.0)
+
+    @pytest.mark.parametrize("iso", [1.5, 2.0])
+    def test_target_spacing_returns_input_byte_identical(self, rng, iso):
+        g = GridGeometry.isotropic((9, 8, 7), iso)
+        vol = Volume(g, rng.normal(size=g.shape))
+        out = resample_isotropic(vol, iso)
+        assert out is vol
+        # the full trilinear pass on the index lattice gives the same bytes
+        idx = np.meshgrid(*[np.arange(n) * iso / iso for n in g.shape], indexing="ij")
+        assert trilinear(vol.data, *idx).tobytes() == out.data.tobytes()
+
+    @pytest.mark.parametrize("iso", [1.5, 2.0])
+    def test_labels_at_target_spacing_skip_resampling(self, rng, iso):
+        g = GridGeometry.isotropic((9, 8, 7), iso)
+        lv = LabelVolume(g, rng.integers(0, 4, size=g.shape).astype(np.int16))
+        out = preprocess_labels(lv, iso=iso, grid=(12, 8, 6))
+        # one-hot, per-channel trilinear resampling and argmax, as run before
+        idx = np.meshgrid(*[np.arange(n) * iso / iso for n in g.shape], indexing="ij")
+        onehot = lv.one_hot()
+        argmax = np.argmax(np.stack([trilinear(onehot[c], *idx) for c in range(4)]), axis=0)
+        padded = pad_to_grid(Volume(g, argmax.astype(float)), (12, 8, 6))
+        assert out.data.tobytes() == np.rint(padded.data).astype(np.int16).tobytes()
+        assert out.geometry.almost_equal(padded.geometry, tol=0.0)
 
 
 class TestPadToGrid:
