@@ -38,32 +38,70 @@ def _setup_logging():
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(message)s")
 
 
+def _finite_float(text: str, what: str) -> float:
+    """One finite number, or a ValidationError naming ``what``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"{what} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {text!r}")
+    return value
+
+
+def _parse_floats(text: str, what: str) -> list[float]:
+    """Comma-separated finite numbers; empty items are skipped."""
+    return [_finite_float(p, what) for p in text.split(",") if p]
+
+
+def _matrix(value, what: str) -> np.ndarray:
+    """A 4x4 matrix from a JSON value holding 16 finite numbers."""
+    try:
+        m = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        m = None
+    if m is None or m.shape not in ((16,), (4, 4)) or not np.all(np.isfinite(m)):
+        raise ValidationError(f"{what} must hold 16 finite numbers")
+    return m.reshape(4, 4)
+
+
+def _inverse(m: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        raise ValidationError("transform matrix is singular") from None
+
+
 def _load_matrix_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Transform file: {"m": [16 numbers], "m_inv": [16 numbers]} or a bare list."""
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"transform file {path} is not JSON: {exc}") from None
     if isinstance(raw, dict):
-        m = np.asarray(raw["m"], dtype=float).reshape(4, 4)
-        if "m_inv" in raw:
-            m_inv = np.asarray(raw["m_inv"], dtype=float).reshape(4, 4)
-        else:
-            m_inv = np.linalg.inv(m)
+        if "m" not in raw:
+            raise ValidationError(f"transform file {path} has no \"m\" entry")
+        m = _matrix(raw["m"], "transform \"m\"")
+        m_inv = _matrix(raw["m_inv"], "transform \"m_inv\"") if "m_inv" in raw else _inverse(m)
         return m, m_inv
-    m = np.asarray(raw, dtype=float)
-    if m.shape != (16,):
-        raise ValidationError("transform JSON must hold 16 numbers or {m, m_inv}")
-    m = m.reshape(4, 4)
-    return m, np.linalg.inv(m)
+    m = _matrix(raw, "transform JSON (16 numbers or {m, m_inv})")
+    return m, _inverse(m)
+
+
+def _parse_params(text: str) -> RigidParams:
+    """Nine comma-separated rigid parameters."""
+    return RigidParams.from_vector(_parse_floats(text, "--params entry"))
 
 
 def _parse_transform_arg(text: str) -> np.ndarray:
     """Either a path to a transform JSON or 9 comma-separated parameters."""
     if Path(text).exists():
         return _load_matrix_pair(text)[0]
-    parts = [p for p in text.split(",") if p]
-    if len(parts) == 9:
-        return euler_to_affine(RigidParams.from_vector([float(p) for p in parts])).m
-    if len(parts) == 16:
-        return np.asarray([float(p) for p in parts]).reshape(4, 4)
+    values = _parse_floats(text, "--transform entry")
+    if len(values) == 9:
+        return euler_to_affine(RigidParams.from_vector(values)).m
+    if len(values) == 16:
+        return _matrix(values, "--transform")
     raise ValidationError("--transform expects a JSON file, 9 parameters, or 16 matrix entries")
 
 
@@ -83,12 +121,7 @@ def _parse_weights_arg(text: str | None) -> LossWeights:
         name = name.strip()
         if name not in _WEIGHT_NAMES:
             raise ValidationError(f"unknown weight {name!r}; choose from {', '.join(_WEIGHT_NAMES)}")
-        try:
-            kwargs[name] = float(value)
-        except ValueError:
-            raise ValidationError(f"weight {name} must be a number, got {value!r}") from None
-        if not math.isfinite(kwargs[name]):
-            raise ValidationError(f"weight {name} must be finite, got {value!r}")
+        kwargs[name] = _finite_float(value, f"weight {name}")
     return LossWeights(**kwargs)
 
 
@@ -225,7 +258,7 @@ def cmd_losses_check(args) -> int:
     sax = _require_intensity(read_volume(args.sax), "--sax")
     gt_m, gt_m_inv = _load_matrix_pair(args.gt_transform)
     weights = _parse_weights_arg(args.weights)
-    params = RigidParams.from_vector([float(p) for p in args.params.split(",")])
+    params = _parse_params(args.params)
     spec = PhantomSpec.from_json(Path(args.spec).read_text()) if args.spec else PhantomSpec()
     task = AnalyticSegmenter(spec, ax.geometry)
     objective = PairObjective(ax, sax, gt_m, gt_m_inv, task, weights, mode="full")
@@ -236,7 +269,7 @@ def cmd_losses_check(args) -> int:
 
 def cmd_apply(args) -> int:
     ax = _require_intensity(read_volume(args.ax), "--ax")
-    params = RigidParams.from_vector([float(p) for p in args.params.split(",")])
+    params = _parse_params(args.params)
     spec = PhantomSpec.from_json(Path(args.spec).read_text()) if args.spec else PhantomSpec()
     task = AnalyticSegmenter(spec, ax.geometry)
     labels = apply_task(ax, params, task, post=not args.no_post)
@@ -350,7 +383,7 @@ def main(argv=None) -> int:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

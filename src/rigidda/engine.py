@@ -302,7 +302,7 @@ class PairObjective:
                 above += round((1.0 - focus_exact(q, w.r)) * n_fg * n)
                 smooth_mean += share * (1.0 - focus_smooth(q, w.r, w.tau))
                 up_q = share * focus_smooth_upstream(q, w.r, w.tau)
-                grad += a2 * tape.vjp(jac.d_m_t, slab.task.gradient(image, up_q))
+                grad += a2 * tape.vjp(jac.d_m_t, slab.task.gradient(image, up_q, q))
 
         report = LossReport(
             cycle_fwd=0.5 * sq_fwd / self.n,

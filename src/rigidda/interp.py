@@ -72,38 +72,62 @@ def trilinear(data: np.ndarray, ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) 
     return c0 * (1.0 - fz) + c1 * fz
 
 
+def _corner_block(data: np.ndarray, ix, iy, iz):
+    """All eight cell corners as one (8, N) block, plus (3, N) fractions and their complements.
+
+    The block version of ``_gather_corners`` for slab-sized inputs: the cell
+    indices and fractions of the three axes come from one (3, N) pass and
+    the corners from one ``take`` of an (8, N) index block. Whole-grid
+    sampling keeps ``_gather_corners``, since an (8, N) block over a whole
+    grid raises the peak memory of the untaped warps. Corners are
+    ordered z-face first, then x, then y: rows 0-3 are the z0 face
+    (x0y0, x0y1, x1y0, x1y1) and rows 4-7 the z1 face in the same order.
+    """
+    w, h, d = data.shape
+    frac = np.empty((3, ix.size))
+    for row, v, n in zip(frac, (ix, iy, iz), data.shape):
+        np.clip(v, 0.0, n - 1.0, out=row)
+    # the left cell index, as whole floats; as in _cell_indices
+    i0 = np.ceil(frac)
+    i0 -= 1.0
+    np.clip(i0, 0.0, np.maximum(np.asarray(data.shape, dtype=float) - 2.0, 0.0)[:, None], out=i0)
+    frac -= i0
+    # flat index of the base corner; exact in float64 far beyond any grid size
+    flat = ((i0[0] * h + i0[1]) * d + i0[2]).astype(np.intp)
+    sx = h * d if w > 1 else 0
+    sy = d if h > 1 else 0
+    sz = 1 if d > 1 else 0
+    offsets = np.array([0, sy, sx, sx + sy, sz, sy + sz, sx + sz, sx + sy + sz], dtype=np.intp)
+    corners = np.ascontiguousarray(data).reshape(-1).take(flat + offsets[:, None])
+    return corners, frac, 1.0 - frac
+
+
+def _lerp(lo, hi, g, f, out=None):
+    """``lo * g + hi * f`` with g = 1 - f: bit-exact at f = 0 and f = 1 (lattice points)."""
+    out = np.multiply(lo, g, out=out)
+    out += hi * f
+    return out
+
+
 def trilinear_with_grad(
     data: np.ndarray, ix: np.ndarray, iy: np.ndarray, iz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Value plus partial derivatives with respect to the index coordinates."""
-    (c000, c100, c010, c110, c001, c101, c011, c111), fx, fy, fz = _gather_corners(
-        data, ix, iy, iz
-    )
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-    gz = 1.0 - fz
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value (N,) and its (3, N) derivatives with respect to the index coordinates.
 
-    # lerp along z first; two-coefficient lerps keep lattice points bit-exact
-    e00 = c000 * gz + c001 * fz
-    e10 = c100 * gz + c101 * fz
-    e01 = c010 * gz + c011 * fz
-    e11 = c110 * gz + c111 * fz
-
-    a0 = e00 * gx + e10 * fx
-    a1 = e01 * gx + e11 * fx
-    value = a0 * gy + a1 * fy
-
-    dx0 = e10 - e00
-    dx1 = e11 - e01
-    dx = dx0 * gy + dx1 * fy
-    dy = a1 - a0
-
-    # z derivative needs the xy-bilinear of the z differences
-    d00 = c001 - c000
-    d10 = c101 - c100
-    d01 = c011 - c010
-    d11 = c111 - c110
-    b0 = d00 * gx + d10 * fx
-    b1 = d01 * gx + d11 * fx
-    dz = b0 * gy + b1 * fy
-    return value, dx, dy, dz
+    Meant for slab-sized inputs: every temporary is a block of up to eight
+    rows of N samples.
+    """
+    corners, (fx, fy, fz), (gx, gy, gz) = _corner_block(data, ix, iy, iz)
+    lo, hi = corners[:4], corners[4:]
+    # lerp along z first, then x, then y
+    e = _lerp(lo, hi, gz, fz)  # e00, e01, e10, e11 (x, y)
+    dzc = np.subtract(hi, lo, out=hi)  # the z differences, same order
+    a = _lerp(e[:2], e[2:], gx, fx)  # a0, a1 (y)
+    b = _lerp(dzc[:2], dzc[2:], gx, fx)  # xy-bilinear of the z differences
+    ex = np.subtract(e[2:], e[:2], out=e[2:])  # x differences at y0 and y1
+    value = _lerp(a[0], a[1], gy, fy)
+    grad = np.empty((3, value.size))
+    _lerp(ex[0], ex[1], gy, fy, out=grad[0])
+    np.subtract(a[1], a[0], out=grad[1])
+    _lerp(b[0], b[1], gy, fy, out=grad[2])
+    return value, grad

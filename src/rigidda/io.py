@@ -13,6 +13,7 @@ Data is written x-fastest (Fortran order over (W, H, D)).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -91,10 +92,16 @@ def read_nifti(path: str | Path) -> Volume | LabelVolume:
     if dim[0] != 3:
         raise VolumeIOError("malformed-header", f"expected 3D image, dim[0]={dim[0]}")
     shape = tuple(int(n) for n in dim[1:4])
+    if min(shape) < 1:
+        raise VolumeIOError("malformed-header", f"dimensions {shape} must all be positive")
     datatype = struct.unpack_from("<h", blob, 70)[0]
     if datatype not in (_DT_FLOAT32, _DT_INT16):
         raise VolumeIOError("malformed-header", f"unsupported datatype {datatype}")
-    vox_offset = int(struct.unpack_from("<f", blob, 108)[0])
+    vox_offset = struct.unpack_from("<f", blob, 108)[0]
+    # the voxel data of a single-file NIfTI starts after its 348-byte header
+    if not math.isfinite(vox_offset) or vox_offset < _HDR_SIZE:
+        raise VolumeIOError("malformed-header", f"vox_offset {vox_offset} is not a data offset")
+    vox_offset = int(vox_offset)
     sform_code = struct.unpack_from("<h", blob, 254)[0]
     if sform_code < 1:
         raise VolumeIOError("malformed-header", "missing sform geometry")

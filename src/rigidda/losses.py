@@ -19,6 +19,10 @@ from .volume import FOREGROUND_CLASSES, GridGeometry, NUM_CLASSES, Volume
 
 PROB_EPS = 1e-7
 
+# the foreground channels are the contiguous slice q[1:], so foreground
+# reads and writes need no fancy-index copy
+assert FOREGROUND_CLASSES == tuple(range(1, NUM_CLASSES))
+
 
 @dataclass(frozen=True)
 class ProbabilityVolume:
@@ -41,7 +45,7 @@ class ProbabilityVolume:
 
     def foreground(self) -> np.ndarray:
         """(3, N) view of the foreground class probabilities."""
-        return self.q[list(FOREGROUND_CLASSES)].reshape(len(FOREGROUND_CLASSES), -1)
+        return self.q[1:].reshape(len(FOREGROUND_CLASSES), -1)
 
 
 @dataclass
@@ -148,17 +152,23 @@ def focus_smooth_upstream(q: ProbabilityVolume, r: float, tau: float) -> np.ndar
     s = _sigmoid((fg - r) / tau)
     grad_fg = -(s * (1.0 - s)) / (tau * fg.size)
     out = np.zeros_like(q.q)
-    out[list(FOREGROUND_CLASSES)] = grad_fg.reshape(len(FOREGROUND_CLASSES), *q.geometry.shape)
+    out[1:] = grad_fg.reshape(len(FOREGROUND_CLASSES), *q.geometry.shape)
     return out
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function of an array: 1 / (1 + e) for x >= 0, e / (1 + e) below, e = exp(-|x|).
+
+    exp only ever sees -|x|, so it never overflows; the temporaries are
+    reused in place.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=d)
+    return np.where(x >= 0, d, e)
 
 
 @dataclass

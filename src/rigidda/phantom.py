@@ -18,7 +18,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ValidationError
-from .losses import ProbabilityVolume
+from .losses import ProbabilityVolume, _sigmoid
 from .rigid import rotation_matrix
 from .volume import (
     FOREGROUND_CLASSES,
@@ -146,15 +146,6 @@ class PhantomSpec:
         return cls(**kwargs)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _region_sdfs(spec: PhantomSpec, points_mm: np.ndarray) -> dict[int, np.ndarray]:
     """Signed distances of the three disjoint tissue regions."""
     sdf_lv = spec.lv.sdf(points_mm)
@@ -225,14 +216,17 @@ class TaskModule(Protocol):
     ``gradient`` take volumes on ``geometry.z_slab(z0, z1)`` and give exactly
     the values the whole-grid module gives on those slices. The registration
     objective builds one restricted module per slab, once, and evaluates the
-    focus term slab by slab.
+    focus term slab by slab. It passes each slab's ``evaluate`` output to
+    ``gradient`` as ``q``, so the forward pass is not repeated.
     """
 
     classes: tuple[int, ...]
 
     def evaluate(self, vol: Volume) -> ProbabilityVolume: ...
 
-    def gradient(self, vol: Volume, upstream: np.ndarray) -> np.ndarray: ...
+    def gradient(
+        self, vol: Volume, upstream: np.ndarray, q: ProbabilityVolume | None = None
+    ) -> np.ndarray: ...
 
     def restrict(self, z0: int, z1: int) -> "TaskModule": ...
 
@@ -259,12 +253,13 @@ class AnalyticSegmenter:
         pts = _phantom_points(spec, geometry, pose)
         sdfs = _region_sdfs(spec, pts)
         # small outward bias keeps voxels right at a structure surface confident
-        self._prior = {
-            c: _sigmoid((spec.prior_bias_mm - sdfs[c]) / spec.prior_sigma_mm).reshape(
-                geometry.shape
-            )
-            for c in FOREGROUND_CLASSES
-        }
+        # one row per foreground class: the channels q[1:]
+        self._prior = np.stack(
+            [
+                _sigmoid((spec.prior_bias_mm - sdfs[c]) / spec.prior_sigma_mm).reshape(geometry.shape)
+                for c in FOREGROUND_CLASSES
+            ]
+        )
         template, _ = generate_phantom(spec, geometry, noise_sigma=0.0, pose=pose)
         self._template = template.data
 
@@ -272,7 +267,7 @@ class AnalyticSegmenter:
         """This segmenter on the slices ``z0:z1``, with contiguous copies of its fields."""
         part = copy.copy(self)
         part.geometry = self.geometry.z_slab(z0, z1)
-        part._prior = {c: np.ascontiguousarray(p[..., z0:z1]) for c, p in self._prior.items()}
+        part._prior = np.ascontiguousarray(self._prior[..., z0:z1])
         part._template = np.ascontiguousarray(self._template[..., z0:z1])
         return part
 
@@ -282,44 +277,45 @@ class AnalyticSegmenter:
                 f"segmenter built for grid {self.geometry.shape}, got {vol.geometry.shape}"
             )
 
-    def _logits_and_affinity(self, data: np.ndarray):
-        k = self.spec.logit_scale
-        sig2 = self.spec.intensity_sigma**2
-        aff = np.exp(-((data - self._template) ** 2) / (2.0 * sig2))
-        logits = np.empty((NUM_CLASSES, *data.shape))
-        logits[0] = 0.5 * k
-        for c in FOREGROUND_CLASSES:
-            logits[c] = k * self._prior[c] * aff
-        return logits, aff
+    def _affinity(self, data: np.ndarray):
+        """Intensity offset from the template and its Gaussian affinity."""
+        diff = data - self._template
+        return diff, np.exp(-(diff**2) / (2.0 * self.spec.intensity_sigma**2))
 
     def evaluate(self, vol: Volume) -> ProbabilityVolume:
         self._check(vol)
-        logits, _ = self._logits_and_affinity(vol.data)
+        k = self.spec.logit_scale
+        _, aff = self._affinity(vol.data)
+        logits = np.empty((NUM_CLASSES, *vol.data.shape))
+        logits[0] = 0.5 * k
+        logits[1:] = k * self._prior * aff
         logits = logits - logits.max(axis=0, keepdims=True)
         ex = np.exp(logits)
         q = ex / ex.sum(axis=0, keepdims=True)
         return ProbabilityVolume(vol.geometry, q)
 
-    def gradient(self, vol: Volume, upstream: np.ndarray) -> np.ndarray:
-        """VJP: d(loss)/d(input intensity) given upstream = d(loss)/dq."""
+    def gradient(self, vol: Volume, upstream: np.ndarray, q: ProbabilityVolume | None = None) -> np.ndarray:
+        """VJP: d(loss)/d(input intensity) given upstream = d(loss)/dq.
+
+        ``q`` is ``evaluate(vol)``; a caller that already holds it passes it
+        in, and the softmax is not computed again.
+        """
         self._check(vol)
         upstream = np.asarray(upstream, dtype=float)
         if upstream.shape != (NUM_CLASSES, *vol.geometry.shape):
             raise ValidationError("upstream must have one channel per class")
-        data = vol.data
-        logits, aff = self._logits_and_affinity(data)
-        logits = logits - logits.max(axis=0, keepdims=True)
-        ex = np.exp(logits)
-        q = ex / ex.sum(axis=0, keepdims=True)
-        k = self.spec.logit_scale
-        sig2 = self.spec.intensity_sigma**2
-        daff = -(data - self._template) / sig2 * aff
-        dz = np.zeros_like(logits)
-        for c in FOREGROUND_CLASSES:
-            dz[c] = k * self._prior[c] * daff
-        # softmax VJP: dL/dv = sum_c U_c q_c (dz_c - sum_m q_m dz_m)
-        mean_dz = np.sum(q * dz, axis=0)
-        return np.sum(upstream * q * (dz - mean_dz[None, ...]), axis=0)
+        if q is None:
+            q = self.evaluate(vol)
+        q = q.q
+        diff, aff = self._affinity(vol.data)
+        daff = -diff / self.spec.intensity_sigma**2 * aff
+        # softmax VJP sum_c U_c q_c (dz_c - sum_m q_m dz_m) with the logit
+        # derivatives dz_c = k prior_c daff and dz_0 = 0, so with prior_0 = 0
+        # it is k daff sum_c U_c q_c (prior_c - sum_m q_m prior_m)
+        mean_prior = np.einsum("c...,c...->...", q[1:], self._prior)
+        uq = upstream * q
+        s = np.einsum("c...,c...->...", uq[1:], self._prior) - mean_prior * uq.sum(axis=0)
+        return self.spec.logit_scale * daff * s
 
 
 def world_rigid(angles: tuple[float, float, float], translation_mm: tuple[float, float, float]) -> np.ndarray:

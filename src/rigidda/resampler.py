@@ -38,14 +38,21 @@ def target_coords(target: GridGeometry) -> np.ndarray:
     return np.stack([nx.reshape(n), ny.reshape(n), nz.reshape(n), np.ones(n)])
 
 
+def _index_scale(src_shape) -> np.ndarray:
+    """d(index coordinate)/d(normalized coordinate) per axis."""
+    return (np.asarray(src_shape, dtype=float) - 1.0) / 2.0
+
+
 def _source_samples(src_shape, m: np.ndarray, coords: np.ndarray):
-    s = m[:3, :] @ coords
-    valid = np.all(np.abs(s) <= 1.0 + _BOUNDS_EPS, axis=0)
-    scale = (np.asarray(src_shape, dtype=float) - 1.0) / 2.0
-    idx = (s + 1.0) * scale[:, None]
+    idx = m[:3, :] @ coords
+    valid = np.all(np.abs(idx) <= 1.0 + _BOUNDS_EPS, axis=0)
+    idx += 1.0
+    idx *= _index_scale(src_shape)[:, None]
     # snap float residue at the lattice so the identity transform is exact
     nearest = np.rint(idx)
-    idx = np.where(np.abs(idx - nearest) < 1e-9, nearest, idx)
+    off = idx - nearest
+    np.abs(off, out=off)
+    np.copyto(idx, nearest, where=off < 1e-9)
     return idx, valid
 
 
@@ -93,20 +100,23 @@ class SampleTape:
 
     result: SampleResult
     coords: np.ndarray
-    grad_norm: np.ndarray  # (3, N) d(value)/d(normalized source coordinate)
+    grad_index: np.ndarray  # (3, N) d(value)/d(source index coordinate), not masked
+    scale: np.ndarray  # (3,) d(index coordinate)/d(normalized coordinate)
 
     def vjp(self, d_m_stack: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         """Accumulate <upstream, d(output)/d(params)> for a (K,4,4) matrix Jacobian.
 
         ``upstream`` is d(loss)/d(output voxel), flattened or volume-shaped.
-        The sum runs over this tape's voxels only, so the parts of a slabbed
+        Invalid samples are zero-filled, so they contribute nothing. The sum
+        runs over this tape's voxels only, so the parts of a slabbed
         evaluation add up to the whole-grid vector-Jacobian product.
         """
-        u = np.asarray(upstream, dtype=float).reshape(-1)
-        weighted = self.grad_norm * u[None, :]  # (3, N)
+        u = np.asarray(upstream, dtype=float).reshape(-1) * self.result.validity.reshape(-1)
         # ds_k/dp = d_m_stack[k,:3,:] @ coords; contract voxels first (3x4),
-        # then the cheap (K,3,4) x (3,4) contraction
-        accum = weighted @ self.coords.T
+        # scale index to normalized derivatives there, then the cheap
+        # (K,3,4) x (3,4) contraction
+        accum = (self.grad_index * u) @ self.coords.T
+        accum *= self.scale[:, None]
         return np.einsum("kij,ij->k", d_m_stack[:, :3, :], accum)
 
 
@@ -125,14 +135,10 @@ def transform_volume_with_tape(
     if coords is None:
         coords = target_coords(target)
     idx, valid = _source_samples(src.geometry.shape, m, coords)
-    value, dx, dy, dz = trilinear_with_grad(src.data, idx[0], idx[1], idx[2])
-    value = np.where(valid, value, 0.0)
-    scale = (np.asarray(src.geometry.shape, dtype=float) - 1.0) / 2.0
-    grad = np.stack([dx, dy, dz]) * scale[:, None]
-    grad[:, ~valid] = 0.0
+    value, grad = trilinear_with_grad(src.data, idx[0], idx[1], idx[2])
     shape = target.shape
     result = SampleResult(
-        image=Volume(target, value.reshape(shape)),
+        image=Volume(target, np.where(valid, value, 0.0).reshape(shape)),
         validity=valid.astype(np.float64).reshape(shape),
     )
-    return SampleTape(result=result, coords=coords, grad_norm=grad)
+    return SampleTape(result=result, coords=coords, grad_index=grad, scale=_index_scale(src.geometry.shape))

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from rigidda.cli import _parse_weights_arg, main
+from rigidda.cli import _parse_floats, _parse_weights_arg, main
 from rigidda.config import PipelineConfig
 from rigidda.errors import ValidationError
 from rigidda.io import read_volume
@@ -319,3 +319,85 @@ class TestSpecRoundTripThroughCli:
     def test_written_spec_parses_back(self, pair_dir):
         spec = PhantomSpec.from_json((pair_dir / "spec.json").read_text())
         assert spec.sigma_mm == gentle_task_spec().sigma_mm
+
+
+_IDENTITY16 = np.eye(4).reshape(16).tolist()
+
+
+class TestMalformedNumbers:
+    """Bad numbers and transform files end in exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("text", ["1,abc", "1,nan", "inf,2", "1,-inf", "1,,x"])
+    def test_parse_floats_rejects(self, text):
+        with pytest.raises(ValidationError):
+            _parse_floats(text, "entry")
+
+    def test_parse_floats_accepts(self):
+        assert _parse_floats("1, -2.5,,3e-3", "entry") == [1.0, -2.5, 3e-3]
+
+    @pytest.mark.parametrize(
+        "params",
+        ["0,0,abc,0,0,0,0,0,0", "0,0,nan,0,0,0,0,0,0", "0,0,0,inf,0,0,0,0,0", "1,2,3", "x"],
+    )
+    @pytest.mark.parametrize("command", ["apply", "losses-check"])
+    def test_params_exit_2(self, pair_dir, spec_path, tmp_path, command, params):
+        args = [command, "--ax", str(pair_dir / "I.nii"), "--params", params, "--spec", str(spec_path)]
+        if command == "apply":
+            args += ["--output", str(tmp_path / "o.nii")]
+        else:
+            args += ["--sax", str(pair_dir / "J.nii"), "--gt-transform", str(pair_dir / "gtM.json")]
+        assert main(args) == 2
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            "0,0,0,abc,0,0,0,0,0",
+            "0,0,0,nan,0,0,0,0,0",
+            ",".join(["1"] * 15 + ["x"]),
+            ",".join(["1"] * 15 + ["inf"]),
+        ],
+    )
+    def test_transform_exit_2(self, pair_dir, tmp_path, transform):
+        args = ["resample", "--input", str(pair_dir / "I.nii"), "--transform", transform]
+        assert main(args + ["--output", str(tmp_path / "x.nii")]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json",
+            json.dumps({"m_inv": _IDENTITY16}),
+            json.dumps({"m": [1.0, 2.0, 3.0]}),
+            json.dumps({"m": ["a"] * 16}),
+            json.dumps({"m": {"a": 1}}),
+            json.dumps({"m": _IDENTITY16, "m_inv": [1.0] * 15}),
+            json.dumps({"m": _IDENTITY16[:15] + [float("nan")]}),
+            json.dumps({"m": [0.0] * 16}),
+            json.dumps([0.0] * 16),
+            json.dumps([1.0, [2.0]]),
+            json.dumps("a string"),
+        ],
+        ids=[
+            "not-json", "no-m", "short-m", "strings", "object", "short-m_inv",
+            "nan", "singular", "singular-list", "ragged", "string",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["register", "resample"])
+    def test_transform_file_exit_2(self, pair_dir, tmp_path, command, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        if command == "register":
+            args = ["register", "--ax", str(pair_dir / "I.nii"), "--gt-transform", str(bad), "--mode", "baseline"]
+        else:
+            args = ["resample", "--input", str(pair_dir / "I.nii"), "--transform", str(bad)]
+            args += ["--output", str(tmp_path / "x.nii")]
+        assert main(args) == 2
+
+    def test_unreadable_transform_path_exit_4(self, pair_dir, tmp_path):
+        args = ["resample", "--input", str(pair_dir / "I.nii"), "--transform", str(tmp_path)]
+        assert main(args + ["--output", str(tmp_path / "x.nii")]) == 4
+
+    def test_nested_matrix_still_accepted(self, pair_dir, tmp_path):
+        good = tmp_path / "nested.json"
+        good.write_text(json.dumps({"m": np.eye(4).tolist()}))
+        args = ["resample", "--input", str(pair_dir / "I.nii"), "--transform", str(good)]
+        assert main(args + ["--output", str(tmp_path / "x.nii")]) == 0

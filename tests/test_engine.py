@@ -1,7 +1,10 @@
 """Optimizer, scheduler, and pair-objective tests."""
 
 import csv
+import importlib.util
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,3 +383,61 @@ class TestSlabObjective:
             tracemalloc.stop()
         # one float64 array over the 64^3 grid alone is 2 MiB
         assert peak < 8 * 2**20
+
+
+def _load_benchmark_tracer():
+    """perfbench/tracer.py, imported from its file; the benchmark is only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracedLookupSites:
+    """The traced benchmark wraps functions where the program looks them up.
+
+    A site that disappears makes ``Tracer.install`` raise ``KeyError`` and every
+    traced unit fail; a site the engine stops calling leaves its per-layer
+    figure reading 0.
+    """
+
+    def test_every_site_exists_and_install_round_trips(self):
+        tracer_mod = _load_benchmark_tracer()
+        sites = tracer_mod._sites()
+        originals = [owner.__dict__[attr] for owner, attr, _, _ in sites]
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            for owner, attr, _, _ in sites:
+                assert getattr(owner.__dict__[attr], "__wrapped__", None) is not None
+        finally:
+            tracer.remove()
+        assert [owner.__dict__[attr] for owner, attr, _, _ in sites] == originals
+
+    def test_full_step_calls_every_objective_layer(self):
+        tracer_mod = _load_benchmark_tracer()
+        pair, task = _pair_on((17, 13, 11))
+        obj = PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), "full")
+        n_slabs = len(obj.slabs)
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            tracer.unit = ("unit", "probe")
+            obj(np.full(9, 0.05))
+        finally:
+            tracer.unit = None
+            tracer.remove()
+        calls = Counter(tracer.names)
+        assert calls["engine.step.full"] == 1
+        for name in (
+            "resampler.transform_volume_with_tape",
+            "interp.trilinear_with_grad",
+            "resampler.SampleTape.vjp",
+        ):
+            assert calls[name] == 3 * n_slabs, name
+        assert calls["phantom.AnalyticSegmenter.evaluate"] == n_slabs
+        assert calls["phantom.AnalyticSegmenter.gradient"] == n_slabs
+        # focus_exact, focus_smooth and focus_smooth_upstream, once per slab each
+        assert calls["losses.focus"] == 3 * n_slabs
+        assert calls["rigid.euler_to_affine"] == calls["rigid.affine_jacobian"] == 1

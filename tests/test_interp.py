@@ -59,7 +59,7 @@ class TestTrilinearGradient:
         rng = np.random.default_rng(2)
         data = rng.normal(size=(7, 6, 5))
         ix, iy, iz = _random_coords(rng, data.shape, 300)
-        value, _, _, _ = trilinear_with_grad(data, ix, iy, iz)
+        value, _ = trilinear_with_grad(data, ix, iy, iz)
         np.testing.assert_allclose(value, trilinear(data, ix, iy, iz), atol=1e-14)
 
     def test_gradient_matches_finite_differences(self):
@@ -68,7 +68,7 @@ class TestTrilinearGradient:
         # keep samples away from lattice planes so the kernel is smooth there
         ix, iy, iz = [np.floor(c) + np.clip(c - np.floor(c), 0.2, 0.8)
                       for c in _random_coords(rng, data.shape, 200, margin=0.5)]
-        _, dx, dy, dz = trilinear_with_grad(data, ix, iy, iz)
+        _, (dx, dy, dz) = trilinear_with_grad(data, ix, iy, iz)
         h = 1e-6
         for grad, (px, py, pz) in (
             (dx, (h, 0, 0)),
@@ -85,7 +85,7 @@ class TestTrilinearGradient:
         # at an interior lattice point the derivative is the left-cell slope
         data = np.zeros((5, 3, 3))
         data[:, 1, 1] = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
-        _, dx, _, _ = trilinear_with_grad(
+        _, (dx, _, _) = trilinear_with_grad(
             data, np.array([2.0]), np.array([1.0]), np.array([1.0])
         )
         assert dx[0] == data[2, 1, 1] - data[1, 1, 1]

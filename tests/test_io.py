@@ -1,5 +1,7 @@
 """Volume file I/O round trips and failure modes."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,42 @@ class TestNifti:
         with pytest.raises(VolumeIOError) as err:
             read_nifti(path)
         assert err.value.code == "unknown-class-id"
+
+
+class TestNiftiHeaderDefects:
+    """Byte-crafted headers: each defect is a VolumeIOError (exit 4), never a bare error."""
+
+    def _crafted(self, tmp_path, intensity, fmt, offset, *values):
+        path = tmp_path / "crafted.nii"
+        write_nifti(intensity, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(fmt, blob, offset, *values)
+        path.write_bytes(bytes(blob))
+        return path
+
+    @pytest.mark.parametrize("vox_offset", [-352.0, -1.0, float("nan"), float("inf"), float("-inf"), 0.0, 100.0])
+    def test_bad_vox_offset(self, tmp_path, intensity, vox_offset):
+        path = self._crafted(tmp_path, intensity, "<f", 108, vox_offset)
+        with pytest.raises(VolumeIOError) as err:
+            read_nifti(path)
+        assert err.value.code == "malformed-header"
+
+    @pytest.mark.parametrize("dims", [(0, 5, 4), (6, 0, 4), (6, 5, 0), (-6, 5, 4)])
+    def test_non_positive_dimension(self, tmp_path, intensity, dims):
+        path = self._crafted(tmp_path, intensity, "<3h", 42, *dims)
+        with pytest.raises(VolumeIOError) as err:
+            read_nifti(path)
+        assert err.value.code == "malformed-header"
+
+    def test_cli_exit_code_4(self, tmp_path, intensity):
+        from rigidda.cli import main
+
+        path = self._crafted(tmp_path, intensity, "<f", 108, float("nan"))
+        assert main(["resample", "--input", str(path), "--transform", "0,0,0,0,0,0,0,0,0",
+                     "--output", str(tmp_path / "o.nii")]) == 4
+        path = self._crafted(tmp_path, intensity, "<3h", 42, 6, 0, 4)
+        assert main(["resample", "--input", str(path), "--transform", "0,0,0,0,0,0,0,0,0",
+                     "--output", str(tmp_path / "o.nii")]) == 4
 
 
 class TestSidecar:

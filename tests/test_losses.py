@@ -254,6 +254,14 @@ class TestFocus:
         for tau, tol in ((0.01, 0.05), (0.001, 0.005)):
             assert abs(focus_smooth(q, r, tau) - exact) < tol
 
+    def test_smooth_upstream_background_is_zero(self, rng):
+        g = GridGeometry.isotropic((3, 4, 2), 1.0)
+        raw = rng.uniform(0.1, 1.0, size=(4, *g.shape))
+        q = ProbabilityVolume(g, raw / raw.sum(axis=0, keepdims=True))
+        up = focus_smooth_upstream(q, 0.3, 0.1)
+        assert up.shape == q.q.shape
+        assert np.all(up[0] == 0.0) and np.all(up[1:] < 0.0)
+
     def test_smooth_upstream_matches_finite_differences(self, rng):
         shape = (4, 3, 2)
         g = GridGeometry.isotropic(shape, 1.0)
@@ -300,6 +308,40 @@ class TestProbabilityVolume:
         raw = rng.uniform(0.1, 1.0, size=(4, 3, 3, 3))
         pv = ProbabilityVolume(g, raw / raw.sum(axis=0, keepdims=True))
         assert pv.foreground().shape == (3, 27)
+        # a view of the foreground channels, not a copy
+        assert np.shares_memory(pv.foreground(), pv.q)
+        np.testing.assert_array_equal(pv.foreground(), pv.q[[1, 2, 3]].reshape(3, -1))
+
+
+def _masked_sigmoid(x):
+    """The masked two-branch logistic the branch-free form replaced."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, 700.0, -700.0, 710.0, -710.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+             1e-300, -1e-300, 36.0, -36.0, 1.0, -1.0, np.inf, -np.inf]
+
+    def _same_bits(self, x):
+        from rigidda.losses import _sigmoid
+
+        got, ref = _sigmoid(x), _masked_sigmoid(x)
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_bit_identical_on_edge_values(self):
+        self._same_bits(np.array(self.EDGES))
+        self._same_bits(np.array(self.EDGES).reshape(2, 3, 3))
+
+    @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_on_any_floats(self, values):
+        self._same_bits(np.array(values))
 
 
 class TestLossWeights:

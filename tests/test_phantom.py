@@ -262,6 +262,37 @@ class TestAnalyticSegmenter:
             fd = (scalar(up) - scalar(dn)) / (2.0 * h)
             assert abs(analytic.reshape(-1)[idx] - fd) < 1e-5 * max(1.0, abs(fd))
 
+    def _noisy_case(self, rng, spec):
+        from rigidda.volume import Volume
+
+        g = GridGeometry.isotropic((10, 9, 8), 3.0)
+        seg = AnalyticSegmenter(spec, g)
+        base, _ = generate_phantom(spec, g, noise_sigma=0.0)
+        vol = Volume(g, base.data + rng.normal(0.0, 0.05, size=g.shape))
+        return seg, vol, rng.normal(size=(4, *g.shape))
+
+    def test_gradient_reuses_given_probabilities(self, rng):
+        seg, vol, upstream = self._noisy_case(rng, gentle_task_spec())
+        np.testing.assert_array_equal(
+            seg.gradient(vol, upstream, q=seg.evaluate(vol)), seg.gradient(vol, upstream)
+        )
+
+    @pytest.mark.parametrize("spec", [gentle_task_spec(), _default_spec()], ids=["gentle", "default"])
+    def test_closed_form_matches_softmax_vjp_oracle(self, rng, spec):
+        seg, vol, upstream = self._noisy_case(rng, spec)
+        # oracle: per-class logit derivatives dz, the 4-channel softmax VJP
+        k, sig2 = spec.logit_scale, spec.intensity_sigma**2
+        data, template = vol.data, seg._template
+        aff = np.exp(-((data - template) ** 2) / (2.0 * sig2))
+        daff = -(data - template) / sig2 * aff
+        q = seg.evaluate(vol).q
+        dz = np.zeros_like(q)
+        for row, c in enumerate((1, 2, 3)):
+            dz[c] = k * seg._prior[row] * daff
+        ref = np.sum(upstream * q * (dz - np.sum(q * dz, axis=0)[None]), axis=0)
+        got = seg.gradient(vol, upstream)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_grid_mismatch_rejected(self):
         from rigidda.volume import Volume
 

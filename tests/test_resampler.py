@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidda.interp import trilinear_with_grad
 from rigidda.resampler import (
     target_coords,
     transform_labels,
@@ -156,3 +157,128 @@ class TestTapeVjp:
         assert np.abs(analytic - fd).max() / denom < 1e-3
         # the task translation never enters the cycle matrices
         assert np.abs(analytic[6:]).max() == 0.0
+
+
+# --- brute-force oracle: the taped warp written axis by axis, eight gathers,
+# --- and a tape that stores the masked, scaled (3, N) normalized gradient
+
+
+def _oracle_source_samples(src_shape, m, coords):
+    s = m[:3, :] @ coords
+    valid = np.all(np.abs(s) <= 1.0 + 1e-12, axis=0)
+    scale = (np.asarray(src_shape, dtype=float) - 1.0) / 2.0
+    idx = (s + 1.0) * scale[:, None]
+    nearest = np.rint(idx)
+    idx = np.where(np.abs(idx - nearest) < 1e-9, nearest, idx)
+    return idx, valid
+
+
+def _oracle_cell(idx, n):
+    i0 = np.clip(np.ceil(idx) - 1.0, 0.0, max(n - 2, 0)).astype(np.intp)
+    return i0, idx - i0
+
+
+def _oracle_trilinear_with_grad(data, ix, iy, iz):
+    w, h, d = data.shape
+    x0, fx = _oracle_cell(np.clip(ix, 0.0, w - 1.0), w)
+    y0, fy = _oracle_cell(np.clip(iy, 0.0, h - 1.0), h)
+    z0, fz = _oracle_cell(np.clip(iz, 0.0, d - 1.0), d)
+    sx, sy, sz = (h * d if w > 1 else 0), (d if h > 1 else 0), (1 if d > 1 else 0)
+    flat = (x0 * h + y0) * d + z0
+    r = np.ascontiguousarray(data).reshape(-1)
+    c000, c100, c010, c110 = r.take(flat), r.take(flat + sx), r.take(flat + sy), r.take(flat + sx + sy)
+    c001, c101 = r.take(flat + sz), r.take(flat + sx + sz)
+    c011, c111 = r.take(flat + sy + sz), r.take(flat + sx + sy + sz)
+    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
+    e00 = c000 * gz + c001 * fz
+    e10 = c100 * gz + c101 * fz
+    e01 = c010 * gz + c011 * fz
+    e11 = c110 * gz + c111 * fz
+    a0 = e00 * gx + e10 * fx
+    a1 = e01 * gx + e11 * fx
+    value = a0 * gy + a1 * fy
+    dx = (e10 - e00) * gy + (e11 - e01) * fy
+    dy = a1 - a0
+    b0 = (c001 - c000) * gx + (c101 - c100) * fx
+    b1 = (c011 - c010) * gx + (c111 - c110) * fx
+    dz = b0 * gy + b1 * fy
+    return value, dx, dy, dz
+
+
+def _oracle_tape(src, m, coords):
+    """(value, validity, vjp) of the warp of ``src`` at the homogeneous ``coords``."""
+    idx, valid = _oracle_source_samples(src.geometry.shape, m, coords)
+    value, dx, dy, dz = _oracle_trilinear_with_grad(src.data, idx[0], idx[1], idx[2])
+    value = np.where(valid, value, 0.0)
+    scale = (np.asarray(src.geometry.shape, dtype=float) - 1.0) / 2.0
+    grad_norm = np.stack([dx, dy, dz]) * scale[:, None]
+    grad_norm[:, ~valid] = 0.0
+
+    def vjp(d_m_stack, upstream):
+        weighted = grad_norm * np.asarray(upstream, dtype=float).reshape(-1)[None, :]
+        return np.einsum("kij,ij->k", d_m_stack[:, :3, :], weighted @ coords.T)
+
+    return value, valid.astype(float), vjp
+
+
+# axis lengths down to single-voxel and two-voxel axes
+_axis = st.sampled_from([1, 2, 3, 5, 7])
+
+
+class TestFusedKernelAgainstOracle:
+    @given(
+        shape=st.tuples(_axis, _axis, _axis),
+        seed=st.integers(0, 2**31 - 1),
+        far=st.sampled_from([0.2, 1.0, 4.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_bit_identical(self, shape, seed, far):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=shape)
+        n = 200
+        # continuous samples, some far outside the grid, plus exact lattice points
+        ix, iy, iz = [
+            np.concatenate([rng.uniform(-far * s, (1 + far) * s, n), rng.integers(0, s, 50).astype(float)])
+            for s in shape
+        ]
+        value, grad = trilinear_with_grad(data, ix, iy, iz)
+        ref = _oracle_trilinear_with_grad(data, ix, iy, iz)
+        np.testing.assert_array_equal(value, ref[0])
+        for axis in range(3):
+            np.testing.assert_array_equal(grad[axis], ref[1 + axis])
+        # lattice points reproduce the data exactly
+        lattice = value[n:]
+        np.testing.assert_array_equal(lattice, data[tuple(np.stack([ix, iy, iz])[:, n:].astype(int))])
+
+    @given(
+        shape=st.tuples(_axis, _axis, _axis),
+        seed=st.integers(0, 2**31 - 1),
+        reach=st.sampled_from([0.1, 0.5, 3.0]),
+        integer_shift=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_taped_warp_matches_oracle(self, shape, seed, reach, integer_shift):
+        rng = np.random.default_rng(seed)
+        src = Volume(GridGeometry.isotropic(shape, 1.0), rng.normal(size=shape))
+        if integer_shift:
+            # the source's own lattice, moved by whole voxels: every sample
+            # lands on a lattice point (a single-voxel axis always does)
+            target = GridGeometry.isotropic(tuple(max(n, 2) for n in shape), 1.0)
+            params = RigidParams()
+            steps = rng.integers(-2, 3, 3) * 2.0 / np.maximum(np.asarray(shape) - 1.0, 1.0)
+            m = _translation_matrix(steps)
+        else:
+            params = RigidParams.from_vector(
+                np.concatenate([rng.uniform(-np.pi, np.pi, 3), rng.uniform(-reach, reach, 6)])
+            )
+            m = euler_to_affine(params).m
+            target = GridGeometry.isotropic((6, 5, 4), 1.0)
+        coords = target_coords(target)
+        d_m = affine_jacobian(params).d_m
+        tape = transform_volume_with_tape(src, m, target, coords)
+        value, validity, vjp = _oracle_tape(src, m, coords)
+        np.testing.assert_array_equal(tape.result.image.data.reshape(-1), value)
+        np.testing.assert_array_equal(tape.result.validity.reshape(-1), validity)
+        upstream = rng.normal(size=target.shape)
+        got, ref = tape.vjp(d_m, upstream), vjp(d_m, upstream)
+        assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
