@@ -6,7 +6,8 @@ apex slices fall off the volume) and acquires the first view with thick
 slices, so the three optimization modes see strictly increasing amounts of
 information: forward MSE only (baseline), both cycle directions (cycle),
 and cycle plus the probability-guided focus term (full). The script prints
-mean Dice per class and the mean exact focus loss per mode.
+mean Dice per class and the mean exact focus loss per mode. With the
+default flags the family is criterion 5's.
 """
 
 import argparse
@@ -14,28 +15,14 @@ import time
 
 import numpy as np
 
-from rigidda.engine import OptimConfig, register_pair
+from rigidda.config import PipelineConfig
+from rigidda.experiments import apex_case, fast_optim
 from rigidda.losses import LossWeights, focus_exact
-from rigidda.metrics import evaluate_labels
-from rigidda.phantom import AnalyticSegmenter, PhantomSpec, make_pair, world_rigid
-from rigidda.pipeline import apply_task
+from rigidda.pipeline import run_end2end
 from rigidda.resampler import transform_volume
-from rigidda.rigid import RigidParams, euler_to_affine
+from rigidda.rigid import euler_to_affine
 
 CLASS_LABELS = ("LV", "MYO", "RV")
-
-
-def family_member(seed: int, grid, iso: float, slice_mm: float):
-    rng = np.random.default_rng(1000 + seed)
-    angles = rng.uniform(-0.15, 0.15, 3)
-    tx, ty = rng.uniform(-4.0, 4.0, 2)
-    tz = -(35.0 + rng.uniform(0.0, 5.0))
-    rel = world_rigid(tuple(angles), (tx, ty, tz))
-    spec = PhantomSpec(noise_sigma=0.05)
-    pair = make_pair(
-        spec, rel, grid=grid, iso=iso, seed=seed, ax_spacing=(iso, iso, slice_mm)
-    )
-    return spec, pair
 
 
 def main():
@@ -52,33 +39,14 @@ def main():
     focus_sum = {m: 0.0 for m in modes}
     start = time.perf_counter()
     for seed in range(args.seeds):
-        spec, pair = family_member(seed, (args.grid,) * 3, args.iso, args.slice_mm)
-        task = AnalyticSegmenter(spec, pair.i.geometry)
+        pair, _, task = apex_case(seed, args.grid, args.iso, args.slice_mm)
         for mode in modes:
-            cfg = OptimConfig(
-                seed=seed,
-                lr0=0.02,
-                epoch_steps=10,
-                plateau_patience=3,
-                stop_patience=8,
-                max_steps=args.max_steps,
-            )
-            params, _ = register_pair(
-                pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), cfg, mode=mode
-            )
-            applied = (
-                params
-                if mode in ("cycle+focus", "full")
-                else RigidParams(params.phi, params.theta, params.psi, params.t, params.t)
-            )
-            pred = apply_task(pair.i, applied, task)
-            report = evaluate_labels(pred, pair.labels_i)
-            dice = [
-                report.per_class[c].dice if report.per_class[c].dice is not None else 0.0
-                for c in (1, 2, 3)
-            ]
+            optim = fast_optim(seed, args.max_steps)
+            config = PipelineConfig(mode=mode, weights=LossWeights(tau=0.1), optim=optim)
+            result = run_end2end(pair, task, config)
+            dice = [result.report.per_class[c].dice or 0.0 for c in (1, 2, 3)]
             dice_sum[mode] += dice
-            warped = transform_volume(pair.i, euler_to_affine(applied).m_t, pair.i.geometry)
+            warped = transform_volume(pair.i, euler_to_affine(result.params).m_t, pair.i.geometry)
             focus_sum[mode] += focus_exact(task.evaluate(warped.image))
             print(
                 f"seed {seed} {mode:8s} dice "

@@ -8,18 +8,18 @@ JSON, metric report) into the output directory.
 """
 
 import argparse
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
 from rigidda.config import PipelineConfig
-from rigidda.engine import MODES, OptimConfig
+from rigidda.engine import MODES
+from rigidda.experiments import fast_optim
 from rigidda.io import write_volume
+from rigidda.losses import LossWeights
 from rigidda.phantom import AnalyticSegmenter, PhantomSpec, make_pair, world_rigid
 from rigidda.pipeline import run_end2end
-from rigidda.rigid import euler_to_affine
 
 
 def main():
@@ -42,19 +42,8 @@ def main():
     pair = make_pair(spec, rel, grid=(args.grid,) * 3, iso=args.iso, seed=args.seed)
     task = AnalyticSegmenter(spec, pair.i.geometry)
 
-    config = PipelineConfig(
-        seed=args.seed,
-        mode=args.mode,
-        optim=OptimConfig(
-            seed=args.seed,
-            lr0=0.02,
-            epoch_steps=10,
-            plateau_patience=3,
-            stop_patience=8,
-            max_steps=args.max_steps,
-        ),
-    )
-    config.weights.tau = 0.1
+    optim = fast_optim(args.seed, args.max_steps)
+    config = PipelineConfig(seed=args.seed, mode=args.mode, weights=LossWeights(tau=0.1), optim=optim)
 
     start = time.perf_counter()
     result = run_end2end(pair, task, config)
@@ -65,20 +54,7 @@ def main():
     write_volume(pair.i, out / "I.nii")
     write_volume(pair.j, out / "J.nii")
     write_volume(pair.labels_i, out / "labels_I.nii")
-    write_volume(result.pred_labels, out / "pred_labels.nii")
-    result.trace.write_csv(out / "trace.csv")
-    mats = euler_to_affine(result.params)
-    (out / "transform.json").write_text(
-        json.dumps(
-            {
-                "params": result.params.to_vector().tolist(),
-                "m": mats.m.reshape(16).tolist(),
-                "m_t": mats.m_t.reshape(16).tolist(),
-            },
-            indent=2,
-        )
-    )
-    (out / "metrics.json").write_text(result.report.to_json())
+    result.save(out)
 
     print(f"mode {args.mode}: {len(result.trace.rows)} steps in {elapsed:.1f}s")
     print(result.report.to_json())

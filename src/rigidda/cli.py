@@ -27,7 +27,7 @@ from .metrics import evaluate_labels, postprocess_labels
 from .phantom import AnalyticSegmenter, PhantomPair, PhantomSpec, make_pair
 from .pipeline import apply_task, run_end2end
 from .resampler import transform_labels, transform_volume
-from .rigid import RigidParams, euler_to_affine
+from .rigid import RigidParams, euler_to_affine, parse_matrix, read_transform, write_transform
 from .volume import LabelVolume, Volume
 
 log = logging.getLogger("rigidda")
@@ -54,40 +54,6 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return [_finite_float(p, what) for p in text.split(",") if p]
 
 
-def _matrix(value, what: str) -> np.ndarray:
-    """A 4x4 matrix from a JSON value holding 16 finite numbers."""
-    try:
-        m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        m = None
-    if m is None or m.shape not in ((16,), (4, 4)) or not np.all(np.isfinite(m)):
-        raise ValidationError(f"{what} must hold 16 finite numbers")
-    return m.reshape(4, 4)
-
-
-def _inverse(m: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        raise ValidationError("transform matrix is singular") from None
-
-
-def _load_matrix_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Transform file: {"m": [16 numbers], "m_inv": [16 numbers]} or a bare list."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"transform file {path} is not JSON: {exc}") from None
-    if isinstance(raw, dict):
-        if "m" not in raw:
-            raise ValidationError(f"transform file {path} has no \"m\" entry")
-        m = _matrix(raw["m"], "transform \"m\"")
-        m_inv = _matrix(raw["m_inv"], "transform \"m_inv\"") if "m_inv" in raw else _inverse(m)
-        return m, m_inv
-    m = _matrix(raw, "transform JSON (16 numbers or {m, m_inv})")
-    return m, _inverse(m)
-
-
 def _parse_params(text: str) -> RigidParams:
     """Nine comma-separated rigid parameters."""
     return RigidParams.from_vector(_parse_floats(text, "--params entry"))
@@ -96,12 +62,12 @@ def _parse_params(text: str) -> RigidParams:
 def _parse_transform_arg(text: str) -> np.ndarray:
     """Either a path to a transform JSON or 9 comma-separated parameters."""
     if Path(text).exists():
-        return _load_matrix_pair(text)[0]
+        return read_transform(text)[0]
     values = _parse_floats(text, "--transform entry")
     if len(values) == 9:
         return euler_to_affine(RigidParams.from_vector(values)).m
     if len(values) == 16:
-        return _matrix(values, "--transform")
+        return parse_matrix(values, "--transform")
     raise ValidationError("--transform expects a JSON file, 9 parameters, or 16 matrix entries")
 
 
@@ -139,11 +105,7 @@ def _require_labels(vol, name: str) -> LabelVolume:
 
 def cmd_phantom_gen(args) -> int:
     spec = PhantomSpec.from_json(Path(args.spec).read_text()) if args.spec else PhantomSpec()
-    rel = (
-        _load_matrix_pair(args.rel_transform)[0]
-        if args.rel_transform
-        else np.eye(4)
-    )
+    rel = read_transform(args.rel_transform)[0] if args.rel_transform else np.eye(4)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pair = make_pair(
@@ -157,15 +119,7 @@ def cmd_phantom_gen(args) -> int:
     write_volume(pair.j, out / "J.nii")
     write_volume(pair.labels_i, out / "labels_I.nii")
     write_volume(pair.labels_j, out / "labels_J.nii")
-    (out / "gtM.json").write_text(
-        json.dumps(
-            {
-                "m": pair.gt_m.reshape(16).tolist(),
-                "m_inv": pair.gt_m_inv.reshape(16).tolist(),
-            },
-            indent=2,
-        )
-    )
+    write_transform(out / "gtM.json", (pair.gt_m, pair.gt_m_inv))
     (out / "spec.json").write_text(spec.to_json())
     log.info("phantom pair written to %s", out)
     return 0
@@ -177,7 +131,7 @@ def _load_pair_dir(pair_dir: Path) -> tuple[PhantomPair, PhantomSpec]:
     j_vol = _require_intensity(read_volume(pair_dir / "J.nii"), "J.nii")
     labels_i = _require_labels(read_volume(pair_dir / "labels_I.nii"), "labels_I.nii")
     labels_j = _require_labels(read_volume(pair_dir / "labels_J.nii"), "labels_J.nii")
-    gt_m, gt_m_inv = _load_matrix_pair(str(pair_dir / "gtM.json"))
+    gt_m, gt_m_inv = read_transform(pair_dir / "gtM.json")
     return (
         PhantomPair(i_vol, j_vol, labels_i, labels_j, gt_m, gt_m_inv),
         spec,
@@ -187,7 +141,7 @@ def _load_pair_dir(pair_dir: Path) -> tuple[PhantomPair, PhantomSpec]:
 def cmd_register(args) -> int:
     ax = _require_intensity(read_volume(args.ax), "--ax")
     sax = _require_intensity(read_volume(args.sax), "--sax") if args.sax else None
-    gt_m, gt_m_inv = _load_matrix_pair(args.gt_transform)
+    gt_m, gt_m_inv = read_transform(args.gt_transform)
     weights = _parse_weights_arg(args.weights)
     cfg = PipelineConfig.from_file(args.config).optim if args.config else OptimConfig()
     task = None
@@ -200,19 +154,7 @@ def cmd_register(args) -> int:
     if args.trace:
         trace.write_csv(args.trace)
     if args.dump_transform:
-        mats = euler_to_affine(params)
-        Path(args.dump_transform).write_text(
-            json.dumps(
-                {
-                    "params": params.to_vector().tolist(),
-                    "m": mats.m.reshape(16).tolist(),
-                    "m_inv": mats.m_inv.reshape(16).tolist(),
-                    "m_t": mats.m_t.reshape(16).tolist(),
-                    "m_t_inv": mats.m_t_inv.reshape(16).tolist(),
-                },
-                indent=2,
-            )
-        )
+        write_transform(args.dump_transform, params)
     print(json.dumps({"params": params.to_vector().tolist(), "final_loss": trace.rows[-1].report.total}))
     return 0
 
@@ -256,7 +198,7 @@ def cmd_eval(args) -> int:
 def cmd_losses_check(args) -> int:
     ax = _require_intensity(read_volume(args.ax), "--ax")
     sax = _require_intensity(read_volume(args.sax), "--sax")
-    gt_m, gt_m_inv = _load_matrix_pair(args.gt_transform)
+    gt_m, gt_m_inv = read_transform(args.gt_transform)
     weights = _parse_weights_arg(args.weights)
     params = _parse_params(args.params)
     spec = PhantomSpec.from_json(Path(args.spec).read_text()) if args.spec else PhantomSpec()
@@ -285,22 +227,7 @@ def cmd_end2end(args) -> int:
         config.mode = args.mode
     task = AnalyticSegmenter(spec, pair.i.geometry)
     result = run_end2end(pair, task, config)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    result.trace.write_csv(out / "trace.csv")
-    mats = euler_to_affine(result.params)
-    (out / "transform.json").write_text(
-        json.dumps(
-            {
-                "params": result.params.to_vector().tolist(),
-                "m": mats.m.reshape(16).tolist(),
-                "m_t": mats.m_t.reshape(16).tolist(),
-            },
-            indent=2,
-        )
-    )
-    write_volume(result.pred_labels, out / "pred_labels.nii")
-    (out / "metrics.json").write_text(result.report.to_json())
+    result.save(args.out_dir)
     print(result.report.to_json())
     return 0
 
@@ -327,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="PhantomSpec JSON for the task module")
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--trace", help="write the per-step trace CSV here")
-    p.add_argument("--dump-transform", help="write the final matrices here")
+    p.add_argument(
+        "--dump-transform", help="write {params, m, m_inv, m_t, m_t_inv} here; baseline and cycle give t_t = t"
+    )
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("resample", help="apply an affine transform to a volume")
@@ -367,7 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-dir", required=True)
     p.add_argument("--config")
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument(
+        "--out-dir",
+        required=True,
+        help="gets trace.csv, pred_labels.nii, metrics.json and transform.json {params, m, m_inv, m_t, m_t_inv}",
+    )
     p.set_defaults(func=cmd_end2end)
 
     return parser

@@ -332,7 +332,12 @@ def register_pair(
     cfg: OptimConfig,
     mode: str = "full",
 ) -> tuple[RigidParams, RegistrationTrace]:
-    """Optimize the rigid parameters for one preprocessed pair."""
+    """Optimize the rigid parameters for one preprocessed pair.
+
+    Modes without a task branch (``baseline``, ``cycle``) leave ``t_t`` frozen
+    at its initial draw, as the trace rows show, and return ``t_t = t``: their
+    task transform M_t is the registration transform M.
+    """
     objective = PairObjective(i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode)
     rng = np.random.default_rng(cfg.seed)
     vec = RigidParams.random_init(rng).to_vector()
@@ -367,6 +372,8 @@ def register_pair(
             if stopper.epoch_end(epoch_loss):
                 break
 
+    if not free[6:].any():
+        best_vec[6:] = best_vec[3:6]
     return RigidParams.from_vector(best_vec), trace
 
 

@@ -128,6 +128,11 @@ def read_nifti(path: str | Path) -> Volume | LabelVolume:
     return Volume(geometry, data.astype(np.float64))
 
 
+def _is_whole(value) -> bool:
+    """A JSON number with no fractional part (not a boolean)."""
+    return value.is_integer() if isinstance(value, float) else type(value) is int
+
+
 def write_sidecar(vol: Volume | LabelVolume, path: str | Path):
     path = Path(path)
     is_label = isinstance(vol, LabelVolume)
@@ -156,19 +161,28 @@ def read_sidecar(path: str | Path) -> Volume | LabelVolume:
     for key in ("shape", "spacing", "origin", "direction", "kind"):
         if key not in header:
             raise VolumeIOError("malformed-header", f"sidecar missing {key!r}")
-    shape = tuple(int(n) for n in header["shape"])
+    shape = header["shape"]
+    if not isinstance(shape, list) or len(shape) != 3 or not all(_is_whole(n) and n >= 1 for n in shape):
+        raise VolumeIOError("malformed-header", f"sidecar shape {shape!r} is not 3 positive whole numbers")
+    shape = tuple(int(n) for n in shape)
     kind = header["kind"]
     if kind not in ("intensity", "label"):
         raise VolumeIOError("malformed-header", f"unknown kind {kind!r}")
-    direction = np.asarray(header["direction"], dtype=float)
+    try:
+        spacing, origin, direction = (np.asarray(header[k], dtype=float) for k in ("spacing", "origin", "direction"))
+    except (TypeError, ValueError):
+        raise VolumeIOError("malformed-header", "sidecar spacing, origin or direction is not numeric") from None
+    vectors = spacing.shape == origin.shape == (3,) and np.all(np.isfinite([*spacing, *origin]))
+    if not vectors or np.any(spacing <= 0):
+        raise VolumeIOError("malformed-header", "sidecar spacing and origin must be finite 3-vectors, spacing > 0")
     if direction.shape != (3, 3) or not np.allclose(
         direction.T @ direction, np.eye(3), atol=1e-9
     ):
         raise VolumeIOError("non-orthonormal-direction", "sidecar direction is not orthonormal")
-    geometry = GridGeometry(shape, header["spacing"], header["origin"], direction)
+    geometry = GridGeometry(shape, spacing, origin, direction)
     dtype = np.dtype("u1") if kind == "label" else np.dtype("<f4")
     blob = path.read_bytes()
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     if len(blob) < n * dtype.itemsize:
         raise VolumeIOError("truncated-buffer", f"raw buffer too short for shape {shape}")
     data = np.frombuffer(blob, dtype=dtype, count=n).reshape(shape, order="F")

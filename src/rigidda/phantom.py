@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field
 from typing import Protocol
 
 import numpy as np
 
 from .errors import ValidationError
 from .losses import ProbabilityVolume, _sigmoid
-from .rigid import rotation_matrix
+from .rigid import parse_matrix, rotation_matrix
 from .volume import (
     FOREGROUND_CLASSES,
     GridGeometry,
@@ -49,6 +50,24 @@ class Ellipsoid:
             raise ValidationError("ellipsoid semi-axes must be positive")
         rel = (points_mm - c) / a
         return (np.linalg.norm(rel, axis=-1) - 1.0) * float(a.min())
+
+
+_ELLIPSOIDS = ("lv", "myo_outer", "rv")
+_TISSUES = ("background", "LV", "MYO", "RV")
+_SPEC_SCALARS = ("sigma_mm", "noise_sigma", "logit_scale", "prior_sigma_mm", "prior_bias_mm", "intensity_sigma")
+
+
+def _spec_number(value, what: str) -> float:
+    # the range test also rejects NaN, and integers too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"phantom spec {what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _spec_triple(value, what: str) -> tuple[float, float, float]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValidationError(f"phantom spec {what} must be a list of 3 numbers, got {value!r}")
+    return tuple(_spec_number(v, what) for v in value)
 
 
 @dataclass
@@ -100,49 +119,41 @@ class PhantomSpec:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lv": {"center": list(self.lv.center), "semi_axes": list(self.lv.semi_axes)},
-                "myo_outer": {
-                    "center": list(self.myo_outer.center),
-                    "semi_axes": list(self.myo_outer.semi_axes),
-                },
-                "rv": {"center": list(self.rv.center), "semi_axes": list(self.rv.semi_axes)},
-                "levels": self.levels,
-                "sigma_mm": self.sigma_mm,
-                "noise_sigma": self.noise_sigma,
-                "logit_scale": self.logit_scale,
-                "prior_sigma_mm": self.prior_sigma_mm,
-                "prior_bias_mm": self.prior_bias_mm,
-                "intensity_sigma": self.intensity_sigma,
-                "pose": np.asarray(self.pose).reshape(16).tolist(),
-            },
-            indent=2,
-        )
+        ellipsoids = {name: asdict(getattr(self, name)) for name in _ELLIPSOIDS}
+        scalars = {name: getattr(self, name) for name in _SPEC_SCALARS}
+        pose = np.asarray(self.pose).reshape(16).tolist()
+        return json.dumps({**ellipsoids, "levels": self.levels, **scalars, "pose": pose}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "PhantomSpec":
+        """Parse the ``to_json`` layout; absent entries keep their defaults.
+
+        Every entry is checked here, so a malformed spec raises ValidationError.
+        """
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid phantom spec JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValidationError("phantom spec must be a JSON object")
         kwargs = {}
-        for name in ("lv", "myo_outer", "rv"):
+        for name in _ELLIPSOIDS:
             if name in raw:
-                kwargs[name] = Ellipsoid(tuple(raw[name]["center"]), tuple(raw[name]["semi_axes"]))
-        for name in (
-            "levels",
-            "sigma_mm",
-            "noise_sigma",
-            "logit_scale",
-            "prior_sigma_mm",
-            "prior_bias_mm",
-            "intensity_sigma",
-        ):
+                ell = raw[name] if isinstance(raw[name], dict) else {}
+                kwargs[name] = Ellipsoid(
+                    _spec_triple(ell.get("center"), f"{name}.center"),
+                    _spec_triple(ell.get("semi_axes"), f"{name}.semi_axes"),
+                )
+        if "levels" in raw:
+            levels = raw["levels"]
+            if not isinstance(levels, dict) or sorted(levels) != sorted(_TISSUES):
+                raise ValidationError(f"phantom spec levels must give exactly {', '.join(_TISSUES)}")
+            kwargs["levels"] = {k: _spec_number(v, f"levels.{k}") for k, v in levels.items()}
+        for name in _SPEC_SCALARS:
             if name in raw:
-                kwargs[name] = raw[name]
+                kwargs[name] = _spec_number(raw[name], name)
         if "pose" in raw:
-            kwargs["pose"] = np.asarray(raw["pose"], dtype=float).reshape(4, 4)
+            kwargs["pose"] = parse_matrix(raw["pose"], "phantom spec pose")
         return cls(**kwargs)
 
 

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .config import PipelineConfig
 from .engine import RegistrationTrace, register_pair
+from .io import write_volume
 from .metrics import MetricReport, evaluate_labels, postprocess_labels
 from .phantom import PhantomPair, TaskModule
 from .resampler import transform_labels, transform_volume
-from .rigid import RigidParams, euler_to_affine
+from .rigid import RigidParams, euler_to_affine, write_transform
 from .volume import LabelVolume, Volume
 
 
@@ -38,10 +40,25 @@ def apply_task(
 
 @dataclass
 class End2EndResult:
+    """A registered, segmented and evaluated pair.
+
+    ``params`` come from ``register_pair``: in the modes without a task branch
+    (``baseline``, ``cycle``) ``t_t = t``, so the labels were segmented through M.
+    """
+
     params: RigidParams
     trace: RegistrationTrace
     pred_labels: LabelVolume
     report: MetricReport
+
+    def save(self, out_dir) -> None:
+        """Write trace.csv, transform.json, pred_labels.nii and metrics.json into ``out_dir``."""
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        self.trace.write_csv(out / "trace.csv")
+        write_transform(out / "transform.json", self.params)
+        write_volume(self.pred_labels, out / "pred_labels.nii")
+        (out / "metrics.json").write_text(self.report.to_json())
 
 
 def run_end2end(pair: PhantomPair, task: TaskModule, config: PipelineConfig) -> End2EndResult:
@@ -56,10 +73,6 @@ def run_end2end(pair: PhantomPair, task: TaskModule, config: PipelineConfig) -> 
         config.optim,
         mode=config.mode,
     )
-    apply_params = params
-    if config.mode in ("baseline", "cycle"):
-        # 6-parameter modes have no task branch; M_t falls back to M
-        apply_params = RigidParams(params.phi, params.theta, params.psi, params.t, params.t)
-    pred = apply_task(pair.i, apply_params, task)
+    pred = apply_task(pair.i, params, task)
     report = evaluate_labels(pred, pair.labels_i)
     return End2EndResult(params=params, trace=trace, pred_labels=pred, report=report)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -207,14 +208,47 @@ def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def matrix_to_json(m: np.ndarray) -> str:
-    """Row-major 16-number JSON array, the CLI --dump-transform format."""
-    return json.dumps([float(x) for x in np.asarray(m, dtype=float).reshape(16)])
+def write_transform(path, transform: RigidParams | tuple[np.ndarray, np.ndarray]) -> None:
+    """Write the transform file ``read_transform`` reads; each matrix is 16 row-major numbers.
+
+    Rigid parameters give ``{params, m, m_inv, m_t, m_t_inv}``, a matrix pair such as a
+    phantom's ground truth ``{m, m_inv}``.
+    """
+    if isinstance(transform, RigidParams):
+        record = {"params": transform.to_vector(), **vars(euler_to_affine(transform))}
+    else:
+        record = dict(zip(("m", "m_inv"), transform))
+    flat = {key: np.asarray(v, dtype=float).reshape(-1).tolist() for key, v in record.items()}
+    Path(path).write_text(json.dumps(flat, indent=2))
 
 
-def matrix_from_json(text: str) -> np.ndarray:
-    vals = json.loads(text)
-    arr = np.asarray(vals, dtype=float)
-    if arr.shape != (16,):
-        raise ValidationError("transform JSON must contain exactly 16 numbers")
-    return arr.reshape(4, 4)
+def parse_matrix(value, what: str) -> np.ndarray:
+    """A 4x4 matrix from a JSON value holding 16 finite numbers."""
+    try:
+        m = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        m = None
+    if m is None or m.shape not in ((16,), (4, 4)) or not np.all(np.isfinite(m)):
+        raise ValidationError(f"{what} must hold 16 finite numbers")
+    return m.reshape(4, 4)
+
+
+def read_transform(path) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, m_inv)`` from a transform file, ``{"m", "m_inv"?, ...}`` or a bare list of 16;
+    a missing ``m_inv`` is computed, and a malformed file raises ValidationError."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"transform file {path} is not JSON: {exc}") from None
+    if isinstance(raw, dict):
+        if "m" not in raw:
+            raise ValidationError(f"transform file {path} has no \"m\" entry")
+        m = parse_matrix(raw["m"], "transform \"m\"")
+        if "m_inv" in raw:
+            return m, parse_matrix(raw["m_inv"], "transform \"m_inv\"")
+    else:
+        m = parse_matrix(raw, "transform JSON (16 numbers or {m, m_inv})")
+    try:
+        return m, np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        raise ValidationError("transform matrix is singular") from None

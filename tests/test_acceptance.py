@@ -15,6 +15,7 @@ from scipy.spatial.distance import cdist
 
 from rigidda.config import PipelineConfig
 from rigidda.engine import EarlyStopper, OptimConfig, PlateauScheduler, register_pair
+from rigidda.experiments import apex_case, fast_optim, recovery_case, recovery_error
 from rigidda.losses import (
     LossWeights,
     ProbabilityVolume,
@@ -34,7 +35,7 @@ from rigidda.phantom import (
     make_pair,
     world_rigid,
 )
-from rigidda.pipeline import apply_task, run_end2end
+from rigidda.pipeline import run_end2end
 from rigidda.resampler import (
     _source_samples,
     target_coords,
@@ -42,12 +43,7 @@ from rigidda.resampler import (
     transform_volume,
     transform_volume_with_tape,
 )
-from rigidda.rigid import (
-    RigidParams,
-    affine_jacobian,
-    euler_from_rotation,
-    euler_to_affine,
-)
+from rigidda.rigid import RigidParams, affine_jacobian, euler_to_affine
 from rigidda.volume import GridGeometry, LabelVolume
 from conftest import central_difference, gentle_task_spec
 
@@ -216,40 +212,20 @@ def test_criterion_3_cycle_reconstruction():
 
 @pytest.mark.slow
 def test_criterion_4_transform_recovery():
-    spec = PhantomSpec()
-    cfg_kw = dict(lr0=0.02, epoch_steps=10, plateau_patience=3, stop_patience=8, max_steps=350)
     successes = 0
     worst_time = 0.0
     details = []
     for seed in range(10):
-        rng = np.random.default_rng(500 + seed)
-        angles = rng.uniform(-np.pi / 6, np.pi / 6, 3)  # up to 30 degrees
-        trans = rng.uniform(-15.0, 15.0, 3)  # up to 10 voxels at 1.5 mm
-        rel = world_rigid(tuple(angles), tuple(trans))
-        pair = make_pair(spec, rel, grid=(64, 64, 64), iso=1.5, seed=seed)
-        task = AnalyticSegmenter(spec, pair.i.geometry)
+        # up to 30 degrees and 15 mm (10 voxels at 1.5 mm) on a 64^3 grid
+        pair, _, task = recovery_case(seed)
         start = time.perf_counter()
         params, _ = register_pair(
-            pair.i,
-            pair.j,
-            pair.gt_m,
-            pair.gt_m_inv,
-            task,
-            LossWeights(tau=0.1),
-            OptimConfig(seed=seed, **cfg_kw),
+            pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), fast_optim(seed, 350),
             mode="full",
         )
-        elapsed = time.perf_counter() - start
-        worst_time = max(worst_time, elapsed)
-        gt_angles = euler_from_rotation(pair.gt_m[:3, :3])
-        ang_err = np.degrees(
-            np.abs(np.asarray(gt_angles) - np.array([params.phi, params.theta, params.psi]))
-        )
-        mats = euler_to_affine(params)
-        # translation error in voxels of the common grid
-        t_err = np.abs(mats.m[:3, 3] - pair.gt_m[:3, 3]) * (64 - 1) / 2.0
-        good = bool(np.all(ang_err < 2.0) and np.all(t_err < 1.0))
-        successes += good
+        worst_time = max(worst_time, time.perf_counter() - start)
+        ang_err, t_err = recovery_error(pair, params)
+        successes += bool(np.all(ang_err < 2.0) and np.all(t_err < 1.0))
         details.append(f"{ang_err.max():.2f}deg/{t_err.max():.2f}vox")
     ok = successes >= 9 and worst_time < 120.0
     _verdict(
@@ -268,42 +244,16 @@ def test_criterion_4_transform_recovery():
 
 @pytest.mark.slow
 def test_criterion_5_extension_ordering():
-    grid, iso = (48, 48, 48), 2.0
     modes = ("baseline", "cycle", "full")
     dice_sum = {m: np.zeros(3) for m in modes}
     focus_sum = {m: 0.0 for m in modes}
     for seed in range(5):
-        rng = np.random.default_rng(1000 + seed)
-        angles = rng.uniform(-0.15, 0.15, 3)
-        tx, ty = rng.uniform(-4.0, 4.0, 2)
-        tz = -(35.0 + rng.uniform(0.0, 5.0))  # pushes the apex off the grid
-        rel = world_rigid(tuple(angles), (tx, ty, tz))
-        spec = PhantomSpec(noise_sigma=0.05)
-        # thick-slice first view: its forward-only term carries little
-        # through-plane information, so each added loss term helps
-        pair = make_pair(spec, rel, grid=grid, iso=iso, seed=seed, ax_spacing=(2.0, 2.0, 12.0))
-        task = AnalyticSegmenter(spec, pair.i.geometry)
+        pair, _, task = apex_case(seed)
         for mode in modes:
-            cfg = OptimConfig(
-                seed=seed, lr0=0.02, epoch_steps=10, plateau_patience=3, stop_patience=8, max_steps=100
-            )
-            params, _ = register_pair(
-                pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), cfg, mode=mode
-            )
-            applied = (
-                params
-                if mode == "full"
-                else RigidParams(params.phi, params.theta, params.psi, params.t, params.t)
-            )
-            pred = apply_task(pair.i, applied, task)
-            from rigidda.metrics import evaluate_labels
-
-            report = evaluate_labels(pred, pair.labels_i)
-            dice_sum[mode] += [
-                report.per_class[c].dice if report.per_class[c].dice is not None else 0.0
-                for c in (1, 2, 3)
-            ]
-            warped = transform_volume(pair.i, euler_to_affine(applied).m_t, pair.i.geometry)
+            config = PipelineConfig(mode=mode, weights=LossWeights(tau=0.1), optim=fast_optim(seed, 100))
+            result = run_end2end(pair, task, config)
+            dice_sum[mode] += [result.report.per_class[c].dice or 0.0 for c in (1, 2, 3)]
+            warped = transform_volume(pair.i, euler_to_affine(result.params).m_t, pair.i.geometry)
             focus_sum[mode] += focus_exact(task.evaluate(warped.image))
     mean_dice = {m: dice_sum[m] / 5.0 for m in modes}
     mean_focus = {m: focus_sum[m] / 5.0 for m in modes}
@@ -513,10 +463,7 @@ def test_criterion_10_determinism(tmp_path):
     blobs = []
     for run in range(2):
         out = tmp_path / f"run{run}"
-        out.mkdir()
-        result = run_end2end(pair, task, config)
-        result.trace.write_csv(out / "trace.csv")
-        (out / "metrics.json").write_text(result.report.to_json())
+        run_end2end(pair, task, config).save(out)
         blobs.append(((out / "trace.csv").read_bytes(), (out / "metrics.json").read_bytes()))
     trace_same = blobs[0][0] == blobs[1][0]
     metrics_same = blobs[0][1] == blobs[1][1]

@@ -401,3 +401,44 @@ class TestMalformedNumbers:
         good.write_text(json.dumps({"m": np.eye(4).tolist()}))
         args = ["resample", "--input", str(pair_dir / "I.nii"), "--transform", str(good)]
         assert main(args + ["--output", str(tmp_path / "x.nii")]) == 0
+
+
+class TestMalformedSpec:
+    """A malformed phantom spec file ends in exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"lv": {}},
+            {"lv": [1, 2, 3]},
+            {"rv": {"center": [0, 0], "semi_axes": [1, 1, 1]}},
+            {"myo_outer": {"center": [0, 0, 0], "semi_axes": [1, "a", 1]}},
+            {"sigma_mm": "x"},
+            {"noise_sigma": None},
+            {"logit_scale": True},
+            {"levels": {"LV": 1.0}},
+            {"levels": {"background": 0, "LV": 1, "MYO": "a", "RV": 1}},
+            {"pose": [1.0] * 15},
+            {"pose": ["a"] * 16},
+            [1, 2],
+        ],
+        ids=[
+            "empty-ellipsoid", "list-ellipsoid", "short-center", "string-axis", "string-scalar",
+            "null-scalar", "bool-scalar", "partial-levels", "string-level", "short-pose",
+            "string-pose", "not-object",
+        ],
+    )
+    def test_apply_exit_2(self, pair_dir, tmp_path, spec):
+        bad = tmp_path / "bad_spec.json"
+        bad.write_text(json.dumps(spec))
+        args = ["apply", "--ax", str(pair_dir / "I.nii"), "--params", "0,0,0,0,0,0,0,0,0"]
+        assert main(args + ["--spec", str(bad), "--output", str(tmp_path / "o.nii")]) == 2
+
+    @pytest.mark.parametrize(
+        "value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400], ids=["nan", "inf", "-inf", "huge-int"]
+    )
+    def test_non_finite_scalar_exit_2(self, pair_dir, tmp_path, value):
+        bad = tmp_path / "bad_spec.json"
+        bad.write_text('{"sigma_mm": %s}' % value)
+        args = ["apply", "--ax", str(pair_dir / "I.nii"), "--params", "0,0,0,0,0,0,0,0,0"]
+        assert main(args + ["--spec", str(bad), "--output", str(tmp_path / "o.nii")]) == 2

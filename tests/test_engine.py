@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rigidda.config import PipelineConfig
 from rigidda.engine import (
     MODES,
     AdamState,
@@ -32,6 +33,7 @@ from rigidda.losses import (
     in_plane_weight,
 )
 from rigidda.phantom import AnalyticSegmenter, PhantomSpec, make_pair, world_rigid
+from rigidda.pipeline import apply_task, run_end2end
 from rigidda.resampler import target_coords, transform_volume, transform_volume_with_tape
 from rigidda.rigid import N_PARAMS, RigidParams, affine_jacobian, euler_to_affine
 from rigidda.volume import Volume
@@ -306,12 +308,38 @@ class TestRegisterPair:
         np.testing.assert_array_equal(p1.to_vector(), p2.to_vector())
         assert [r.report.total for r in t1.rows] == [r.report.total for r in t2.rows]
 
+    @staticmethod
+    def _assert_task_translation_falls_back(params, trace):
+        """t_t stays at its draw in every trace row, and the result returns t_t = t."""
+        first = trace.rows[0].params[6:]
+        for row in trace.rows:
+            np.testing.assert_array_equal(row.params[6:], first)
+        np.testing.assert_array_equal(params.t_t, params.t)
+
     def test_baseline_keeps_task_translation_frozen(self):
         spec, pair = _small_pair()
         cfg = OptimConfig(lr0=0.02, epoch_steps=10, max_steps=25, seed=2)
-        params, trace = baseline_register(pair.i, pair.gt_m, cfg)
-        first = trace.rows[0].params[6:]
-        np.testing.assert_array_equal(params.to_vector()[6:], first)
+        self._assert_task_translation_falls_back(*baseline_register(pair.i, pair.gt_m, cfg))
+
+    def test_cycle_returns_t_t_equal_to_t(self):
+        self._assert_task_translation_falls_back(*self._run("cycle", max_steps=25))
+
+    def test_full_mode_optimizes_t_t(self):
+        params, trace = self._run("full", max_steps=25)
+        assert not np.array_equal(trace.rows[-1].params[6:], trace.rows[0].params[6:])
+        assert not np.array_equal(params.t_t, params.t)
+
+    @pytest.mark.parametrize("mode", ["baseline", "cycle", "full"])
+    def test_end2end_segments_through_the_returned_params(self, mode):
+        spec, pair = _small_pair()
+        task = AnalyticSegmenter(spec, pair.i.geometry)
+        optim = OptimConfig(lr0=0.02, epoch_steps=10, max_steps=15, seed=1)
+        result = run_end2end(pair, task, PipelineConfig(mode=mode, weights=LossWeights(tau=0.1), optim=optim))
+        params, _ = register_pair(
+            pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), optim, mode=mode
+        )
+        np.testing.assert_array_equal(params.to_vector(), result.params.to_vector())
+        np.testing.assert_array_equal(apply_task(pair.i, params, task).data, result.pred_labels.data)
 
     def test_trace_csv_layout(self, tmp_path):
         _, trace = self._run("cycle", max_steps=15)

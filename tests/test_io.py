@@ -1,5 +1,6 @@
 """Volume file I/O round trips and failure modes."""
 
+import json
 import struct
 
 import numpy as np
@@ -173,6 +174,60 @@ class TestSidecar:
         with pytest.raises(VolumeIOError) as err:
             read_volume(path)
         assert err.value.code == "truncated-buffer"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("shape", ["a", 5, 4]),
+            ("shape", [6.5, 5, 4]),
+            ("shape", [6, 5]),
+            ("shape", [6, 5, 4, 1]),
+            ("shape", 6),
+            ("shape", [6, None, 4]),
+            ("shape", [True, 5, 4]),
+            ("shape", [0, 5, 4]),
+            ("shape", [6, 5, -4]),
+            ("spacing", ["a", 1.0, 1.0]),
+            ("spacing", [1.0, 1.0]),
+            ("spacing", [float("nan"), 1.0, 1.0]),
+            ("spacing", [float("inf"), 1.0, 1.0]),
+            ("spacing", [0.0, 1.0, 1.0]),
+            ("origin", [0.0, "x", 0.0]),
+            ("origin", {"x": 0}),
+            ("origin", [0.0, float("-inf"), 0.0]),
+            ("direction", "abc"),
+            ("direction", [[1.0, 0.0], [0.0]]),
+        ],
+        ids=[
+            "shape-string", "shape-fraction", "shape-two", "shape-four", "shape-scalar", "shape-null",
+            "shape-bool", "shape-zero", "shape-negative", "spacing-string", "spacing-two", "spacing-nan",
+            "spacing-inf", "spacing-zero", "origin-string", "origin-object", "origin-inf",
+            "direction-string", "direction-ragged",
+        ],
+    )
+    def test_bad_header_exits_4(self, tmp_path, intensity, key, value):
+        from rigidda.cli import main
+
+        path = tmp_path / "vol.raw"
+        write_volume(intensity, path)
+        json_path = tmp_path / "vol.json"
+        header = json.loads(json_path.read_text())
+        header[key] = value
+        json_path.write_text(json.dumps(header))
+        with pytest.raises(VolumeIOError) as err:
+            read_volume(path)
+        assert err.value.code == "malformed-header"
+        args = ["resample", "--input", str(path), "--transform", "0,0,0,0,0,0,0,0,0"]
+        assert main(args + ["--output", str(tmp_path / "o.nii")]) == 4
+
+    def test_whole_float_shape_accepted(self, tmp_path, intensity):
+        path = tmp_path / "vol.raw"
+        write_volume(intensity, path)
+        json_path = tmp_path / "vol.json"
+        header = json.loads(json_path.read_text())
+        header["shape"] = [float(n) for n in header["shape"]]
+        json_path.write_text(json.dumps(header))
+        assert read_volume(path).geometry.shape == intensity.geometry.shape
 
     def test_missing_sidecar_key(self, tmp_path, intensity):
         path = tmp_path / "vol.raw"

@@ -15,9 +15,9 @@ from rigidda.rigid import (
     compose,
     euler_from_rotation,
     euler_to_affine,
-    matrix_from_json,
-    matrix_to_json,
+    read_transform,
     rotation_matrix,
+    write_transform,
 )
 from conftest import central_difference
 
@@ -167,14 +167,38 @@ class TestCompose:
 
 
 class TestMatrixJson:
-    def test_round_trip(self):
-        m = euler_to_affine(RigidParams(0.1, 0.2, 0.3, t=(0.4, 0.5, 0.6))).m
-        np.testing.assert_array_equal(matrix_from_json(matrix_to_json(m)), m)
+    def test_round_trip(self, tmp_path):
+        params = RigidParams(0.1, 0.2, 0.3, t=(0.4, 0.5, 0.6), t_t=(-0.1, 0.0, 0.2))
+        path = tmp_path / "transform.json"
+        write_transform(path, params)
+        mats = euler_to_affine(params)
+        m, m_inv = read_transform(path)
+        np.testing.assert_array_equal(m, mats.m)
+        np.testing.assert_array_equal(m_inv, mats.m_inv)
+        raw = json.loads(path.read_text())
+        assert list(raw) == ["params", "m", "m_inv", "m_t", "m_t_inv"]
+        np.testing.assert_array_equal(raw["params"], params.to_vector())
+        np.testing.assert_array_equal(np.reshape(raw["m_t"], (4, 4)), mats.m_t)
+        np.testing.assert_array_equal(np.reshape(raw["m_t_inv"], (4, 4)), mats.m_t_inv)
 
-    def test_row_major_layout(self):
+    def test_matrix_pair_round_trip(self, tmp_path):
+        # a ground-truth map between grids of different extents is not rigid
+        m = np.array([[0.9, 0.1, 0.0, 0.2], [-0.1, 1.2, 0.0, -0.3], [0.0, 0.0, 0.5, 0.1], [0, 0, 0, 1]])
+        path = tmp_path / "gtM.json"
+        write_transform(path, (m, np.linalg.inv(m)))
+        assert list(json.loads(path.read_text())) == ["m", "m_inv"]
+        m_back, m_inv_back = read_transform(path)
+        np.testing.assert_array_equal(m_back, m)
+        np.testing.assert_array_equal(m_inv_back, np.linalg.inv(m))
+
+    def test_row_major_layout(self, tmp_path):
         m = np.arange(16, dtype=float).reshape(4, 4)
-        assert json.loads(matrix_to_json(m))[:4] == [0.0, 1.0, 2.0, 3.0]
+        path = tmp_path / "t.json"
+        write_transform(path, (m, m))
+        assert json.loads(path.read_text())["m"][:4] == [0.0, 1.0, 2.0, 3.0]
 
-    def test_wrong_count_rejected(self):
+    def test_wrong_count_rejected(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text("[1, 2, 3]")
         with pytest.raises(ValidationError):
-            matrix_from_json("[1, 2, 3]")
+            read_transform(path)

@@ -1,0 +1,42 @@
+"""Smoke tests: each experiment script runs end to end on tiny arguments."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(monkeypatch, capsys, name, *args):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
+    module.main()
+    return capsys.readouterr().out
+
+
+def test_recovery_benchmark(monkeypatch, capsys):
+    out = _run(monkeypatch, capsys, "recovery_benchmark", "--pairs", "1", "--max-steps", "2")
+    assert "pair 0: rot err" in out and ", 2 steps," in out
+    assert "/1 pairs within 2 deg and 1 voxel" in out
+
+
+def test_compare_modes(monkeypatch, capsys):
+    out = _run(monkeypatch, capsys, "compare_modes", "--seeds", "1", "--max-steps", "2")
+    assert "means over 1 seeds" in out
+    for mode in ("baseline", "cycle", "full"):
+        assert f"seed 0 {mode:8s} dice LV=" in out
+
+
+@pytest.mark.parametrize("mode", ["cycle", "full"])
+def test_run_demo(monkeypatch, capsys, tmp_path, mode):
+    out_dir = tmp_path / "demo"
+    out = _run(
+        monkeypatch, capsys, "run_demo", "--grid", "16", "--max-steps", "2", "--mode", mode, "--out-dir", str(out_dir)
+    )
+    assert f"mode {mode}: 2 steps in" in out
+    for name in ("trace.csv", "transform.json", "pred_labels.nii", "metrics.json"):
+        assert (out_dir / name).exists(), name
