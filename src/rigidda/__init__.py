@@ -1,9 +1,9 @@
 """Differentiable 3D rigid transformation and registration engine."""
 
-from .engine import OptimConfig, baseline_register, register_pair
+from .engine import OptimConfig, register_pair
 from .losses import LossWeights, ProbabilityVolume
 from .phantom import AnalyticSegmenter, PhantomSpec, make_pair
-from .rigid import RigidParams, affine_jacobian, compose, euler_to_affine
+from .rigid import RigidParams, affine_jacobian, euler_to_affine
 from .volume import GridGeometry, LabelVolume, Volume
 
 __all__ = [
@@ -17,8 +17,6 @@ __all__ = [
     "RigidParams",
     "Volume",
     "affine_jacobian",
-    "baseline_register",
-    "compose",
     "euler_to_affine",
     "make_pair",
     "register_pair",

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .engine import MODES, OptimConfig, PairObjective, register_pair
+from .engine import MODES, PairObjective, register_pair
 from .errors import RigiddaError, ValidationError
 from .io import read_volume, write_volume
 from .losses import LossWeights
@@ -27,7 +27,7 @@ from .metrics import evaluate_labels, postprocess_labels
 from .phantom import AnalyticSegmenter, PhantomPair, PhantomSpec, make_pair
 from .pipeline import apply_task, run_end2end
 from .resampler import transform_labels, transform_volume
-from .rigid import RigidParams, euler_to_affine, parse_matrix, read_transform, write_transform
+from .rigid import RigidParams, check_rigid, euler_to_affine, parse_matrix, read_transform, write_transform
 from .volume import LabelVolume, Volume
 
 log = logging.getLogger("rigidda")
@@ -74,11 +74,10 @@ def _parse_transform_arg(text: str) -> np.ndarray:
 _WEIGHT_NAMES = tuple(f.name for f in dataclasses.fields(LossWeights))
 
 
-def _parse_weights_arg(text: str | None) -> LossWeights:
-    if not text:
-        return LossWeights()
+def _parse_weights_arg(text: str | None, base: LossWeights | None = None) -> LossWeights:
+    """``base`` (default: the default weights) with the named weights of ``text`` replaced."""
     kwargs = {}
-    for item in text.split(","):
+    for item in (text or "").split(","):
         if not item:
             continue
         if "=" not in item:
@@ -88,7 +87,17 @@ def _parse_weights_arg(text: str | None) -> LossWeights:
         if name not in _WEIGHT_NAMES:
             raise ValidationError(f"unknown weight {name!r}; choose from {', '.join(_WEIGHT_NAMES)}")
         kwargs[name] = _finite_float(value, f"weight {name}")
-    return LossWeights(**kwargs)
+    return dataclasses.replace(base or LossWeights(), **kwargs)
+
+
+def _load_config(path: str | None, mode: str | None, weights: str | None = None) -> PipelineConfig:
+    """The config file (or the defaults), then ``--mode`` and ``--weights`` where given."""
+    config = PipelineConfig.from_file(path) if path else PipelineConfig()
+    if mode:
+        config.mode = mode
+    if weights is not None:
+        config.weights = _parse_weights_arg(weights, config.weights)
+    return config
 
 
 def _require_intensity(vol, name: str) -> Volume:
@@ -105,7 +114,7 @@ def _require_labels(vol, name: str) -> LabelVolume:
 
 def cmd_phantom_gen(args) -> int:
     spec = PhantomSpec.from_json(Path(args.spec).read_text()) if args.spec else PhantomSpec()
-    rel = read_transform(args.rel_transform)[0] if args.rel_transform else np.eye(4)
+    rel = check_rigid(read_transform(args.rel_transform)[0], "--rel-transform") if args.rel_transform else np.eye(4)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pair = make_pair(
@@ -142,15 +151,14 @@ def cmd_register(args) -> int:
     ax = _require_intensity(read_volume(args.ax), "--ax")
     sax = _require_intensity(read_volume(args.sax), "--sax") if args.sax else None
     gt_m, gt_m_inv = read_transform(args.gt_transform)
-    weights = _parse_weights_arg(args.weights)
-    cfg = PipelineConfig.from_file(args.config).optim if args.config else OptimConfig()
+    config = _load_config(args.config, args.mode, args.weights)
     task = None
-    if args.mode in ("cycle+focus", "full"):
+    if config.mode in ("cycle+focus", "full"):
         if not args.spec:
             raise ValidationError("focus modes need --spec for the task module")
         spec = PhantomSpec.from_json(Path(args.spec).read_text())
         task = AnalyticSegmenter(spec, ax.geometry)
-    params, trace = register_pair(ax, sax, gt_m, gt_m_inv, task, weights, cfg, mode=args.mode)
+    params, trace = register_pair(ax, sax, gt_m, gt_m_inv, task, config.weights, config.optim, mode=config.mode)
     if args.trace:
         trace.write_csv(args.trace)
     if args.dump_transform:
@@ -222,14 +230,15 @@ def cmd_apply(args) -> int:
 def cmd_end2end(args) -> int:
     pair_dir = Path(args.pair_dir)
     pair, spec = _load_pair_dir(pair_dir)
-    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    if args.mode:
-        config.mode = args.mode
+    config = _load_config(args.config, args.mode)
     task = AnalyticSegmenter(spec, pair.i.geometry)
     result = run_end2end(pair, task, config)
     result.save(args.out_dir)
     print(result.report.to_json())
     return 0
+
+
+CONFIG_HELP = "pipeline config JSON with seed, mode, weights and optim; other keys are rejected"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ax", required=True)
     p.add_argument("--sax")
     p.add_argument("--gt-transform", required=True)
-    p.add_argument("--weights", help="e.g. alpha1=1.0,alpha2=0.1")
-    p.add_argument("--mode", choices=MODES, default="full")
+    p.add_argument("--weights", help="e.g. alpha1=1.0,alpha2=0.1; replaces the config's value of each named weight")
+    p.add_argument("--mode", choices=MODES, help="overrides the config's mode (default full)")
     p.add_argument("--spec", help="PhantomSpec JSON for the task module")
-    p.add_argument("--config", help="pipeline config JSON")
+    p.add_argument("--config", help=CONFIG_HELP)
     p.add_argument("--trace", help="write the per-step trace CSV here")
     p.add_argument(
         "--dump-transform", help="write {params, m, m_inv, m_t, m_t_inv} here; baseline and cycle give t_t = t"
@@ -294,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("end2end", help="register, apply the task, evaluate")
     p.add_argument("--pair-dir", required=True)
-    p.add_argument("--config")
-    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--config", help=CONFIG_HELP)
+    p.add_argument("--mode", choices=MODES, help="overrides the config's mode (default full)")
     p.add_argument(
         "--out-dir",
         required=True,

@@ -21,11 +21,10 @@ def _load_schema() -> dict:
 
 @dataclass
 class PipelineConfig:
+    """What a registration run takes from a config file: its seed, mode, loss weights
+    and optimizer settings. The schema rejects any other key."""
+
     seed: int = 0
-    iso_mm: float = 1.5
-    grid: tuple[int, int, int] = (64, 64, 64)
-    quantile: float = 0.999
-    z_shift_mm: float = -10.0
     mode: str = "full"
     weights: LossWeights = field(default_factory=LossWeights)
     optim: OptimConfig = field(default_factory=OptimConfig)
@@ -40,18 +39,13 @@ class PipelineConfig:
             jsonschema.validate(raw, _load_schema())
         except jsonschema.ValidationError as exc:
             raise ValidationError(f"config rejected by schema: {exc.message}") from exc
-        cfg = cls()
-        for key in ("seed", "iso_mm", "quantile", "z_shift_mm", "mode"):
-            if key in raw:
-                setattr(cfg, key, raw[key])
-        if "grid" in raw:
-            cfg.grid = tuple(raw["grid"])
-        if "weights" in raw:
-            cfg.weights = LossWeights(**raw["weights"])
-        if "optim" in raw:
-            cfg.optim = OptimConfig(**raw["optim"])
+        cfg = cls(
+            **{key: raw[key] for key in ("seed", "mode") if key in raw},
+            weights=LossWeights(**raw.get("weights", {})),
+            optim=OptimConfig(**raw.get("optim", {})),
+        )
         # pipeline seed is the single source of randomness unless overridden
-        if "optim" not in raw or "seed" not in raw.get("optim", {}):
+        if "seed" not in raw.get("optim", {}):
             cfg.optim.seed = cfg.seed
         return cfg
 

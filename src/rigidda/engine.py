@@ -375,14 +375,3 @@ def register_pair(
     if not free[6:].any():
         best_vec[6:] = best_vec[3:6]
     return RigidParams.from_vector(best_vec), trace
-
-
-def baseline_register(
-    i_vol: Volume,
-    gt_m: np.ndarray,
-    cfg: OptimConfig,
-    weights: LossWeights | None = None,
-) -> tuple[RigidParams, RegistrationTrace]:
-    """6-parameter optimization of the forward masked MSE only."""
-    weights = weights or LossWeights()
-    return register_pair(i_vol, None, gt_m, None, None, weights, cfg, mode="baseline")

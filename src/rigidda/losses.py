@@ -1,21 +1,23 @@
-"""Loss terms: segmentation losses, masked MSE, focus loss.
+"""Loss terms: segmentation losses, the focus loss, the loss weights and report.
 
 All reductions are means over voxels (and foreground classes where a class
 sum appears), so loss magnitudes do not scale with the grid size. The
-registration objective, ``engine.PairObjective``, combines the cycle and
-focus terms; it evaluates them on slabs of slices and weights each slab's
-mean by the slab's share of the grid.
+registration objective, ``engine.PairObjective``, computes the cycle terms
+(half the mean squared masked difference) itself and adds the focus terms
+from here; it evaluates them on slabs of slices and weights each slab's
+mean by the slab's share of the grid. The segmentation losses (BCE, soft
+Dice) are the task network's training losses, checked against brute-force
+oracles by criterion 6.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .resampler import SampleResult
-from .volume import FOREGROUND_CLASSES, GridGeometry, NUM_CLASSES, Volume
+from .volume import FOREGROUND_CLASSES, GridGeometry, NUM_CLASSES
 
 PROB_EPS = 1e-7
 
@@ -52,10 +54,8 @@ class ProbabilityVolume:
 class LossWeights:
     alpha1: float = 1.0
     alpha2: float = 0.1
-    w_seg: float = 0.5
     r: float = 0.9
     tau: float = 0.02
-    smooth: float = 1.0
 
     def __post_init__(self):
         # the stability condition is alpha1 > alpha2; alpha2 = 0 disables focus
@@ -63,8 +63,6 @@ class LossWeights:
             raise ValidationError("require alpha1 > alpha2 >= 0")
         if not 0 < self.r < 1:
             raise ValidationError("threshold r must be in (0, 1)")
-        if self.smooth <= 0:
-            raise ValidationError("dice smoothing constant must be positive")
         if self.tau <= 0:
             raise ValidationError("surrogate temperature must be positive")
 
@@ -115,24 +113,6 @@ def in_plane_weight(g: GridGeometry) -> np.ndarray:
     return (1.0 - np.abs(nx)) * (1.0 - np.abs(ny))
 
 
-def masked_mse(
-    a: SampleResult | Volume,
-    b: SampleResult,
-    weight: np.ndarray | None = None,
-) -> float:
-    """Half mean of the squared masked difference.
-
-    The validity mask is taken from ``b`` (the ground-truth-transformed side)
-    and applied to both operands.
-    """
-    a_img = a.image if isinstance(a, SampleResult) else a
-    if a_img.geometry.shape != b.image.geometry.shape:
-        raise ValidationError("masked_mse operands live on different grids")
-    mask = b.validity if weight is None else b.validity * weight
-    diff = (a_img.data - b.image.data) * mask
-    return 0.5 * float(np.mean(diff * diff))
-
-
 def focus_exact(q: ProbabilityVolume, r: float = 0.9) -> float:
     """1 minus the fraction of foreground entries strictly above threshold r."""
     fg = q.foreground()
@@ -181,7 +161,6 @@ class LossReport:
     focus_smooth: float = 0.0
     alpha1: float = 1.0
     alpha2: float = 0.1
-    extras: dict = field(default_factory=dict)
 
     @property
     def cycle(self) -> float:
@@ -192,7 +171,7 @@ class LossReport:
         return self.alpha1 * self.cycle + self.alpha2 * self.focus_smooth
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "cycle_fwd": self.cycle_fwd,
             "cycle_bwd": self.cycle_bwd,
             "cycle": self.cycle,
@@ -202,5 +181,3 @@ class LossReport:
             "alpha2": self.alpha2,
             "total": self.total,
         }
-        d.update(self.extras)
-        return d

@@ -1,8 +1,8 @@
 """Evaluation metrics and mask post-processing.
 
-Hard Dice and symmetric surface Hausdorff distance per class, volume
-differences in ml, Bland-Altman data rows, plus 3D largest connected
-component filtering and per-slice 2D morphological closing.
+Hard Dice, symmetric surface Hausdorff distance and volumes in ml per
+class, plus 3D largest connected component filtering and per-slice 2D
+morphological closing.
 """
 
 from __future__ import annotations
@@ -149,38 +149,3 @@ def evaluate_labels(pred: LabelVolume, truth: LabelVolume) -> MetricReport:
             volume_truth_ml=float(tm.sum()) * vox_ml,
         )
     return MetricReport(per_class)
-
-
-def bland_altman_rows(reports: list[MetricReport]) -> list[dict]:
-    """Per-case (mean volume, difference) rows plus bias and 1.96 SD limits."""
-    if len(reports) < 2:
-        raise ValidationError("Bland-Altman analysis needs at least 2 reports")
-    rows = []
-    for cls in FOREGROUND_CLASSES:
-        diffs = []
-        for case, rep in enumerate(reports):
-            m = rep.per_class[cls]
-            mean_vol = (m.volume_pred_ml + m.volume_truth_ml) / 2.0
-            rows.append(
-                {
-                    "kind": "case",
-                    "class": CLASS_NAMES[cls],
-                    "case": case,
-                    "mean_volume_ml": mean_vol,
-                    "volume_diff_ml": m.volume_diff_ml,
-                }
-            )
-            diffs.append(m.volume_diff_ml)
-        diffs = np.asarray(diffs)
-        bias = float(diffs.mean())
-        sd = float(diffs.std(ddof=1))
-        rows.append(
-            {
-                "kind": "summary",
-                "class": CLASS_NAMES[cls],
-                "bias_ml": bias,
-                "limit_low_ml": bias - 1.96 * sd,
-                "limit_high_ml": bias + 1.96 * sd,
-            }
-        )
-    return rows

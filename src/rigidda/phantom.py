@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .losses import ProbabilityVolume, _sigmoid
-from .rigid import parse_matrix, rotation_matrix
+from .rigid import check_rigid, parse_matrix, rotation_matrix
 from .volume import (
     FOREGROUND_CLASSES,
     GridGeometry,
@@ -153,7 +153,7 @@ class PhantomSpec:
             if name in raw:
                 kwargs[name] = _spec_number(raw[name], name)
         if "pose" in raw:
-            kwargs["pose"] = parse_matrix(raw["pose"], "phantom spec pose")
+            kwargs["pose"] = check_rigid(parse_matrix(raw["pose"], "phantom spec pose"), "phantom spec pose")
         return cls(**kwargs)
 
 
@@ -231,8 +231,6 @@ class TaskModule(Protocol):
     ``gradient`` as ``q``, so the forward pass is not repeated.
     """
 
-    classes: tuple[int, ...]
-
     def evaluate(self, vol: Volume) -> ProbabilityVolume: ...
 
     def gradient(
@@ -254,8 +252,6 @@ class AnalyticSegmenter:
     foreground logits down. The computation is per slice in-plane and
     independent across slices.
     """
-
-    classes = tuple(range(NUM_CLASSES))
 
     def __init__(self, spec: PhantomSpec, geometry: GridGeometry, pose: np.ndarray | None = None):
         self.spec = spec

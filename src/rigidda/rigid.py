@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-PARAM_NAMES = ("phi", "theta", "psi", "tx", "ty", "tz", "txt", "tyt", "tzt")
 N_PARAMS = 9
 
 
@@ -38,10 +37,6 @@ class RigidParams:
         vec = self.to_vector()
         if not np.all(np.isfinite(vec)):
             raise ValidationError("rigid parameters must be finite")
-
-    @classmethod
-    def zeros(cls) -> "RigidParams":
-        return cls()
 
     @classmethod
     def random_init(cls, rng: np.random.Generator, std: float = 1e-10) -> "RigidParams":
@@ -158,13 +153,12 @@ def euler_to_affine(p: RigidParams) -> TransformSet:
 class AffineJacobian:
     """Analytic partials of every matrix entry with respect to the 9 parameters.
 
-    Each field has shape (9, 4, 4); index order follows PARAM_NAMES.
+    Each field has shape (9, 4, 4); index order follows the parameter vector.
     """
 
     d_m: np.ndarray
     d_m_inv: np.ndarray
     d_m_t: np.ndarray
-    d_m_t_inv: np.ndarray
 
 
 def affine_jacobian(p: RigidParams) -> AffineJacobian:
@@ -178,34 +172,19 @@ def affine_jacobian(p: RigidParams) -> AffineJacobian:
     d_m = np.zeros((N_PARAMS, 4, 4))
     d_m_inv = np.zeros((N_PARAMS, 4, 4))
     d_m_t = np.zeros((N_PARAMS, 4, 4))
-    d_m_t_inv = np.zeros((N_PARAMS, 4, 4))
     for k in range(3):
         d_m[k, :3, :3] = dr[k]
         d_m[k, :3, 3] = dr[k] @ p.t
         d_m_inv[k, :3, :3] = dr[k].T
         d_m_t[k, :3, :3] = dr[k]
         d_m_t[k, :3, 3] = dr[k] @ p.t_t
-        d_m_t_inv[k, :3, :3] = dr[k].T
     for k in range(3):
         e = np.zeros(3)
         e[k] = 1.0
         d_m[3 + k, :3, 3] = r @ e
         d_m_inv[3 + k, :3, 3] = -e
         d_m_t[6 + k, :3, 3] = r @ e
-        d_m_t_inv[6 + k, :3, 3] = -e
-    return AffineJacobian(d_m, d_m_inv, d_m_t, d_m_t_inv)
-
-
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Homogeneous product a @ b with bottom-row check."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    for m in (a, b):
-        if m.shape != (4, 4) or not np.allclose(m[3], [0, 0, 0, 1], atol=1e-9):
-            raise ValidationError("not a homogeneous 4x4 matrix")
-    out = a @ b
-    out[3] = [0.0, 0.0, 0.0, 1.0]
-    return out
+    return AffineJacobian(d_m, d_m_inv, d_m_t)
 
 
 def write_transform(path, transform: RigidParams | tuple[np.ndarray, np.ndarray]) -> None:
@@ -231,6 +210,17 @@ def parse_matrix(value, what: str) -> np.ndarray:
     if m is None or m.shape not in ((16,), (4, 4)) or not np.all(np.isfinite(m)):
         raise ValidationError(f"{what} must hold 16 finite numbers")
     return m.reshape(4, 4)
+
+
+def check_rigid(m: np.ndarray, what: str) -> np.ndarray:
+    """``m`` itself if it is a homogeneous rigid map: bottom row 0, 0, 0, 1 and a
+    rotation block that is orthonormal with determinant +1, each to 1e-6, so a
+    rotation written out to 7 digits passes."""
+    r = m[:3, :3]
+    bottom_ok = np.abs(m[3] - [0.0, 0.0, 0.0, 1.0]).max() <= 1e-6
+    if not (bottom_ok and np.abs(r.T @ r - np.eye(3)).max() <= 1e-6 and np.linalg.det(r) > 0.0):
+        raise ValidationError(f"{what} is not a rigid transform")
+    return m
 
 
 def read_transform(path) -> tuple[np.ndarray, np.ndarray]:

@@ -53,14 +53,11 @@ class GridGeometry:
         self.direction.flags.writeable = False
 
     @classmethod
-    def isotropic(cls, shape, spacing_mm: float, centered: bool = True) -> "GridGeometry":
-        """Axis-aligned grid; when centered, the grid midpoint sits at the world origin."""
+    def isotropic(cls, shape, spacing_mm: float) -> "GridGeometry":
+        """Axis-aligned grid whose midpoint sits at the world origin."""
         shape = tuple(int(n) for n in shape)
         sp = np.full(3, float(spacing_mm))
-        if centered:
-            origin = -sp * (np.asarray(shape, dtype=float) - 1.0) / 2.0
-        else:
-            origin = np.zeros(3)
+        origin = -sp * (np.asarray(shape, dtype=float) - 1.0) / 2.0
         return cls(shape, sp, origin, np.eye(3))
 
     @property
@@ -76,20 +73,6 @@ class GridGeometry:
         v = np.asarray(v, dtype=float)
         return self.origin + (v * self.spacing) @ self.direction.T
 
-    def voxel_from_world(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return ((p - self.origin) @ self.direction) / self.spacing
-
-    def normalized_from_voxel(self, v: np.ndarray) -> np.ndarray:
-        if any(n < 2 for n in self.shape):
-            raise ValidationError("normalized coordinates need >= 2 voxels per axis")
-        n = np.asarray(self.shape, dtype=float)
-        return 2.0 * np.asarray(v, dtype=float) / (n - 1.0) - 1.0
-
-    def voxel_from_normalized(self, c: np.ndarray) -> np.ndarray:
-        n = np.asarray(self.shape, dtype=float)
-        return (np.asarray(c, dtype=float) + 1.0) / 2.0 * (n - 1.0)
-
     def normalized_to_world_matrix(self) -> np.ndarray:
         """Homogeneous 4x4 mapping normalized coordinates to world mm."""
         n = np.asarray(self.shape, dtype=float)
@@ -98,17 +81,6 @@ class GridGeometry:
         m[:3, :3] = self.direction * scale[None, :]
         m[:3, 3] = self.origin + self.direction @ (self.spacing * (n - 1.0) / 2.0)
         return m
-
-    def world_to_normalized_matrix(self) -> np.ndarray:
-        return np.linalg.inv(self.normalized_to_world_matrix())
-
-    def almost_equal(self, other: "GridGeometry", tol: float = 1e-9) -> bool:
-        return (
-            self.shape == other.shape
-            and np.allclose(self.spacing, other.spacing, atol=tol)
-            and np.allclose(self.origin, other.origin, atol=tol)
-            and np.allclose(self.direction, other.direction, atol=tol)
-        )
 
     def normalized_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Normalized coordinates of every voxel center, three (W,H,D) arrays."""
@@ -121,15 +93,6 @@ class GridGeometry:
             raise ValidationError(f"slices {z0}:{z1} outside a grid of depth {self.shape[2]}")
         origin = self.origin + self.direction @ np.array([0.0, 0.0, z0 * self.spacing[2]])
         return GridGeometry((self.shape[0], self.shape[1], z1 - z0), self.spacing, origin, self.direction)
-
-
-def world_to_normalized(g: GridGeometry, p: np.ndarray) -> np.ndarray:
-    """Normalized coordinate of world point(s) p; the grid center maps to 0."""
-    return g.normalized_from_voxel(g.voxel_from_world(p))
-
-
-def normalized_to_world(g: GridGeometry, c: np.ndarray) -> np.ndarray:
-    return g.world_from_voxel(g.voxel_from_normalized(c))
 
 
 @dataclass(frozen=True)
@@ -256,29 +219,6 @@ def clip_and_normalize(v: Volume, q: float = 0.999) -> Volume:
     if hi <= lo:
         return v.with_data(np.zeros_like(v.data))
     return v.with_data((clipped - lo) / (hi - lo))
-
-
-def extend_z_geometry(g: GridGeometry, extend_mm: float, shift_mm: float) -> GridGeometry:
-    """Grow the grid along z by ``extend_mm`` on each side and shift the origin.
-
-    ``shift_mm`` is signed along the grid's z axis (CLI default -10 mm).
-    """
-    extra = int(round(extend_mm / g.spacing[2]))
-    shape = (g.shape[0], g.shape[1], g.shape[2] + 2 * extra)
-    origin = g.origin + g.direction @ np.array([0.0, 0.0, shift_mm - extra * g.spacing[2]])
-    return GridGeometry(shape, g.spacing, origin, g.direction)
-
-
-def preprocess_volume(
-    v: Volume,
-    iso: float = 1.5,
-    grid: tuple[int, int, int] = (224, 224, 96),
-    quantile: float = 0.999,
-) -> Volume:
-    """Standard intensity preprocessing: isotropic resample, pad/crop, normalize."""
-    out = resample_isotropic(v, iso)
-    out = pad_to_grid(out, grid)
-    return clip_and_normalize(out, quantile)
 
 
 def preprocess_labels(

@@ -4,15 +4,20 @@ Every subcommand is exercised end to end on tiny grids through ``main`` so
 argument wiring, file I/O and exit codes are all covered.
 """
 
+import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import rigidda
 from rigidda.cli import _parse_floats, _parse_weights_arg, main
-from rigidda.config import PipelineConfig
+from rigidda.config import PipelineConfig, _load_schema
+from rigidda.engine import OptimConfig
 from rigidda.errors import ValidationError
 from rigidda.io import read_volume
+from rigidda.losses import LossWeights
 from rigidda.phantom import PhantomSpec, world_rigid
 from rigidda.volume import LabelVolume
 from conftest import gentle_task_spec
@@ -280,8 +285,8 @@ class TestEnd2End:
 class TestPipelineConfig:
     def test_defaults(self):
         cfg = PipelineConfig()
-        assert cfg.mode == "full" and cfg.grid == (64, 64, 64)
-        assert cfg.z_shift_mm == -10.0
+        assert cfg.mode == "full" and cfg.seed == 0
+        assert cfg.weights == LossWeights() and cfg.optim == OptimConfig()
 
     def test_seed_propagates_to_optimizer(self):
         cfg = PipelineConfig.from_json('{"seed": 7}')
@@ -293,9 +298,9 @@ class TestPipelineConfig:
 
     def test_nested_sections_parsed(self):
         cfg = PipelineConfig.from_json(
-            '{"grid": [32, 32, 32], "weights": {"alpha2": 0.05}, "optim": {"lr0": 0.01}}'
+            '{"mode": "cycle", "weights": {"alpha2": 0.05}, "optim": {"lr0": 0.01}}'
         )
-        assert cfg.grid == (32, 32, 32)
+        assert cfg.mode == "cycle"
         assert cfg.weights.alpha2 == 0.05
         assert cfg.optim.lr0 == 0.01
 
@@ -305,14 +310,121 @@ class TestPipelineConfig:
         with pytest.raises(ValidationError):
             PipelineConfig.from_json('{"mode": "fancy"}')
         with pytest.raises(ValidationError):
-            PipelineConfig.from_json('{"quantile": 2.0}')
+            PipelineConfig.from_json('{"weights": {"r": 2.0}}')
         with pytest.raises(ValidationError):
             PipelineConfig.from_json("{broken")
 
     def test_spec_json_usable_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text('{"iso_mm": 2.0}')
-        assert PipelineConfig.from_file(path).iso_mm == 2.0
+        path.write_text('{"mode": "baseline"}')
+        assert PipelineConfig.from_file(path).mode == "baseline"
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+class TestConfigHasNoDeadKeys:
+    """Every config key is read by the program; a key nothing reads is rejected."""
+
+    def test_schema_matches_dataclasses(self):
+        props = _load_schema()["properties"]
+        assert set(props) == _field_names(PipelineConfig)
+        assert set(props["weights"]["properties"]) == _field_names(LossWeights)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"iso_mm": 1.5},
+            {"grid": [64, 64, 64]},
+            {"quantile": 0.999},
+            {"z_shift_mm": -10.0},
+            {"weights": {"w_seg": 0.5}},
+            {"weights": {"smooth": 1.0}},
+        ],
+        ids=["iso_mm", "grid", "quantile", "z_shift_mm", "w_seg", "smooth"],
+    )
+    def test_removed_key_exit_2(self, pair_dir, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args = ["end2end", "--pair-dir", str(pair_dir), "--config", str(path)]
+        assert main(args + ["--out-dir", str(tmp_path / "run")]) == 2
+        assert not (tmp_path / "run").exists()
+
+    def test_removed_weight_flag_exit_2(self, pair_dir):
+        args = ["register", "--ax", str(pair_dir / "I.nii"), "--gt-transform", str(pair_dir / "gtM.json")]
+        assert main(args + ["--mode", "baseline", "--weights", "w_seg=1"]) == 2
+
+    def test_all_exports_resolve(self):
+        for name in rigidda.__all__:
+            assert getattr(rigidda, name) is not None
+
+
+class TestRegisterHonorsConfig:
+    """register takes mode, weights and optimizer settings from --config; --mode and --weights override."""
+
+    @staticmethod
+    def _register(pair_dir, tmp_path, capsys, alpha1, *extra):
+        path = tmp_path / f"config_{alpha1}.json"
+        path.write_text(json.dumps({"mode": "cycle", "weights": {"alpha1": alpha1}, "optim": {"max_steps": 1}}))
+        trace = tmp_path / "trace.csv"
+        args = ["register", "--ax", str(pair_dir / "I.nii"), "--sax", str(pair_dir / "J.nii")]
+        args += ["--gt-transform", str(pair_dir / "gtM.json"), "--config", str(path), "--trace", str(trace)]
+        assert main(args + list(extra)) == 0
+        with open(trace, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        return json.loads(capsys.readouterr().out)["final_loss"], rows
+
+    def test_mode_and_weights_from_config(self, pair_dir, tmp_path, capsys):
+        # cycle mode needs no --spec, so the run succeeds only if the config's mode is used
+        doubled, rows = self._register(pair_dir, tmp_path, capsys, 2.0)
+        single, _ = self._register(pair_dir, tmp_path, capsys, 1.0)
+        assert len(rows) == 1 and float(rows[0]["loss_cycle_bwd"]) > 0.0
+        assert doubled == 2.0 * single
+
+    def test_flags_override_config(self, pair_dir, tmp_path, capsys):
+        single, _ = self._register(pair_dir, tmp_path, capsys, 1.0)
+        tripled, _ = self._register(pair_dir, tmp_path, capsys, 2.0, "--weights", "alpha1=3")
+        assert tripled == 3.0 * single
+        # a weight the flag does not name keeps the config's value
+        doubled, _ = self._register(pair_dir, tmp_path, capsys, 2.0, "--weights", "alpha2=0.05")
+        assert doubled == 2.0 * single
+        baseline, rows = self._register(pair_dir, tmp_path, capsys, 2.0, "--mode", "baseline")
+        assert float(rows[0]["loss_cycle_bwd"]) == 0.0
+        assert baseline == float(rows[0]["loss_cycle_fwd"])
+
+
+_ROT7 = np.round(world_rigid((0.3, -0.2, 0.5), (4.0, -2.0, 1.0)), 7)
+_NOT_RIGID = {
+    "scaling": np.diag([2.0, 2.0, 2.0, 1.0]),
+    "bottom-row": np.vstack([np.eye(4)[:3], np.ones(4)]),
+    "reflection": np.diag([-1.0, 1.0, 1.0, 1.0]),
+    "shear": np.array([[1.0, 0.3, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+}
+
+
+class TestRigidGroundTruth:
+    """phantom-gen takes only rigid maps as --rel-transform and as the spec's pose."""
+
+    @pytest.mark.parametrize(
+        "matrix, code",
+        [(m, 2) for m in _NOT_RIGID.values()] + [(_ROT7, 0)],
+        ids=[*_NOT_RIGID, "rotation-7-digits"],
+    )
+    @pytest.mark.parametrize("source", ["rel-transform", "pose"])
+    def test_phantom_gen(self, tmp_path, source, matrix, code):
+        args = ["phantom-gen", "--grid", "8", "8", "8", "--iso", "4.0", "--out-dir", str(tmp_path / "pair")]
+        entries = matrix.reshape(16).tolist()
+        if source == "rel-transform":
+            path = tmp_path / "rel.json"
+            path.write_text(json.dumps({"m": entries}))
+            args += ["--rel-transform", str(path)]
+        else:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"pose": entries}))
+            args += ["--spec", str(path)]
+        assert main(args) == code
+        assert (tmp_path / "pair" / "gtM.json").exists() == (code == 0)
 
 
 class TestSpecRoundTripThroughCli:

@@ -19,7 +19,6 @@ from rigidda.engine import (
     PlateauScheduler,
     TRACE_COLUMNS,
     adam_step,
-    baseline_register,
     register_pair,
     slab_bounds,
 )
@@ -319,7 +318,8 @@ class TestRegisterPair:
     def test_baseline_keeps_task_translation_frozen(self):
         spec, pair = _small_pair()
         cfg = OptimConfig(lr0=0.02, epoch_steps=10, max_steps=25, seed=2)
-        self._assert_task_translation_falls_back(*baseline_register(pair.i, pair.gt_m, cfg))
+        params, trace = register_pair(pair.i, None, pair.gt_m, None, None, LossWeights(), cfg, mode="baseline")
+        self._assert_task_translation_falls_back(params, trace)
 
     def test_cycle_returns_t_t_equal_to_t(self):
         self._assert_task_translation_falls_back(*self._run("cycle", max_steps=25))

@@ -19,13 +19,12 @@ from rigidda.losses import (
     focus_smooth,
     focus_smooth_upstream,
     in_plane_weight,
-    masked_mse,
     sdl,
     seg_loss,
     soft_dice,
 )
 from rigidda.phantom import AnalyticSegmenter, make_pair, world_rigid
-from rigidda.resampler import transform_volume
+from rigidda.resampler import SampleResult, transform_volume
 from rigidda.rigid import RigidParams, euler_to_affine
 from rigidda.volume import GridGeometry, Volume
 from conftest import gentle_task_spec, smooth_field
@@ -58,6 +57,16 @@ def brute_focus_exact(fg, r):
         if v > r:
             count += 1
     return 1.0 - count / np.size(fg)
+
+
+def masked_mse(a: SampleResult | Volume, b: SampleResult, weight=None) -> float:
+    """Half mean of the squared masked difference, masked by ``b``'s validity on both operands."""
+    a_img = a.image if isinstance(a, SampleResult) else a
+    if a_img.geometry.shape != b.image.geometry.shape:
+        raise ValidationError("masked_mse operands live on different grids")
+    mask = b.validity if weight is None else b.validity * weight
+    diff = (a_img.data - b.image.data) * mask
+    return 0.5 * float(np.mean(diff * diff))
 
 
 def cycle_loss(i_vol, j_vol, m, m_inv, gt_m, gt_m_inv, target, weight=None):

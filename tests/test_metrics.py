@@ -5,7 +5,6 @@ import pytest
 
 from rigidda.errors import ValidationError
 from rigidda.metrics import (
-    bland_altman_rows,
     closing_2d,
     dice3d,
     evaluate_labels,
@@ -217,30 +216,3 @@ class TestEvaluateLabels:
         assert set(parsed) == {"LV", "MYO", "RV"}
         assert parsed["MYO"]["hausdorff_excluded"] is True
 
-
-class TestBlandAltman:
-    def test_summary_uses_sample_std(self):
-        g = GridGeometry.isotropic((6, 6, 6), 10.0)  # 1 voxel = 1 ml
-        reports = []
-        sizes = [(5, 3), (4, 4), (2, 6)]
-        for np_, nt in sizes:
-            pred = np.zeros(g.shape, dtype=np.int16)
-            truth = np.zeros(g.shape, dtype=np.int16)
-            pred.flat[:np_] = 1
-            truth.flat[:nt] = 1
-            reports.append(
-                evaluate_labels(LabelVolume(g, pred), LabelVolume(g, truth))
-            )
-        rows = bland_altman_rows(reports)
-        lv_summary = [r for r in rows if r["kind"] == "summary" and r["class"] == "LV"][0]
-        diffs = np.array([2.0, 0.0, -4.0])
-        assert abs(lv_summary["bias_ml"] - diffs.mean()) < 1e-12
-        sd = diffs.std(ddof=1)
-        assert abs(lv_summary["limit_high_ml"] - (diffs.mean() + 1.96 * sd)) < 1e-12
-        case_rows = [r for r in rows if r["kind"] == "case" and r["class"] == "LV"]
-        assert [r["volume_diff_ml"] for r in case_rows] == [2.0, 0.0, -4.0]
-        assert case_rows[0]["mean_volume_ml"] == 4.0
-
-    def test_requires_two_reports(self):
-        with pytest.raises(ValidationError):
-            bland_altman_rows([])

@@ -12,7 +12,7 @@ from rigidda.rigid import (
     N_PARAMS,
     RigidParams,
     affine_jacobian,
-    compose,
+    check_rigid,
     euler_from_rotation,
     euler_to_affine,
     read_transform,
@@ -115,7 +115,6 @@ class TestJacobian:
             ("d_m", lambda q: euler_to_affine(q).m),
             ("d_m_inv", lambda q: euler_to_affine(q).m_inv),
             ("d_m_t", lambda q: euler_to_affine(q).m_t),
-            ("d_m_t_inv", lambda q: euler_to_affine(q).m_t_inv),
         ):
             def scalar(vec):
                 return float(np.sum(mat_of(RigidParams.from_vector(vec)) * probe))
@@ -130,7 +129,6 @@ class TestJacobian:
         assert np.abs(jac.d_m[6:]).max() == 0.0
         assert np.abs(jac.d_m_t[3:6]).max() == 0.0
         assert np.abs(jac.d_m_inv[6:]).max() == 0.0
-        assert np.abs(jac.d_m_t_inv[3:6]).max() == 0.0
 
 
 class TestParams:
@@ -152,18 +150,21 @@ class TestParams:
         assert np.abs(p.to_vector()).max() > 0.0
 
 
-class TestCompose:
-    def test_matches_matmul(self):
-        rng = np.random.default_rng(3)
-        a = euler_to_affine(random_params(rng)).m
-        b = euler_to_affine(random_params(rng)).m
-        np.testing.assert_allclose(compose(a, b), a @ b, atol=1e-15)
-
-    def test_rejects_bad_bottom_row(self):
-        bad = np.eye(4)
-        bad[3, 0] = 0.5
-        with pytest.raises(ValidationError):
-            compose(bad, np.eye(4))
+class TestCheckRigid:
+    @given(
+        angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+        trans=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+        scale=st.floats(0.5, 2.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_accepts_rotations_and_rejects_scaling(self, angles, trans, scale):
+        m = euler_to_affine(RigidParams(*angles, t=trans)).m
+        assert check_rigid(m, "m") is m
+        scaled = m.copy()
+        scaled[:3, :3] *= scale
+        if abs(scale - 1.0) > 1e-6:
+            with pytest.raises(ValidationError):
+                check_rigid(scaled, "m")
 
 
 class TestMatrixJson:
