@@ -258,7 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ax", required=True)
     p.add_argument("--sax")
     p.add_argument("--gt-transform", required=True)
-    p.add_argument("--weights", help="e.g. alpha1=1.0,alpha2=0.1; replaces the config's value of each named weight")
+    p.add_argument(
+        "--weights",
+        help="e.g. alpha1=1.0,alpha2=0.1; replaces the config's value of each named weight;"
+        " alpha2, r and tau act only in the focus modes",
+    )
     p.add_argument("--mode", choices=MODES, help="overrides the config's mode (default full)")
     p.add_argument("--spec", help="PhantomSpec JSON for the task module")
     p.add_argument("--config", help=CONFIG_HELP)

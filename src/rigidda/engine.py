@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .interp import SLAB_VOXELS
 from .losses import (
     LossReport,
     LossWeights,
@@ -50,6 +51,11 @@ TRACE_COLUMNS = (
 )
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimConfig:
     lr0: float = 1e-3
@@ -61,9 +67,6 @@ class OptimConfig:
     max_steps: int = 1000
     seed: int = 0
     min_delta: float = 1e-6  # improvement below this counts as "no gain"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not 0 < self.plateau_factor < 1:
@@ -85,18 +88,16 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n))
 
 
-def adam_step(
-    p: np.ndarray, grad: np.ndarray, state: AdamState, lr: float, cfg: OptimConfig
-) -> np.ndarray:
+def adam_step(p: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
     """Standard Adam update; mutates ``state`` in place, returns new params."""
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient in Adam step")
     state.t += 1
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
-    m_hat = state.m / (1.0 - cfg.beta1**state.t)
-    v_hat = state.v / (1.0 - cfg.beta2**state.t)
-    return p - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class PlateauScheduler:
@@ -170,12 +171,6 @@ class RegistrationTrace:
                     ]
                     + [repr(v) for v in row.params]
                 )
-
-
-# Voxels per slab: 128 KB per float64 array, so a step's temporaries stay
-# cache-sized and malloc reuses them, and the slab-sized (3x4)(4xN) and
-# (3xN)(Nx4) BLAS products stay below OpenBLAS's threading threshold.
-SLAB_VOXELS = 16384
 
 
 @dataclass(frozen=True)
@@ -272,7 +267,6 @@ class PairObjective:
         mats = euler_to_affine(params)
         jac = affine_jacobian(params)
         w = self.weights
-        a1 = 1.0 if self.mode == "baseline" else w.alpha1
         a2 = w.alpha2 if self.use_focus else 0.0
         n_fg = len(FOREGROUND_CLASSES)
         grad = np.zeros(N_PARAMS)
@@ -283,13 +277,13 @@ class PairObjective:
             tape = transform_volume_with_tape(self.i_vol, mats.m, slab.geometry, slab.coords)
             sq, part = self._mse_term(tape, slab.fixed_fwd, slab.mask_fwd, jac.d_m)
             sq_fwd += sq
-            grad += a1 * part
+            grad += w.alpha1 * part
 
             if self.use_cycle_bwd:
                 tape = transform_volume_with_tape(self.j_vol, mats.m_inv, slab.geometry, slab.coords)
                 sq, part = self._mse_term(tape, slab.fixed_bwd, slab.mask_bwd, jac.d_m_inv)
                 sq_bwd += sq
-                grad += a1 * part
+                grad += w.alpha1 * part
 
             if self.use_focus:
                 tape = transform_volume_with_tape(self.i_vol, mats.m_t, slab.geometry, slab.coords)
@@ -309,7 +303,7 @@ class PairObjective:
             cycle_bwd=0.5 * sq_bwd / self.n,
             focus_exact=1.0 - above / (n_fg * self.n) if self.use_focus else 0.0,
             focus_smooth=1.0 - smooth_mean if self.use_focus else 0.0,
-            alpha1=a1,
+            alpha1=w.alpha1,
             alpha2=a2,
         )
         return report, grad
@@ -363,7 +357,7 @@ def register_pair(
             best_loss = total
             best_vec = vec.copy()
         grad = np.where(free, grad, 0.0)
-        vec = adam_step(vec, grad, state, lr, cfg)
+        vec = adam_step(vec, grad, state, lr)
         epoch_losses.append(total)
         if len(epoch_losses) == cfg.epoch_steps:
             epoch_loss = float(np.mean(epoch_losses))

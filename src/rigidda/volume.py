@@ -84,6 +84,8 @@ class GridGeometry:
 
     def normalized_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Normalized coordinates of every voxel center, three (W,H,D) arrays."""
+        if any(n < 2 for n in self.shape):
+            raise ValidationError("resampling needs >= 2 voxels per axis")
         axes = [2.0 * np.arange(n) / (n - 1.0) - 1.0 for n in self.shape]
         return np.meshgrid(*axes, indexing="ij")
 

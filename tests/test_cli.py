@@ -16,10 +16,10 @@ from rigidda.cli import _parse_floats, _parse_weights_arg, main
 from rigidda.config import PipelineConfig, _load_schema
 from rigidda.engine import OptimConfig
 from rigidda.errors import ValidationError
-from rigidda.io import read_volume
+from rigidda.io import read_volume, write_volume
 from rigidda.losses import LossWeights
 from rigidda.phantom import PhantomSpec, world_rigid
-from rigidda.volume import LabelVolume
+from rigidda.volume import GridGeometry, LabelVolume, Volume
 from conftest import gentle_task_spec
 
 GRID = ["16", "16", "16"]
@@ -155,6 +155,28 @@ class TestResample:
         )
         assert code == 0
         assert isinstance(read_volume(out), LabelVolume)
+
+    @pytest.mark.parametrize("command", ["resample", "apply"])
+    def test_single_voxel_target_axis_exit_2(self, tmp_path, command):
+        # a one-slice target grid has no normalized coordinate along z
+        flat = tmp_path / "flat.nii"
+        write_volume(Volume(GridGeometry.isotropic((8, 8, 1), 1.0), np.ones((8, 8, 1))), flat)
+        out = tmp_path / "o.nii"
+        if command == "resample":
+            args = ["resample", "--input", str(flat), "--transform", "0,0,0,0,0,0,0,0,0"]
+        else:
+            args = ["apply", "--ax", str(flat), "--params", "0,0,0,0,0,0,0,0,0"]
+        assert main(args + ["--output", str(out)]) == 2
+        assert not out.exists()
+
+    def test_single_voxel_source_axis(self, tmp_path, rng):
+        # the one source slice is a degenerate cell: every target slice copies it
+        flat, like, out = tmp_path / "flat.nii", tmp_path / "like.nii", tmp_path / "o.nii"
+        write_volume(Volume(GridGeometry.isotropic((8, 8, 1), 1.0), rng.normal(size=(8, 8, 1))), flat)
+        write_volume(Volume(GridGeometry.isotropic((8, 8, 3), 1.0), np.zeros((8, 8, 3))), like)
+        args = ["resample", "--input", str(flat), "--transform", "0,0,0,0,0,0,0,0,0", "--target-like", str(like)]
+        assert main(args + ["--output", str(out)]) == 0
+        np.testing.assert_array_equal(read_volume(out).data, np.repeat(read_volume(flat).data, 3, axis=2))
 
     def test_bad_transform_string(self, pair_dir, tmp_path):
         code = main(
@@ -331,6 +353,7 @@ class TestConfigHasNoDeadKeys:
         props = _load_schema()["properties"]
         assert set(props) == _field_names(PipelineConfig)
         assert set(props["weights"]["properties"]) == _field_names(LossWeights)
+        assert set(props["optim"]["properties"]) == _field_names(OptimConfig)
 
     @pytest.mark.parametrize(
         "config",
@@ -389,9 +412,10 @@ class TestRegisterHonorsConfig:
         # a weight the flag does not name keeps the config's value
         doubled, _ = self._register(pair_dir, tmp_path, capsys, 2.0, "--weights", "alpha2=0.05")
         assert doubled == 2.0 * single
+        # baseline mode weighs its one cycle term by the configured alpha1 too
         baseline, rows = self._register(pair_dir, tmp_path, capsys, 2.0, "--mode", "baseline")
         assert float(rows[0]["loss_cycle_bwd"]) == 0.0
-        assert baseline == float(rows[0]["loss_cycle_fwd"])
+        assert baseline == 2.0 * float(rows[0]["loss_cycle_fwd"])
 
 
 _ROT7 = np.round(world_rigid((0.3, -0.2, 0.5), (4.0, -2.0, 1.0)), 7)

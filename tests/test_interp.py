@@ -5,11 +5,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from rigidda.interp import trilinear, trilinear_with_grad
+from rigidda.interp import SLAB_VOXELS, trilinear, trilinear_with_grad
 
 
 def _random_coords(rng, shape, n, margin=0.0):
     return [rng.uniform(margin, s - 1 - margin, n) for s in shape]
+
+
+def _oracle_trilinear(data, ix, iy, iz):
+    """The kernel as it was before chunking: eight whole-array gathers, lerps along x, y, z."""
+
+    def cell(idx, n):
+        i0 = np.clip(np.ceil(idx) - 1.0, 0.0, max(n - 2, 0)).astype(np.intp)
+        return i0, idx - i0
+
+    w, h, d = data.shape
+    x0, fx = cell(np.clip(ix, 0.0, w - 1.0), w)
+    y0, fy = cell(np.clip(iy, 0.0, h - 1.0), h)
+    z0, fz = cell(np.clip(iz, 0.0, d - 1.0), d)
+    sx = h * d if w > 1 else 0
+    sy = d if h > 1 else 0
+    sz = 1 if d > 1 else 0
+    flat = (x0 * h + y0) * d + z0
+    r = np.ascontiguousarray(data).reshape(-1)
+    c000, c100, c010, c110 = (r.take(flat + o) for o in (0, sx, sy, sx + sy))
+    c001, c101, c011, c111 = (r.take(flat + sz + o) for o in (0, sx, sy, sx + sy))
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    c00 = c000 * gx + c100 * fx
+    c10 = c010 * gx + c110 * fx
+    c01 = c001 * gx + c101 * fx
+    c11 = c011 * gx + c111 * fx
+    c0 = c00 * gy + c10 * fy
+    c1 = c01 * gy + c11 * fy
+    return c0 * (1.0 - fz) + c1 * fz
+
+
+S = SLAB_VOXELS
+# sample layouts: (N,) runs on both sides of every chunk boundary, and
+# (W, H, D) blocks of S - 1, S and S + 1 samples
+_COORD_SHAPES = [(1,), (17,), (S - 1,), (S,), (S + 1,), (2 * S + 3,), (3, 43, 127), (16, 32, 32), (5, 29, 113), (7, 6, 5)]
+
+
+def _mixed_coords(rng, data_shape, coord_shape):
+    """Per axis: interior samples, samples far outside the grid and exact lattice points."""
+    coords = []
+    for n in data_shape:
+        inside = rng.uniform(0.0, n - 1.0, coord_shape)
+        far = rng.uniform(-10.0 * n - 5.0, 11.0 * n + 5.0, coord_shape)
+        lattice = rng.integers(-2, n + 2, coord_shape).astype(float)
+        kind = rng.integers(0, 3, coord_shape)
+        coords.append(np.choose(kind, [inside, far, lattice]))
+    return coords
 
 
 class TestTrilinearValues:
@@ -52,6 +99,35 @@ class TestTrilinearValues:
         out = trilinear(data, ix, iy, iz)
         assert np.all(out >= data.min() - 1e-12)
         assert np.all(out <= data.max() + 1e-12)
+
+
+class TestChunkedKernelMatchesOracle:
+    """The chunked kernel gives the old whole-array kernel's bytes, chunk boundaries included."""
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.tuples(*[st.sampled_from([1, 2, 3, 5, 7])] * 3),
+        st.sampled_from(_COORD_SHAPES),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_byte_identical(self, seed, data_shape, coord_shape):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=data_shape)
+        ix, iy, iz = _mixed_coords(rng, data_shape, coord_shape)
+        out = trilinear(data, ix, iy, iz)
+        ref = _oracle_trilinear(data, ix, iy, iz)
+        assert out.shape == ref.shape == coord_shape and out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
+
+    def test_meshgrid_input_as_isotropic_resampling_passes_it(self):
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(20, 18, 9))
+        axes = [np.arange(n) * step for n, step in zip((39, 35, 25), (0.5, 0.5, 1.0 / 3.0))]
+        ix, iy, iz = np.meshgrid(*axes, indexing="ij")
+        assert ix.size > 2 * SLAB_VOXELS
+        out = trilinear(data, ix, iy, iz)
+        assert out.shape == ix.shape
+        assert out.tobytes() == _oracle_trilinear(data, ix, iy, iz).tobytes()
 
 
 class TestTrilinearGradient:

@@ -1,5 +1,7 @@
 """Pull-warp resampler tests: exact identities, oracles, validity, VJP."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,3 +284,22 @@ class TestFusedKernelAgainstOracle:
         upstream = rng.normal(size=target.shape)
         got, ref = tape.vjp(d_m, upstream), vjp(d_m, upstream)
         assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+
+
+class TestWholeGridWarpMemory:
+    def test_untaped_warp_peak_stays_slab_sized(self, rng):
+        # one float64 array over the 64^3 grid is 2 MiB: the coordinate map's
+        # whole-grid arrays fit below the bound, whole-grid corner arrays do not
+        g = GridGeometry.isotropic((64, 64, 64), 1.5)
+        vol = Volume(g, rng.normal(size=g.shape))
+        m = euler_to_affine(RigidParams.from_vector(np.array([0.1, -0.05, 0.2, 0.02, 0.01, -0.03, 0, 0, 0]))).m
+        transform_volume(vol, m, g)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            transform_volume(vol, m, g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
