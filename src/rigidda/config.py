@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -19,6 +20,18 @@ def _load_schema() -> dict:
     return json.loads(text)
 
 
+def _finite(parse):
+    """A json.loads number hook: NaN, +-Infinity, 1e400 and integers beyond the
+    float range pass every schema bound, and the optimizer cannot use them."""
+
+    def check(text: str):
+        if not math.isfinite(float(text)):
+            raise ValidationError(f"config number {text} does not fit a finite float")
+        return parse(text)
+
+    return check
+
+
 @dataclass
 class PipelineConfig:
     """What a registration run takes from a config file: its seed, mode, loss weights
@@ -32,7 +45,7 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, parse_constant=_finite(float), parse_float=_finite(float), parse_int=_finite(int))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
         try:

@@ -10,6 +10,7 @@ the cycle path (through M and M^-1) and the focus path (through M_t).
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,8 @@ from .phantom import TaskModule
 from .resampler import SampleTape, target_coords, transform_volume, transform_volume_with_tape
 from .rigid import N_PARAMS, RigidParams, affine_jacobian, euler_to_affine
 from .volume import FOREGROUND_CLASSES, GridGeometry, Volume
+
+log = logging.getLogger(__name__)
 
 MODES = ("baseline", "cycle", "cycle+focus", "full")
 
@@ -345,6 +348,7 @@ def register_pair(
     best_vec = vec.copy()
     best_loss = np.inf
     epoch_losses: list[float] = []
+    stop = "max_steps"
 
     for step in range(cfg.max_steps):
         report, grad = objective(vec)
@@ -362,9 +366,12 @@ def register_pair(
         if len(epoch_losses) == cfg.epoch_steps:
             epoch_loss = float(np.mean(epoch_losses))
             epoch_losses.clear()
+            log.info("epoch %d: mean loss %.6g, lr %.3g", (step + 1) // cfg.epoch_steps, epoch_loss, lr)
             lr = scheduler.epoch_end(epoch_loss)
             if stopper.epoch_end(epoch_loss):
+                stop = "early stop"
                 break
+    log.info("%s registration: %d steps, stopped by %s, best loss %.6g", mode, len(trace.rows), stop, best_loss)
 
     if not free[6:].any():
         best_vec[6:] = best_vec[3:6]

@@ -37,6 +37,8 @@ def _build_sform(g: GridGeometry) -> np.ndarray:
 
 
 def _geometry_from_sform(shape, sform: np.ndarray) -> GridGeometry:
+    if not np.all(np.isfinite(sform)):
+        raise VolumeIOError("malformed-header", "non-finite sform entry")
     cols = sform[:, :3]
     spacing = np.linalg.norm(cols, axis=0)
     if np.any(spacing <= 0):

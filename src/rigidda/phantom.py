@@ -157,26 +157,37 @@ class PhantomSpec:
         return cls(**kwargs)
 
 
-def _region_sdfs(spec: PhantomSpec, points_mm: np.ndarray) -> dict[int, np.ndarray]:
-    """Signed distances of the three disjoint tissue regions."""
+def _region_sdfs(spec: PhantomSpec, points_mm: np.ndarray) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Signed distances of the tissue regions LV, MYO = outer minus LV and RV =
+    right minus outer, which meet only on their surfaces, and of the outer ellipsoid."""
     sdf_lv = spec.lv.sdf(points_mm)
     sdf_outer = spec.myo_outer.sdf(points_mm)
-    sdf_rv_ell = spec.rv.sdf(points_mm)
-    return {
+    regions = {
         LABEL_LV: sdf_lv,
         LABEL_MYO: np.maximum(sdf_outer, -sdf_lv),
-        LABEL_RV: np.maximum(sdf_rv_ell, -sdf_outer),
+        LABEL_RV: np.maximum(spec.rv.sdf(points_mm), -sdf_outer),
     }
+    return regions, sdf_outer
 
 
-def _phantom_points(spec: PhantomSpec, g: GridGeometry, pose: np.ndarray) -> np.ndarray:
-    """World voxel centers mapped into the phantom's canonical frame."""
-    w, h, d = g.shape
-    ix, iy, iz = np.meshgrid(np.arange(w), np.arange(h), np.arange(d), indexing="ij")
-    vox = np.stack([ix, iy, iz], axis=-1).reshape(-1, 3).astype(float)
-    world = g.world_from_voxel(vox)
+def _render(spec: PhantomSpec, g: GridGeometry, pose: np.ndarray | None = None):
+    """Noise-free intensity, exact labels and region SDFs of the phantom at ``pose``
+    (default: the spec's), each on ``g``."""
+    pose = spec.pose if pose is None else np.asarray(pose, dtype=float)
+    # world voxel centers mapped into the phantom's canonical frame
+    vox = np.stack(np.meshgrid(*[np.arange(n) for n in g.shape], indexing="ij"), axis=-1).reshape(-1, 3)
     inv = np.linalg.inv(pose)
-    return world @ inv[:3, :3].T + inv[:3, 3]
+    regions, sdf_outer = _region_sdfs(spec, g.world_from_voxel(vox) @ inv[:3, :3].T + inv[:3, 3])
+    intensity = np.full(sdf_outer.shape, float(spec.levels["background"]))
+    for sdf, tissue in ((sdf_outer, "MYO"), (regions[LABEL_LV], "LV"), (regions[LABEL_RV], "RV")):
+        w_in = _sigmoid(-sdf / spec.sigma_mm)
+        intensity = intensity * (1.0 - w_in) + spec.levels[tissue] * w_in
+    labels = np.zeros(sdf_outer.shape, dtype=np.int16)
+    # on a shared surface the inner structure wins: RV, then MYO, then LV
+    for c in reversed(FOREGROUND_CLASSES):
+        labels[regions[c] <= 0] = c
+    shape = g.shape
+    return intensity.reshape(shape), labels.reshape(shape), {c: r.reshape(shape) for c, r in regions.items()}
 
 
 def generate_phantom(
@@ -186,36 +197,14 @@ def generate_phantom(
     seed: int = 0,
     pose: np.ndarray | None = None,
 ) -> tuple[Volume, LabelVolume]:
-    """Render the smooth intensity volume and the exact label map."""
-    pose = spec.pose if pose is None else np.asarray(pose, dtype=float)
-    pts = _phantom_points(spec, g, pose)
-    levels = spec.levels
-    sdf_lv = spec.lv.sdf(pts)
-    sdf_outer = spec.myo_outer.sdf(pts)
-    sdf_rv_region = np.maximum(spec.rv.sdf(pts), -sdf_outer)
-
-    intensity = np.full(pts.shape[0], float(levels["background"]))
-    for sdf, level in (
-        (sdf_outer, levels["MYO"]),
-        (sdf_lv, levels["LV"]),
-        (sdf_rv_region, levels["RV"]),
-    ):
-        w_in = _sigmoid(-sdf / spec.sigma_mm)
-        intensity = intensity * (1.0 - w_in) + level * w_in
-
+    """The rendered intensity volume, plus Gaussian noise, and the exact label map."""
+    intensity, labels, _ = _render(spec, g, pose)
     sigma = spec.noise_sigma if noise_sigma is None else noise_sigma
     if sigma > 0:
         rng = np.random.default_rng(seed)
-        span = max(levels.values()) - min(levels.values())
+        span = max(spec.levels.values()) - min(spec.levels.values())
         intensity = intensity + rng.normal(0.0, sigma * span, size=intensity.shape)
-
-    labels = np.zeros(pts.shape[0], dtype=np.int16)
-    labels[sdf_rv_region <= 0] = LABEL_RV
-    labels[np.maximum(sdf_outer, -sdf_lv) <= 0] = LABEL_MYO
-    labels[sdf_lv <= 0] = LABEL_LV
-
-    shape = g.shape
-    return Volume(g, intensity.reshape(shape)), LabelVolume(g, labels.reshape(shape))
+    return Volume(g, intensity), LabelVolume(g, labels)
 
 
 class TaskModule(Protocol):
@@ -256,19 +245,12 @@ class AnalyticSegmenter:
     def __init__(self, spec: PhantomSpec, geometry: GridGeometry, pose: np.ndarray | None = None):
         self.spec = spec
         self.geometry = geometry
-        pose = spec.pose if pose is None else np.asarray(pose, dtype=float)
-        pts = _phantom_points(spec, geometry, pose)
-        sdfs = _region_sdfs(spec, pts)
+        self._template, _, regions = _render(spec, geometry, pose)
         # small outward bias keeps voxels right at a structure surface confident
         # one row per foreground class: the channels q[1:]
         self._prior = np.stack(
-            [
-                _sigmoid((spec.prior_bias_mm - sdfs[c]) / spec.prior_sigma_mm).reshape(geometry.shape)
-                for c in FOREGROUND_CLASSES
-            ]
+            [_sigmoid((spec.prior_bias_mm - regions[c]) / spec.prior_sigma_mm) for c in FOREGROUND_CLASSES]
         )
-        template, _ = generate_phantom(spec, geometry, noise_sigma=0.0, pose=pose)
-        self._template = template.data
 
     def restrict(self, z0: int, z1: int) -> "AnalyticSegmenter":
         """This segmenter on the slices ``z0:z1``, with contiguous copies of its fields."""
@@ -363,6 +345,8 @@ def make_pair(
     that grid: transform_volume(i, gt_m) reproduces j up to interpolation,
     and a segmenter built at the canonical pose is confident on that output.
     """
+    if seed < 0:
+        raise ValidationError(f"noise seed must be non-negative, got {seed}")
     rel = np.asarray(rel, dtype=float)
     extent = np.asarray(grid, dtype=float) * iso
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interp import trilinear, trilinear_with_grad
-from .volume import GridGeometry, LabelVolume, NUM_CLASSES, Volume
+from .volume import GridGeometry, LabelVolume, Volume, argmax_labels
 
 _BOUNDS_EPS = 1e-12
 
@@ -81,16 +81,13 @@ def transform_labels(
     target: GridGeometry,
     scale: float = 100.0,
 ) -> LabelVolume:
-    """Per-class linear interpolation of scaled one-hot channels, then argmax."""
-    coords = target_coords(target)
-    idx, valid = _source_samples(src.geometry.shape, m, coords)
-    channels = src.one_hot() * scale
-    interpolated = np.stack(
-        [trilinear(channels[c], idx[0], idx[1], idx[2]) for c in range(NUM_CLASSES)]
-    )
-    interpolated[:, ~valid] = 0.0
-    interpolated[0, ~valid] = scale  # out-of-bounds voxels are background
-    labels = np.argmax(interpolated, axis=0).astype(np.int16)
+    """Pull-warp a label map: ``argmax_labels`` over the scaled one-hot channels.
+
+    Each channel is warped with trilinear interpolation. Out-of-bounds samples
+    are zero in every channel, so for any ``scale >= 0`` they are background.
+    """
+    idx, valid = _source_samples(src.geometry.shape, m, target_coords(target))
+    labels = argmax_labels(src.data, lambda channel: np.where(valid, trilinear(channel, *idx), 0.0), scale)
     return LabelVolume(target, labels.reshape(target.shape))
 
 

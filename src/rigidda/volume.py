@@ -40,10 +40,10 @@ class GridGeometry:
         object.__setattr__(self, "direction", np.asarray(self.direction, dtype=float).copy())
         if len(self.shape) != 3 or any(n < 1 for n in self.shape):
             raise ValidationError(f"invalid grid shape {self.shape}")
-        if self.spacing.shape != (3,) or np.any(self.spacing <= 0):
-            raise ValidationError(f"spacing must be 3 positive values, got {self.spacing}")
-        if self.origin.shape != (3,):
-            raise ValidationError("origin must be a 3-vector")
+        if self.spacing.shape != (3,) or not np.all(np.isfinite(self.spacing) & (self.spacing > 0)):
+            raise ValidationError(f"spacing must be 3 finite positive values, got {self.spacing}")
+        if self.origin.shape != (3,) or not np.all(np.isfinite(self.origin)):
+            raise ValidationError(f"origin must be a finite 3-vector, got {self.origin}")
         if self.direction.shape != (3, 3):
             raise ValidationError("direction must be a 3x3 matrix")
         if not np.allclose(self.direction.T @ self.direction, np.eye(3), atol=1e-9):
@@ -115,9 +115,6 @@ class Volume:
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
-    def with_data(self, data: np.ndarray) -> "Volume":
-        return Volume(self.geometry, data)
-
 
 @dataclass(frozen=True)
 class LabelVolume:
@@ -141,9 +138,38 @@ class LabelVolume:
     def class_mask(self, cls: int) -> np.ndarray:
         return self.data == cls
 
-    def one_hot(self) -> np.ndarray:
-        """(NUM_CLASSES, W, H, D) float one-hot encoding."""
-        return (self.data[None, ...] == np.arange(NUM_CLASSES)[:, None, None, None]).astype(float)
+
+def argmax_labels(labels: np.ndarray, sample, scale: float) -> np.ndarray:
+    """Class map of the interpolated one-hot channels of ``labels``, as int16.
+
+    ``sample`` maps one channel, ``scale`` where the class is and 0 elsewhere,
+    to its values at the target samples. Each sample takes the class with the
+    largest value, the lower id on a tie, as ``np.argmax`` over the stacked
+    channels does; only one channel and the running maximum are held at a time.
+    """
+    for c in range(NUM_CLASSES):
+        value = sample((labels == c) * float(scale))
+        if c == 0:
+            best, out = value, np.zeros(value.shape, dtype=np.int16)
+        else:
+            out[value > best] = c
+            np.maximum(best, value, out=best)
+    return out
+
+
+def _isotropic_grid(g: GridGeometry, iso: float) -> tuple[GridGeometry, list[np.ndarray]] | None:
+    """The grid of spacing ``iso`` over ``g``'s voxel-center extent and its index
+    axes in ``g``, or None when ``g`` already has spacing ``iso`` on every axis."""
+    if not iso > 0:
+        raise ValidationError("isotropic spacing must be positive")
+    if any(n < 2 for n in g.shape):
+        raise ValidationError("resampling needs >= 2 voxels per axis")
+    if np.all(g.spacing == iso):
+        return None
+    new_shape = tuple(max(2, int(round((n - 1) * sp / iso)) + 1) for n, sp in zip(g.shape, g.spacing))
+    # voxel-center extent preserved: index k of the new grid sits at k*iso mm
+    axes = [np.arange(n) * iso / sp for n, sp in zip(new_shape, g.spacing)]
+    return GridGeometry(new_shape, np.full(3, float(iso)), g.origin, g.direction), axes
 
 
 def resample_isotropic(v: Volume, iso: float) -> Volume:
@@ -151,29 +177,19 @@ def resample_isotropic(v: Volume, iso: float) -> Volume:
 
     A volume that already has spacing ``iso`` on every axis is returned as is.
     """
-    if iso <= 0:
-        raise ValidationError("isotropic spacing must be positive")
-    if any(n < 2 for n in v.geometry.shape):
-        raise ValidationError("resampling needs >= 2 voxels per axis")
-    g = v.geometry
-    if np.all(g.spacing == iso):
+    grid = _isotropic_grid(v.geometry, iso)
+    if grid is None:
         return v
-    old_n = np.asarray(g.shape, dtype=float)
-    new_shape = tuple(int(round((n - 1) * sp / iso)) + 1 for n, sp in zip(old_n, g.spacing))
-    new_shape = tuple(max(2, n) for n in new_shape)
-    # voxel-center extent preserved: index k of the new grid sits at k*iso mm
-    idx = [np.arange(n) * iso / sp for n, sp in zip(new_shape, g.spacing)]
-    ix, iy, iz = np.meshgrid(*idx, indexing="ij")
-    data = trilinear(v.data, ix, iy, iz)
-    geom = GridGeometry(new_shape, np.full(3, float(iso)), g.origin, g.direction)
-    return Volume(geom, data)
+    geom, axes = grid
+    return Volume(geom, trilinear(v.data, *np.meshgrid(*axes, indexing="ij")))
 
 
-def pad_to_grid(v: Volume, target: tuple[int, int, int]) -> Volume:
+def pad_to_grid(v: Volume | LabelVolume, target: tuple[int, int, int]) -> Volume | LabelVolume:
     """Center the volume in a fixed target grid, zero-filling the margin.
 
     Inputs larger than the target on any axis are center-cropped first. The
     origin is updated so world positions of surviving voxels are unchanged.
+    The result has the input's type, so a label map stays int16.
     """
     target = tuple(int(n) for n in target)
     g = v.geometry
@@ -198,7 +214,7 @@ def pad_to_grid(v: Volume, target: tuple[int, int, int]) -> Volume:
     before_vox = np.array([p[0] for p in pads], dtype=float)
     origin = origin - g.direction @ (g.spacing * before_vox)
     geom = GridGeometry(target, g.spacing, origin, g.direction)
-    return Volume(geom, data)
+    return type(v)(geom, data)
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
@@ -219,8 +235,8 @@ def clip_and_normalize(v: Volume, q: float = 0.999) -> Volume:
     lo = float(v.data.min())
     clipped = np.minimum(v.data, hi)
     if hi <= lo:
-        return v.with_data(np.zeros_like(v.data))
-    return v.with_data((clipped - lo) / (hi - lo))
+        return Volume(v.geometry, np.zeros_like(v.data))
+    return Volume(v.geometry, (clipped - lo) / (hi - lo))
 
 
 def preprocess_labels(
@@ -228,16 +244,13 @@ def preprocess_labels(
     iso: float = 1.5,
     grid: tuple[int, int, int] = (224, 224, 96),
 ) -> LabelVolume:
-    """Label preprocessing: per-class linear resample then argmax, pad/crop.
+    """Label preprocessing: resample to spacing ``iso`` by ``argmax_labels``
+    over trilinearly interpolated one-hot channels, then pad/crop to ``grid``.
 
     Labels that already have spacing ``iso`` on every axis skip the resampling.
     """
-    inter = lv
     if np.any(lv.geometry.spacing != iso):
-        channels = lv.one_hot()
-        resampled = [resample_isotropic(Volume(lv.geometry, channels[c]), iso) for c in range(NUM_CLASSES)]
-        stacked = np.stack([r.data for r in resampled], axis=0)
-        labels = np.argmax(stacked, axis=0).astype(np.int16)
-        inter = LabelVolume(resampled[0].geometry, labels)
-    padded = pad_to_grid(Volume(inter.geometry, inter.data.astype(float)), grid)
-    return LabelVolume(padded.geometry, np.rint(padded.data).astype(np.int16))
+        geom, axes = _isotropic_grid(lv.geometry, iso)
+        idx = np.meshgrid(*axes, indexing="ij")
+        lv = LabelVolume(geom, argmax_labels(lv.data, lambda channel: trilinear(channel, *idx), 1.0))
+    return pad_to_grid(lv, grid)

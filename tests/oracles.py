@@ -1,0 +1,96 @@
+"""Reference implementations of the set-up path and the label warp.
+
+These are the straightforward forms the program replaced with one phantom
+render and one per-class label argmax: the phantom rendered twice for the
+segmenter, whole stacks of one-hot channels, ``np.argmax`` over them and a
+float round trip through the padding. The tests hold the program to the
+same bytes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from rigidda.interp import trilinear
+from rigidda.losses import _sigmoid
+from rigidda.resampler import _source_samples, target_coords
+from rigidda.volume import GridGeometry, NUM_CLASSES, Volume, pad_to_grid
+
+
+def one_hot(labels: np.ndarray) -> np.ndarray:
+    """(NUM_CLASSES, W, H, D) float one-hot encoding."""
+    return (labels[None, ...] == np.arange(NUM_CLASSES)[:, None, None, None]).astype(float)
+
+
+def transform_labels(src, m, target, scale=100.0) -> np.ndarray:
+    """Stack every interpolated channel, background out of bounds, then argmax."""
+    idx, valid = _source_samples(src.geometry.shape, m, target_coords(target))
+    channels = one_hot(src.data) * scale
+    interpolated = np.stack([trilinear(channels[c], idx[0], idx[1], idx[2]) for c in range(NUM_CLASSES)])
+    interpolated[:, ~valid] = 0.0
+    interpolated[0, ~valid] = scale
+    return np.argmax(interpolated, axis=0).astype(np.int16).reshape(target.shape)
+
+
+def resample_isotropic(data: np.ndarray, g: GridGeometry, iso: float) -> tuple[np.ndarray, GridGeometry]:
+    old_n = np.asarray(g.shape, dtype=float)
+    new_shape = tuple(max(2, int(round((n - 1) * sp / iso)) + 1) for n, sp in zip(old_n, g.spacing))
+    idx = [np.arange(n) * iso / sp for n, sp in zip(new_shape, g.spacing)]
+    out = trilinear(data, *np.meshgrid(*idx, indexing="ij"))
+    return out, GridGeometry(new_shape, np.full(3, float(iso)), g.origin, g.direction)
+
+
+def preprocess_labels(lv, iso, grid) -> tuple[np.ndarray, GridGeometry]:
+    """Resample all four channels, stack, argmax, then pad as floats and round."""
+    data, g = lv.data, lv.geometry
+    if np.any(g.spacing != iso):
+        channels = one_hot(data)
+        resampled = [resample_isotropic(channels[c], g, iso) for c in range(NUM_CLASSES)]
+        data = np.argmax(np.stack([r[0] for r in resampled]), axis=0).astype(np.int16)
+        g = resampled[0][1]
+    padded = pad_to_grid(Volume(g, data.astype(float)), grid)
+    return np.rint(padded.data).astype(np.int16), padded.geometry
+
+
+def _phantom_points(g: GridGeometry, pose: np.ndarray) -> np.ndarray:
+    w, h, d = g.shape
+    ix, iy, iz = np.meshgrid(np.arange(w), np.arange(h), np.arange(d), indexing="ij")
+    vox = np.stack([ix, iy, iz], axis=-1).reshape(-1, 3).astype(float)
+    inv = np.linalg.inv(pose)
+    return g.world_from_voxel(vox) @ inv[:3, :3].T + inv[:3, 3]
+
+
+def generate_phantom(spec, g, noise_sigma=None, seed=0, pose=None) -> tuple[np.ndarray, np.ndarray]:
+    """Intensity and labels, each tissue region's rule written out inline."""
+    pose = spec.pose if pose is None else np.asarray(pose, dtype=float)
+    pts = _phantom_points(g, pose)
+    levels = spec.levels
+    sdf_lv = spec.lv.sdf(pts)
+    sdf_outer = spec.myo_outer.sdf(pts)
+    sdf_rv_region = np.maximum(spec.rv.sdf(pts), -sdf_outer)
+    intensity = np.full(pts.shape[0], float(levels["background"]))
+    for sdf, level in ((sdf_outer, levels["MYO"]), (sdf_lv, levels["LV"]), (sdf_rv_region, levels["RV"])):
+        w_in = _sigmoid(-sdf / spec.sigma_mm)
+        intensity = intensity * (1.0 - w_in) + level * w_in
+    sigma = spec.noise_sigma if noise_sigma is None else noise_sigma
+    if sigma > 0:
+        rng = np.random.default_rng(seed)
+        span = max(levels.values()) - min(levels.values())
+        intensity = intensity + rng.normal(0.0, sigma * span, size=intensity.shape)
+    labels = np.zeros(pts.shape[0], dtype=np.int16)
+    labels[sdf_rv_region <= 0] = 3
+    labels[np.maximum(sdf_outer, -sdf_lv) <= 0] = 2
+    labels[sdf_lv <= 0] = 1
+    return intensity.reshape(g.shape), labels.reshape(g.shape)
+
+
+def segmenter_fields(spec, g, pose=None) -> tuple[np.ndarray, np.ndarray]:
+    """The segmenter's prior and template from two separate renders."""
+    pose = spec.pose if pose is None else np.asarray(pose, dtype=float)
+    pts = _phantom_points(g, pose)
+    sdf_lv = spec.lv.sdf(pts)
+    sdf_outer = spec.myo_outer.sdf(pts)
+    sdfs = (sdf_lv, np.maximum(sdf_outer, -sdf_lv), np.maximum(spec.rv.sdf(pts), -sdf_outer))
+    prior = np.stack([_sigmoid((spec.prior_bias_mm - s) / spec.prior_sigma_mm).reshape(g.shape) for s in sdfs])
+    template, _ = generate_phantom(spec, g, noise_sigma=0.0, pose=pose)
+    return prior, template

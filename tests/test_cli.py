@@ -79,6 +79,20 @@ class TestPhantomGen:
         np.testing.assert_allclose(m @ m_inv, np.eye(4), atol=1e-9)
 
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "pair"
+        args = ["phantom-gen", "--seed", "-1", "--grid", "8", "8", "8", "--iso", "4.0", "--out-dir", str(out)]
+        assert main(args) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (out / "I.nii").exists()
+
+    @pytest.mark.parametrize("iso", ["nan", "inf"])
+    def test_non_finite_iso_names_the_spacing(self, tmp_path, capsys, iso):
+        args = ["phantom-gen", "--grid", "8", "8", "8", "--iso", iso, "--out-dir", str(tmp_path / "pair")]
+        assert main(args) == 2
+        assert "spacing" in capsys.readouterr().err
+
+
 class TestRegister:
     def test_cycle_mode(self, pair_dir, fast_config, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
@@ -335,6 +349,40 @@ class TestPipelineConfig:
             PipelineConfig.from_json('{"weights": {"r": 2.0}}')
         with pytest.raises(ValidationError):
             PipelineConfig.from_json("{broken")
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    def test_non_finite_numbers_rejected(self, number):
+        with pytest.raises(ValidationError, match="finite float"):
+            PipelineConfig.from_json('{"optim": {"min_delta": %s}}' % number)
+
+    def test_integers_stay_integers(self):
+        cfg = PipelineConfig.from_json('{"seed": 12345678901234567, "optim": {"max_steps": 7}}')
+        assert cfg.seed == 12345678901234567 and cfg.optim.max_steps == 7
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"optim": {"min_delta": NaN}}',
+            '{"weights": {"tau": NaN}}',
+            '{"optim": {"lr0": Infinity}}',
+            '{"optim": {"lr_min": -Infinity}}',
+            '{"weights": {"alpha1": 1e400}}',
+            '{"optim": {"lr0": 1%s}}' % ("0" * 400),
+        ],
+        ids=["min_delta-nan", "tau-nan", "lr0-inf", "lr_min-neg-inf", "alpha1-overflow", "lr0-huge-int"],
+    )
+    @pytest.mark.parametrize("command", ["end2end", "register"])
+    def test_non_finite_config_exit_2(self, pair_dir, tmp_path, command, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        if command == "end2end":
+            args = ["end2end", "--pair-dir", str(pair_dir), "--out-dir", str(out)]
+        else:
+            args = ["register", "--ax", str(pair_dir / "I.nii"), "--sax", str(pair_dir / "J.nii"),
+                    "--gt-transform", str(pair_dir / "gtM.json"), "--trace", str(out)]
+        assert main(args + ["--config", str(config)]) == 2
+        assert not out.exists()
 
     def test_spec_json_usable_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"

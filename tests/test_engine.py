@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import logging
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -35,7 +36,8 @@ from rigidda.phantom import AnalyticSegmenter, PhantomSpec, make_pair, world_rig
 from rigidda.pipeline import apply_task, run_end2end
 from rigidda.resampler import target_coords, transform_volume, transform_volume_with_tape
 from rigidda.rigid import N_PARAMS, RigidParams, affine_jacobian, euler_to_affine
-from rigidda.volume import Volume
+from rigidda import pipeline
+from rigidda.volume import NUM_CLASSES, Volume
 from conftest import central_difference, gentle_task_spec, gradient_scale_error
 
 
@@ -465,3 +467,48 @@ class TestTracedLookupSites:
         # focus_exact, focus_smooth and focus_smooth_upstream, once per slab each
         assert calls["losses.focus"] == 3 * n_slabs
         assert calls["rigid.euler_to_affine"] == calls["rigid.affine_jacobian"] == 1
+
+    def test_label_warp_samples_through_the_traced_kernel(self):
+        tracer_mod = _load_benchmark_tracer()
+        pair, task = _pair_on((17, 13, 11))
+        n = pair.i.geometry.num_voxels
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            tracer.unit = ("unit", "probe")
+            pipeline.apply_task(pair.i, RigidParams.from_vector(np.full(9, 0.05)), task)
+        finally:
+            tracer.unit = None
+            tracer.remove()
+        kernel = [k for k, name in enumerate(tracer.names) if name == "interp.trilinear"]
+        # the intensity warp, then one call per class channel of the label warp
+        assert len(kernel) == 1 + NUM_CLASSES
+        assert sum(tracer.counts[k][0] for k in kernel) == (1 + NUM_CLASSES) * n
+        labels = [k for k, name in enumerate(tracer.names) if name == "resampler.transform_labels"]
+        assert len(labels) == 1
+        assert sum(tracer.parents[k] == labels[0] for k in kernel) == NUM_CLASSES
+
+
+class TestProgressLog:
+    def test_register_pair_logs_each_epoch_and_the_run(self, caplog):
+        spec, pair = _small_pair()
+        cfg = OptimConfig(lr0=0.02, epoch_steps=5, max_steps=15, seed=3)
+        with caplog.at_level(logging.INFO, logger="rigidda"):
+            _, trace = register_pair(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, None, LossWeights(), cfg, mode="cycle")
+        lines = [r.getMessage() for r in caplog.records if r.name == "rigidda.engine"]
+        assert len(trace.rows) == 15
+        assert [line.split(":")[0] for line in lines[:-1]] == ["epoch 1", "epoch 2", "epoch 3"]
+        first = np.mean([r.report.total for r in trace.rows[:5]])
+        assert lines[0] == f"epoch 1: mean loss {first:.6g}, lr {0.02:.3g}"
+        best = min(r.report.total for r in trace.rows)
+        assert lines[-1] == f"cycle registration: 15 steps, stopped by max_steps, best loss {best:.6g}"
+
+    def test_early_stop_is_named(self, caplog):
+        spec, pair = _small_pair()
+        # a gain threshold no epoch can meet stops the run after stop_patience + 1 epochs
+        cfg = OptimConfig(lr0=0.02, epoch_steps=2, stop_patience=1, max_steps=50, min_delta=1e9)
+        with caplog.at_level(logging.INFO, logger="rigidda"):
+            _, trace = register_pair(pair.i, None, pair.gt_m, None, None, LossWeights(), cfg, mode="baseline")
+        assert len(trace.rows) < 50
+        last = [r.getMessage() for r in caplog.records if r.name == "rigidda.engine"][-1]
+        assert f"{len(trace.rows)} steps, stopped by early stop" in last

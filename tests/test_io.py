@@ -137,6 +137,27 @@ class TestNiftiHeaderDefects:
             read_nifti(path)
         assert err.value.code == "malformed-header"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("offset", [292, 296, 324], ids=["origin-x", "direction", "origin-z"])
+    def test_non_finite_sform(self, tmp_path, intensity, offset, value):
+        path = self._crafted(tmp_path, intensity, "<f", offset, value)
+        with pytest.raises(VolumeIOError) as err:
+            read_nifti(path)
+        assert err.value.code == "malformed-header"
+
+    @pytest.mark.parametrize("command", ["resample", "apply"])
+    def test_non_finite_sform_cli_exit_4(self, tmp_path, intensity, command):
+        from rigidda.cli import main
+
+        path = self._crafted(tmp_path, intensity, "<f", 292, float("nan"))
+        out = tmp_path / "o.nii"
+        if command == "resample":
+            args = ["resample", "--input", str(path), "--transform", "0,0,0,0,0,0,0,0,0"]
+        else:
+            args = ["apply", "--ax", str(path), "--params", "0,0,0,0,0,0,0,0,0"]
+        assert main(args + ["--output", str(out)]) == 4
+        assert not out.exists()
+
     def test_cli_exit_code_4(self, tmp_path, intensity):
         from rigidda.cli import main
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidda.errors import ValidationError
 from rigidda.losses import focus_exact
@@ -19,7 +21,12 @@ from rigidda.volume import (
     LABEL_LV,
     LABEL_MYO,
     LABEL_RV,
+    LabelVolume,
+    Volume,
+    clip_and_normalize,
+    pad_to_grid,
 )
+import oracles
 from conftest import gentle_task_spec
 
 # [DERIVED] closed-form ellipsoid volumes (4/3 pi abc) for the default
@@ -62,12 +69,14 @@ class TestGeneratePhantom:
             assert abs(got - expected) / expected < 0.02
 
     def test_sharp_limit_reaches_plateau_levels(self):
-        from rigidda.phantom import _phantom_points, _region_sdfs
+        from rigidda.phantom import _region_sdfs
 
         g = GridGeometry.isotropic((48, 48, 48), 2.0)
         spec = PhantomSpec(noise_sigma=0.0, sigma_mm=1e-3)
         vol, _ = generate_phantom(spec, g)
-        sdfs = _region_sdfs(spec, _phantom_points(spec, g, spec.pose))
+        # the spec's pose is the identity: world voxel centers are phantom points
+        vox = np.stack(np.meshgrid(*[np.arange(n) for n in g.shape], indexing="ij"), axis=-1)
+        sdfs, _ = _region_sdfs(spec, g.world_from_voxel(vox.reshape(-1, 3)))
         flat = vol.data.reshape(-1)
         # 1 mm inside each region every surface sigmoid has fully saturated
         for name, label in (("LV", LABEL_LV), ("MYO", LABEL_MYO), ("RV", LABEL_RV)):
@@ -303,3 +312,82 @@ class TestAnalyticSegmenter:
             seg.evaluate(Volume(other, np.zeros(other.shape)))
         with pytest.raises(ValidationError):
             seg.gradient(Volume(g, np.zeros(g.shape)), np.zeros((2, 8, 8, 8)))
+
+
+class TestOneRender:
+    """The phantom and the segmenter's fields come from one render, with the
+    bytes of the two-render oracle."""
+
+    @given(
+        shape=st.tuples(*[st.integers(2, 12)] * 3),
+        spacing=st.tuples(*[st.sampled_from([2.0, 4.0, 6.0, 9.0])] * 3),
+        angles=st.tuples(*[st.floats(-0.6, 0.6)] * 3),
+        shift=st.tuples(*[st.floats(-12.0, 12.0)] * 3),
+        noise=st.sampled_from([None, 0.0, 0.05]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_phantom_and_segmenter_match_oracle(self, shape, spacing, angles, shift, noise, seed):
+        spacing = np.asarray(spacing)
+        g = GridGeometry(shape, spacing, -spacing * (np.asarray(shape) - 1.0) / 2.0, np.eye(3))
+        spec = PhantomSpec()
+        pose = world_rigid(angles, shift)
+        vol, lab = generate_phantom(spec, g, noise_sigma=noise, seed=seed, pose=pose)
+        ref_vol, ref_lab = oracles.generate_phantom(spec, g, noise_sigma=noise, seed=seed, pose=pose)
+        assert vol.data.tobytes() == ref_vol.tobytes()
+        assert lab.data.tobytes() == ref_lab.tobytes()
+        seg = AnalyticSegmenter(spec, g, pose)
+        prior, template = oracles.segmenter_fields(spec, g, pose)
+        assert seg._prior.tobytes() == prior.tobytes()
+        assert seg._template.tobytes() == template.tobytes()
+
+    def test_shared_surfaces_go_to_the_inner_structure(self):
+        # 2 mm voxels centred on the origin put voxel centres exactly on the LV
+        # surface at x = 18 mm and on the outer surface at x = -26 mm, inside the RV
+        g = GridGeometry.isotropic((29, 29, 29), 2.0)
+        spec = _default_spec()
+        _, lab = generate_phantom(spec, g)
+        assert lab.data[23, 14, 14] == LABEL_LV
+        assert lab.data[1, 14, 14] == LABEL_MYO
+        assert lab.data.tobytes() == oracles.generate_phantom(spec, g)[1].tobytes()
+
+    def test_segmenter_init_evaluates_each_ellipsoid_once(self, monkeypatch):
+        calls = []
+        sdf = Ellipsoid.sdf
+
+        def counted(self, points_mm):
+            calls.append(self)
+            return sdf(self, points_mm)
+
+        monkeypatch.setattr(Ellipsoid, "sdf", counted)
+        spec = _default_spec()
+        AnalyticSegmenter(spec, GridGeometry.isotropic((8, 8, 8), 6.0))
+        assert len(calls) == 3
+        assert {id(e) for e in calls} == {id(spec.lv), id(spec.myo_outer), id(spec.rv)}
+
+    @pytest.mark.parametrize("ax_spacing", [None, (3.0, 3.0, 7.5), (2.0, 4.0, 3.0)])
+    def test_make_pair_matches_oracle(self, ax_spacing):
+        spec = PhantomSpec(noise_sigma=0.05).scaled(0.4)
+        rel = world_rigid((0.1, -0.2, 0.15), (3.0, -2.0, -6.0))
+        grid, iso, seed = (16, 14, 12), 3.0, 5
+        pair = make_pair(spec, rel, grid=grid, iso=iso, ax_spacing=ax_spacing, seed=seed)
+        if ax_spacing is None:
+            g_ax = GridGeometry.isotropic(grid, iso)
+        else:
+            sp = np.asarray(ax_spacing)
+            n = tuple(max(2, int(round(e / s)) + 1) for e, s in zip(np.asarray(grid) * iso, sp))
+            g_ax = GridGeometry(n, sp, -sp * (np.asarray(n) - 1.0) / 2.0, np.eye(3))
+        views = (
+            (pair.i, pair.labels_i, g_ax, seed, rel @ spec.pose),
+            (pair.j, pair.labels_j, GridGeometry.isotropic(grid, iso), seed + 1, spec.pose),
+        )
+        for vol, lab, g, view_seed, pose in views:
+            intensity, labels = oracles.generate_phantom(spec, g, seed=view_seed, pose=pose)
+            if np.any(g.spacing != iso):
+                intensity, g_iso = oracles.resample_isotropic(intensity, g, iso)
+            else:
+                g_iso = g
+            ref = clip_and_normalize(pad_to_grid(Volume(g_iso, intensity), grid))
+            assert vol.data.tobytes() == ref.data.tobytes()
+            ref_labels, _ = oracles.preprocess_labels(LabelVolume(g, labels), iso, grid)
+            assert lab.data.tobytes() == ref_labels.tobytes()

@@ -16,6 +16,7 @@ from rigidda.resampler import (
 )
 from rigidda.rigid import RigidParams, affine_jacobian, euler_to_affine
 from rigidda.volume import GridGeometry, LabelVolume, Volume
+import oracles
 from conftest import central_difference, smooth_field
 
 
@@ -125,6 +126,53 @@ class TestLabelResampling:
         labels, _, g = self._pair()
         out = transform_labels(labels, _translation_matrix([10.0, 0.0, 0.0]), g)
         assert np.all(out.data == 0)
+
+    @pytest.mark.parametrize("lo,hi", [(1, 3), (3, 1), (0, 2), (2, 0)])
+    def test_exact_tie_goes_to_lower_id(self, lo, hi):
+        g = GridGeometry((2, 2, 2), [1.0, 2.0, 3.0], np.zeros(3), np.eye(3))
+        data = np.full(g.shape, lo, dtype=np.int16)
+        data[1] = hi
+        # half a voxel along x: x = 0 samples index 0.5, between the two classes
+        # with equal weight; x = 1 samples index 1.5, outside the source
+        out = transform_labels(LabelVolume(g, data), _translation_matrix([1.0, 0.0, 0.0]), g)
+        np.testing.assert_array_equal(out.data[0], min(lo, hi))
+        np.testing.assert_array_equal(out.data[1], 0)
+
+    @given(
+        shape=st.tuples(*[st.sampled_from([2, 3, 5, 9])] * 3),
+        spacing=st.tuples(*[st.sampled_from([0.75, 1.0, 1.5, 3.0])] * 3),
+        half_voxels=st.tuples(*[st.integers(-5, 5)] * 3),
+        scale=st.sampled_from([0.0, 1.0, 100.0]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_half_voxel_shifts_match_stacked_argmax(self, shape, spacing, half_voxels, scale, seed):
+        # n - 1 is a power of two, so half-voxel offsets are exact and every
+        # sample between two differently labelled voxels is an exact tie
+        rng = np.random.default_rng(seed)
+        g = GridGeometry(shape, spacing, rng.normal(size=3), np.eye(3))
+        classes = rng.choice(4, size=2, replace=False)
+        labels = LabelVolume(g, classes[rng.integers(0, 2, size=shape)])
+        m = _translation_matrix([h / (n - 1) for h, n in zip(half_voxels, shape)])
+        out = transform_labels(labels, m, g, scale=scale)
+        assert out.data.tobytes() == oracles.transform_labels(labels, m, g, scale).tobytes()
+
+    @given(seed=st.integers(0, 2**31 - 1), scale=st.sampled_from([0.0, 1.0, 100.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_affines_match_stacked_argmax(self, seed, scale):
+        rng = np.random.default_rng(seed)
+
+        def grid():
+            spacing = rng.choice([0.5, 1.0, 1.5, 3.0], size=3)
+            return GridGeometry(tuple(rng.integers(2, 10, 3)), spacing, rng.normal(size=3), np.eye(3))
+
+        src, target = grid(), grid()
+        labels = LabelVolume(src, rng.integers(0, 4, size=src.shape))
+        m = np.eye(4)
+        m[:3, :3] += rng.normal(scale=0.3, size=(3, 3))
+        m[:3, 3] = rng.normal(scale=0.5, size=3)  # often far enough to leave the source
+        out = transform_labels(labels, m, target, scale=scale)
+        assert out.data.tobytes() == oracles.transform_labels(labels, m, target, scale).tobytes()
 
 
 class TestTapeVjp:
@@ -303,3 +351,20 @@ class TestWholeGridWarpMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
+
+    def test_label_warp_peak_holds_one_channel(self, rng):
+        # the coordinate map sets the floor; stacking all four interpolated
+        # channels on top of the four one-hot channels came to 40 MiB
+        g = GridGeometry.isotropic((64, 64, 64), 1.5)
+        labels = LabelVolume(g, rng.integers(0, 4, size=g.shape))
+        m = euler_to_affine(RigidParams.from_vector(np.array([0.1, -0.05, 0.2, 0.02, 0.01, -0.03, 0, 0, 0]))).m
+        transform_labels(labels, m, g)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            transform_labels(labels, m, g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * 2**20

@@ -11,12 +11,14 @@ from rigidda.volume import (
     GridGeometry,
     LabelVolume,
     Volume,
+    argmax_labels,
     clip_and_normalize,
     nearest_rank_quantile,
     pad_to_grid,
     preprocess_labels,
     resample_isotropic,
 )
+import oracles
 
 
 def _rotation_z(angle):
@@ -32,6 +34,15 @@ class TestGridGeometry:
             GridGeometry((4, 4, 4), [1.0, -1.0, 1.0], np.zeros(3), np.eye(3))
         with pytest.raises(ValidationError):
             GridGeometry((4, 4, 4), np.ones(3), np.zeros(3), np.eye(3) * 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spacing_and_origin_rejected(self, bad):
+        with pytest.raises(ValidationError, match="spacing"):
+            GridGeometry((4, 4, 4), [1.0, bad, 1.0], np.zeros(3), np.eye(3))
+        with pytest.raises(ValidationError, match="origin"):
+            GridGeometry((4, 4, 4), np.ones(3), [0.0, 0.0, bad], np.eye(3))
+        with pytest.raises(ValidationError, match="spacing"):
+            GridGeometry.isotropic((4, 4, 4), bad)
 
     def test_isotropic_centered_at_world_origin(self):
         g = GridGeometry.isotropic((5, 5, 5), 2.0)
@@ -108,14 +119,6 @@ class TestVolumeTypes:
         with pytest.raises(ValidationError):
             LabelVolume(small_geometry, data)
 
-    def test_one_hot_partition(self, small_geometry, rng):
-        data = rng.integers(0, 4, size=small_geometry.shape).astype(np.int16)
-        lv = LabelVolume(small_geometry, data)
-        oh = lv.one_hot()
-        assert oh.shape == (4, *small_geometry.shape)
-        np.testing.assert_array_equal(oh.sum(axis=0), np.ones(small_geometry.shape))
-        np.testing.assert_array_equal(np.argmax(oh, axis=0), data)
-
 
 class TestResampleIsotropic:
     def test_linear_ramp_exact(self):
@@ -154,7 +157,7 @@ class TestResampleIsotropic:
         out = preprocess_labels(lv, iso=iso, grid=(12, 8, 6))
         # one-hot, per-channel trilinear resampling and argmax, as run before
         idx = np.meshgrid(*[np.arange(n) * iso / iso for n in g.shape], indexing="ij")
-        onehot = lv.one_hot()
+        onehot = oracles.one_hot(lv.data)
         argmax = np.argmax(np.stack([trilinear(onehot[c], *idx) for c in range(4)]), axis=0)
         padded = pad_to_grid(Volume(g, argmax.astype(float)), (12, 8, 6))
         assert out.data.tobytes() == np.rint(padded.data).astype(np.int16).tobytes()
@@ -187,6 +190,15 @@ class TestPadToGrid:
             g.world_from_voxel(np.full(3, 2.0)),
             atol=1e-12,
         )
+
+    def test_labels_stay_int16(self, rng):
+        g = GridGeometry.isotropic((10, 4, 7), 1.0)
+        lv = LabelVolume(g, rng.integers(0, 4, size=g.shape))
+        out = pad_to_grid(lv, (6, 8, 7))
+        assert isinstance(out, LabelVolume)
+        assert out.data.dtype == np.int16
+        np.testing.assert_array_equal(out.data[:, 2:6, :], lv.data[2:8])
+        assert not out.data[:, :2].any() and not out.data[:, 6:].any()
 
     def test_mixed_pad_and_crop(self, rng):
         g = GridGeometry.isotropic((10, 4, 7), 1.0)
@@ -227,3 +239,51 @@ class TestPreprocess:
         assert set(np.unique(out.data)) <= {0, 1, 2}
         # the big structure survives preprocessing
         assert (out.data == 1).sum() > 0
+
+
+class TestArgmaxLabels:
+    def test_exact_samples_give_the_labels_back(self, rng, small_geometry):
+        labels = rng.integers(0, 4, size=small_geometry.shape).astype(np.int16)
+        for scale in (1.0, 100.0):
+            out = argmax_labels(labels, lambda channel: channel.copy(), scale)
+            assert out.dtype == np.int16
+            np.testing.assert_array_equal(out, labels)
+
+    def test_tie_goes_to_lower_id(self):
+        labels = np.array([[[3, 1, 2, 0]]], dtype=np.int16)
+        # every channel averages to the same value
+        out = argmax_labels(labels, lambda channel: np.full(2, channel.mean()), 1.0)
+        np.testing.assert_array_equal(out, [0, 0])
+        out = argmax_labels(labels[..., :3], lambda channel: np.full(2, channel.mean()), 1.0)
+        np.testing.assert_array_equal(out, [1, 1])
+
+    def test_zero_scale_is_all_background(self, rng, small_geometry):
+        labels = rng.integers(0, 4, size=small_geometry.shape).astype(np.int16)
+        out = argmax_labels(labels, lambda channel: channel.copy(), 0.0)
+        assert not out.any()
+
+
+class TestPreprocessLabelsOracle:
+    @given(
+        shape=st.tuples(*[st.integers(2, 9)] * 3),
+        spacing=st.tuples(*[st.sampled_from([0.75, 1.0, 1.5, 3.0])] * 3),
+        iso=st.sampled_from([0.75, 1.5, 3.0]),
+        grid=st.tuples(*[st.integers(1, 14)] * 3),
+        two_classes=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_stacked_argmax(self, shape, spacing, iso, grid, two_classes, seed):
+        # spacings and iso are powers-of-two multiples of each other: resampled
+        # samples fall on exact half voxels, where two classes tie exactly
+        rng = np.random.default_rng(seed)
+        g = GridGeometry(shape, spacing, rng.normal(size=3), np.eye(3))
+        classes = rng.choice(4, size=2, replace=False) if two_classes else np.arange(4)
+        lv = LabelVolume(g, classes[rng.integers(0, len(classes), size=shape)])
+        out = preprocess_labels(lv, iso=iso, grid=grid)
+        data, geom = oracles.preprocess_labels(lv, iso, grid)
+        assert out.data.dtype == np.int16
+        assert out.data.tobytes() == data.tobytes()
+        assert out.geometry.shape == geom.shape
+        for field in ("spacing", "origin", "direction"):
+            assert getattr(out.geometry, field).tobytes() == getattr(geom, field).tobytes()
