@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +29,7 @@ from .losses import (
     in_plane_weight,
 )
 from .phantom import TaskModule
-from .resampler import SampleTape, target_coords, transform_volume, transform_volume_with_tape
+from .resampler import target_coords, transform_volume, transform_volume_with_tape
 from .rigid import N_PARAMS, RigidParams, affine_jacobian, euler_to_affine
 from .volume import FOREGROUND_CLASSES, GridGeometry, Volume
 
@@ -196,14 +199,76 @@ def slab_bounds(shape: tuple[int, int, int]) -> list[tuple[int, int]]:
     return [(z0, min(z0 + depth, d)) for z0 in range(0, d, depth)]
 
 
+_helper: ThreadPoolExecutor | None = None
+_helper_lock = threading.Lock()
+
+
+def _reset_helper():
+    # a forked child has the executor object but not its thread
+    global _helper, _helper_lock
+    _helper = None
+    _helper_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_helper)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _two_thread_map(fn, items: list) -> list:
+    """``[fn(x) for x in items]``, run by the calling thread and one helper thread.
+
+    Both threads take the next item from one shared iterator, so an odd item
+    count still balances; numpy releases the interpreter lock inside the slab
+    kernels, so the two overlap. The helper is one thread for the whole
+    process, started by the first call that can use it: never with one item
+    or one usable CPU. The call returns or raises only once no item is
+    running, and an error on either thread stops both from taking more.
+    """
+    global _helper
+    if len(items) < 2 or _usable_cpus() < 2:
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    todo = iter(range(len(items)))  # next() on it is one C call, atomic under the GIL
+
+    def work():
+        try:
+            for k in todo:
+                results[k] = fn(items[k])
+        except BaseException:
+            for _ in todo:  # drain it, so the other thread stops after its item
+                pass
+            raise
+
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rigidda-slab")
+        future = _helper.submit(work)
+    try:
+        work()
+    finally:
+        if not future.cancel():
+            wait([future])
+    if not future.cancelled():
+        future.result()
+    return results
+
+
 class PairObjective:
     """Loss and analytic 9-parameter gradient for one preprocessed pair.
 
     A step runs slab by slab over whole target slices along z, the axis the
-    in-plane weight and the task module treat slice-wise. Only the loss sums,
-    the focus count and the 9-vector gradient pass from one slab to the next,
+    in-plane weight and the task module treat slice-wise. Each slab yields
+    its loss sums, its focus count and its parts of the 9-vector gradient,
     so every temporary is slab-sized; the reported terms equal the
-    whole-grid values.
+    whole-grid values. The slabs run on two threads (``_two_thread_map``),
+    and their parts are added in slab order, so the result does not depend
+    on which thread ran which slab.
     """
 
     def __init__(
@@ -259,11 +324,38 @@ class PairObjective:
             for z0, z1 in slab_bounds(target.shape)
         ]
 
-    def _mse_term(self, tape: SampleTape, fixed: np.ndarray, mask: np.ndarray, d_m: np.ndarray):
-        """A slab's sum of squared masked differences, and its part of the half-mean gradient."""
-        diff = (tape.result.image.data - fixed) * mask
-        grad = tape.vjp(d_m, diff * mask / self.n)
-        return float(np.sum(diff * diff)), grad
+    def _mse_term(self, src: Volume, m: np.ndarray, d_m: np.ndarray, slab: _Slab, fixed, mask):
+        """Warp one slab; its sum of squared masked differences and its part of the half-mean gradient."""
+        tape = transform_volume_with_tape(src, m, slab.geometry, slab.coords)
+        diff = tape.result.image.data - fixed
+        diff *= mask
+        sq = float(np.sum(diff * diff))
+        diff *= mask
+        diff /= self.n
+        return sq, tape.vjp(d_m, diff)
+
+    def _slab_terms(self, slab: _Slab, mats, jac) -> tuple:
+        """One slab's (sq_fwd, grad_fwd, sq_bwd, grad_bwd, above, smooth, grad_focus); 0 or None where unused."""
+        w = self.weights
+        sq_fwd, g_fwd = self._mse_term(self.i_vol, mats.m, jac.d_m, slab, slab.fixed_fwd, slab.mask_fwd)
+        sq_bwd, g_bwd = 0.0, None
+        if self.use_cycle_bwd:
+            sq_bwd, g_bwd = self._mse_term(self.j_vol, mats.m_inv, jac.d_m_inv, slab, slab.fixed_bwd, slab.mask_bwd)
+        if not self.use_focus:
+            return sq_fwd, g_fwd, sq_bwd, g_bwd, 0, 0.0, None
+        tape = transform_volume_with_tape(self.i_vol, mats.m_t, slab.geometry, slab.coords)
+        image = tape.result.image
+        q = slab.task.evaluate(image)
+        n = slab.geometry.num_voxels
+        share = n / self.n
+        # focus_exact is 1 - count / size; the slab's count is recovered
+        # exactly, so the whole-grid value is not an average of averages
+        above = round((1.0 - focus_exact(q, w.r)) * len(FOREGROUND_CLASSES) * n)
+        smooth = share * (1.0 - focus_smooth(q, w.r, w.tau))
+        up_q = focus_smooth_upstream(q, w.r, w.tau)
+        up_q *= share
+        g_focus = tape.vjp(jac.d_m_t, slab.task.gradient(image, up_q, q))
+        return sq_fwd, g_fwd, sq_bwd, g_bwd, above, smooth, g_focus
 
     def __call__(self, vec: np.ndarray) -> tuple[LossReport, np.ndarray]:
         params = RigidParams.from_vector(vec)
@@ -276,30 +368,19 @@ class PairObjective:
         sq_fwd = sq_bwd = smooth_mean = 0.0
         above = 0  # foreground entries above r, counted over the whole grid
 
-        for slab in self.slabs:
-            tape = transform_volume_with_tape(self.i_vol, mats.m, slab.geometry, slab.coords)
-            sq, part = self._mse_term(tape, slab.fixed_fwd, slab.mask_fwd, jac.d_m)
-            sq_fwd += sq
-            grad += w.alpha1 * part
-
+        # the serial sums, in slab order: the bits do not depend on the threads
+        for sq_f, g_f, sq_b, g_b, above_k, smooth_k, g_t in _two_thread_map(
+            lambda slab: self._slab_terms(slab, mats, jac), self.slabs
+        ):
+            sq_fwd += sq_f
+            grad += w.alpha1 * g_f
             if self.use_cycle_bwd:
-                tape = transform_volume_with_tape(self.j_vol, mats.m_inv, slab.geometry, slab.coords)
-                sq, part = self._mse_term(tape, slab.fixed_bwd, slab.mask_bwd, jac.d_m_inv)
-                sq_bwd += sq
-                grad += w.alpha1 * part
-
+                sq_bwd += sq_b
+                grad += w.alpha1 * g_b
             if self.use_focus:
-                tape = transform_volume_with_tape(self.i_vol, mats.m_t, slab.geometry, slab.coords)
-                image = tape.result.image
-                q = slab.task.evaluate(image)
-                n = slab.geometry.num_voxels
-                share = n / self.n
-                # focus_exact is 1 - count / size; the slab's count is recovered
-                # exactly, so the whole-grid value is not an average of averages
-                above += round((1.0 - focus_exact(q, w.r)) * n_fg * n)
-                smooth_mean += share * (1.0 - focus_smooth(q, w.r, w.tau))
-                up_q = share * focus_smooth_upstream(q, w.r, w.tau)
-                grad += a2 * tape.vjp(jac.d_m_t, slab.task.gradient(image, up_q, q))
+                above += above_k
+                smooth_mean += smooth_k
+                grad += a2 * g_t
 
         report = LossReport(
             cycle_fwd=0.5 * sq_fwd / self.n,

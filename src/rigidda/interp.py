@@ -47,11 +47,15 @@ def _corner_block(data: np.ndarray, ix, iy, iz):
     frac -= i0
     # flat index of the base corner; exact in float64 far beyond any grid size
     flat = ((i0[0] * h + i0[1]) * d + i0[2]).astype(np.intp)
+    del i0
     sx = h * d if w > 1 else 0
     sy = d if h > 1 else 0
     sz = 1 if d > 1 else 0
     offsets = np.array([0, sy, sx, sx + sy, sz, sy + sz, sx + sz, sx + sy + sz], dtype=np.intp)
-    corners = np.ascontiguousarray(data).reshape(-1).take(flat + offsets[:, None])
+    index = flat + offsets[:, None]
+    del flat
+    corners = np.ascontiguousarray(data).reshape(-1).take(index)
+    del index
     return corners, frac, 1.0 - frac
 
 
@@ -96,16 +100,27 @@ def trilinear_with_grad(
     rounding only, since it lerps along z first.
     """
     corners, (fx, fy, fz), (gx, gy, gz) = _corner_block(data, ix, iy, iz)
+    # every lerp of _lerp's arithmetic, written into buffers that are done with:
+    # each hi * f product goes to tmp, each lo * g to lo's own rows
     lo, hi = corners[:4], corners[4:]
-    # lerp along z first, then x, then y
-    e = _lerp(lo, hi, gz, fz)  # e00, e01, e10, e11 (x, y)
-    dzc = np.subtract(hi, lo, out=hi)  # the z differences, same order
-    a = _lerp(e[:2], e[2:], gx, fx)  # a0, a1 (y)
-    b = _lerp(dzc[:2], dzc[2:], gx, fx)  # xy-bilinear of the z differences
+    tmp = hi * fz
+    dzc = np.subtract(hi, lo, out=hi)  # the z differences, in the order of e
+    e = np.multiply(lo, gz, out=lo)
+    e += tmp  # lerp along z first: e00, e01, e10, e11 (x, y)
+    np.multiply(e[2:], fx, out=tmp[:2])
+    np.multiply(dzc[2:], fx, out=tmp[2:])
     ex = np.subtract(e[2:], e[:2], out=e[2:])  # x differences at y0 and y1
-    value = _lerp(a[0], a[1], gy, fy)
+    a = np.multiply(e[:2], gx, out=e[:2])
+    a += tmp[:2]  # then x: a0, a1 (y)
+    b = np.multiply(dzc[:2], gx, out=dzc[:2])
+    b += tmp[2:]  # xy-bilinear of the z differences
+    # then y
+    value = a[0] * gy
+    value += np.multiply(a[1], fy, out=tmp[0])
     grad = np.empty((3, value.size))
-    _lerp(ex[0], ex[1], gy, fy, out=grad[0])
+    np.multiply(ex[0], gy, out=grad[0])
+    grad[0] += np.multiply(ex[1], fy, out=tmp[0])
     np.subtract(a[1], a[0], out=grad[1])
-    _lerp(b[0], b[1], gy, fy, out=grad[2])
+    np.multiply(b[0], gy, out=grad[2])
+    grad[2] += np.multiply(b[1], fy, out=tmp[0])
     return value, grad

@@ -45,6 +45,20 @@ class ProbabilityVolume:
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
 
+    @classmethod
+    def trusted(cls, geometry: GridGeometry, q: np.ndarray) -> "ProbabilityVolume":
+        """Wrap probabilities this program has just computed, without the copy and the checks.
+
+        ``q`` must be a float64 C-contiguous array of the right shape with
+        class sums of 1; it becomes read-only. Probabilities from anywhere
+        else go through the checking constructor.
+        """
+        out = object.__new__(cls)
+        q.flags.writeable = False
+        object.__setattr__(out, "geometry", geometry)
+        object.__setattr__(out, "q", q)
+        return out
+
     def foreground(self) -> np.ndarray:
         """(3, N) view of the foreground class probabilities."""
         return self.q[1:].reshape(len(FOREGROUND_CLASSES), -1)
@@ -122,18 +136,26 @@ def focus_exact(q: ProbabilityVolume, r: float = 0.9) -> float:
 
 def focus_smooth(q: ProbabilityVolume, r: float = 0.9, tau: float = 0.02) -> float:
     """Sigmoid surrogate of the indicator count; converges to exact as tau -> 0."""
-    fg = q.foreground()
-    return 1.0 - float(np.mean(_sigmoid((fg - r) / tau)))
+    return 1.0 - float(np.mean(_foreground_sigmoid(q, r, tau)))
 
 
 def focus_smooth_upstream(q: ProbabilityVolume, r: float, tau: float) -> np.ndarray:
     """d(focus_smooth)/dq over all classes, shape (NUM_CLASSES, W, H, D)."""
-    fg = q.foreground()
-    s = _sigmoid((fg - r) / tau)
-    grad_fg = -(s * (1.0 - s)) / (tau * fg.size)
-    out = np.zeros_like(q.q)
-    out[1:] = grad_fg.reshape(len(FOREGROUND_CLASSES), *q.geometry.shape)
+    s = _foreground_sigmoid(q, r, tau)
+    out = np.zeros(q.q.shape)
+    # -s (1 - s) / (tau * size), written into the foreground channels
+    grad_fg = np.subtract(1.0, s, out=out[1:].reshape(s.shape))
+    grad_fg *= s
+    np.negative(grad_fg, out=grad_fg)
+    grad_fg /= tau * s.size
     return out
+
+
+def _foreground_sigmoid(q: ProbabilityVolume, r: float, tau: float) -> np.ndarray:
+    """sigmoid((q - r) / tau) over the (3, N) foreground probabilities."""
+    x = q.foreground() - r
+    x /= tau
+    return _sigmoid(x)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -148,7 +170,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     d = 1.0 + e
     np.divide(e, d, out=e)
     np.divide(1.0, d, out=d)
-    return np.where(x >= 0, d, e)
+    np.copyto(e, d, where=x >= 0)
+    return e
 
 
 @dataclass

@@ -269,19 +269,24 @@ class AnalyticSegmenter:
     def _affinity(self, data: np.ndarray):
         """Intensity offset from the template and its Gaussian affinity."""
         diff = data - self._template
-        return diff, np.exp(-(diff**2) / (2.0 * self.spec.intensity_sigma**2))
+        aff = np.square(diff)
+        np.negative(aff, out=aff)
+        aff /= 2.0 * self.spec.intensity_sigma**2
+        return diff, np.exp(aff, out=aff)
 
     def evaluate(self, vol: Volume) -> ProbabilityVolume:
         self._check(vol)
         k = self.spec.logit_scale
         _, aff = self._affinity(vol.data)
-        logits = np.empty((NUM_CLASSES, *vol.data.shape))
-        logits[0] = 0.5 * k
-        logits[1:] = k * self._prior * aff
-        logits = logits - logits.max(axis=0, keepdims=True)
-        ex = np.exp(logits)
-        q = ex / ex.sum(axis=0, keepdims=True)
-        return ProbabilityVolume(vol.geometry, q)
+        # the logits, then their softmax over the class axis, in one buffer
+        q = np.empty((NUM_CLASSES, *vol.data.shape))
+        q[0] = 0.5 * k
+        np.multiply(self._prior, k, out=q[1:])
+        q[1:] *= aff
+        q -= q.max(axis=0, keepdims=True)
+        np.exp(q, out=q)
+        q /= q.sum(axis=0, keepdims=True)
+        return ProbabilityVolume.trusted(vol.geometry, q)
 
     def gradient(self, vol: Volume, upstream: np.ndarray, q: ProbabilityVolume | None = None) -> np.ndarray:
         """VJP: d(loss)/d(input intensity) given upstream = d(loss)/dq.
@@ -296,15 +301,24 @@ class AnalyticSegmenter:
         if q is None:
             q = self.evaluate(vol)
         q = q.q
-        diff, aff = self._affinity(vol.data)
-        daff = -diff / self.spec.intensity_sigma**2 * aff
+        daff, aff = self._affinity(vol.data)
+        # d(aff)/d(intensity) = -diff / sigma^2 * aff, in diff's buffer
+        np.negative(daff, out=daff)
+        daff /= self.spec.intensity_sigma**2
+        daff *= aff
+        del aff
         # softmax VJP sum_c U_c q_c (dz_c - sum_m q_m dz_m) with the logit
         # derivatives dz_c = k prior_c daff and dz_0 = 0, so with prior_0 = 0
         # it is k daff sum_c U_c q_c (prior_c - sum_m q_m prior_m)
         mean_prior = np.einsum("c...,c...->...", q[1:], self._prior)
         uq = upstream * q
-        s = np.einsum("c...,c...->...", uq[1:], self._prior) - mean_prior * uq.sum(axis=0)
-        return self.spec.logit_scale * daff * s
+        s = np.einsum("c...,c...->...", uq[1:], self._prior)
+        mean_prior *= uq.sum(axis=0)
+        del uq
+        s -= mean_prior
+        daff *= self.spec.logit_scale
+        daff *= s
+        return daff
 
 
 def world_rigid(angles: tuple[float, float, float], translation_mm: tuple[float, float, float]) -> np.ndarray:

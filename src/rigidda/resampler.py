@@ -70,7 +70,7 @@ def transform_volume(
     values = np.where(valid, values, 0.0)
     shape = target.shape
     return SampleResult(
-        image=Volume(target, values.reshape(shape)),
+        image=Volume.trusted(target, values.reshape(shape)),
         validity=valid.astype(np.float64).reshape(shape),
     )
 
@@ -135,7 +135,7 @@ def transform_volume_with_tape(
     value, grad = trilinear_with_grad(src.data, idx[0], idx[1], idx[2])
     shape = target.shape
     result = SampleResult(
-        image=Volume(target, np.where(valid, value, 0.0).reshape(shape)),
+        image=Volume.trusted(target, np.where(valid, value, 0.0).reshape(shape)),
         validity=valid.astype(np.float64).reshape(shape),
     )
     return SampleTape(result=result, coords=coords, grad_index=grad, scale=_index_scale(src.geometry.shape))

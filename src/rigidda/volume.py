@@ -115,6 +115,20 @@ class Volume:
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
+    @classmethod
+    def trusted(cls, geometry: GridGeometry, data: np.ndarray) -> "Volume":
+        """Wrap an image this program has just computed, without the copy and the checks.
+
+        ``data`` must be a finite float64 C-contiguous array of the grid's
+        shape; it becomes read-only. Images from files and callers go
+        through the checking constructor.
+        """
+        out = object.__new__(cls)
+        data.flags.writeable = False
+        object.__setattr__(out, "geometry", geometry)
+        object.__setattr__(out, "data", data)
+        return out
+
 
 @dataclass(frozen=True)
 class LabelVolume:

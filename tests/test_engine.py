@@ -1,8 +1,13 @@
 """Optimizer, scheduler, and pair-objective tests."""
 
 import csv
+import json
 import importlib.util
 import logging
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -36,8 +41,8 @@ from rigidda.phantom import AnalyticSegmenter, PhantomSpec, make_pair, world_rig
 from rigidda.pipeline import apply_task, run_end2end
 from rigidda.resampler import target_coords, transform_volume, transform_volume_with_tape
 from rigidda.rigid import N_PARAMS, RigidParams, affine_jacobian, euler_to_affine
-from rigidda import pipeline
-from rigidda.volume import NUM_CLASSES, Volume
+from rigidda import engine, pipeline
+from rigidda.volume import FOREGROUND_CLASSES, NUM_CLASSES, Volume
 from conftest import central_difference, gentle_task_spec, gradient_scale_error
 
 
@@ -118,6 +123,67 @@ class WholeGridObjective:
             alpha2=a2,
         )
         return report, grad
+
+
+class SerialSlabObjective(PairObjective):
+    """Reference objective: the slabs one after another on the calling thread."""
+
+    def __call__(self, vec):
+        params = RigidParams.from_vector(vec)
+        mats = euler_to_affine(params)
+        jac = affine_jacobian(params)
+        w = self.weights
+        a2 = w.alpha2 if self.use_focus else 0.0
+        n_fg = len(FOREGROUND_CLASSES)
+        grad = np.zeros(N_PARAMS)
+        sq_fwd = sq_bwd = smooth_mean = 0.0
+        above = 0
+
+        def mse_term(tape, fixed, mask, d_m):
+            diff = (tape.result.image.data - fixed) * mask
+            part = tape.vjp(d_m, diff * mask / self.n)
+            return float(np.sum(diff * diff)), part
+
+        for slab in self.slabs:
+            tape = transform_volume_with_tape(self.i_vol, mats.m, slab.geometry, slab.coords)
+            sq, part = mse_term(tape, slab.fixed_fwd, slab.mask_fwd, jac.d_m)
+            sq_fwd += sq
+            grad += w.alpha1 * part
+            if self.use_cycle_bwd:
+                tape = transform_volume_with_tape(self.j_vol, mats.m_inv, slab.geometry, slab.coords)
+                sq, part = mse_term(tape, slab.fixed_bwd, slab.mask_bwd, jac.d_m_inv)
+                sq_bwd += sq
+                grad += w.alpha1 * part
+            if self.use_focus:
+                tape = transform_volume_with_tape(self.i_vol, mats.m_t, slab.geometry, slab.coords)
+                image = tape.result.image
+                q = slab.task.evaluate(image)
+                n = slab.geometry.num_voxels
+                share = n / self.n
+                above += round((1.0 - focus_exact(q, w.r)) * n_fg * n)
+                smooth_mean += share * (1.0 - focus_smooth(q, w.r, w.tau))
+                up_q = share * focus_smooth_upstream(q, w.r, w.tau)
+                grad += a2 * tape.vjp(jac.d_m_t, slab.task.gradient(image, up_q, q))
+
+        report = LossReport(
+            cycle_fwd=0.5 * sq_fwd / self.n,
+            cycle_bwd=0.5 * sq_bwd / self.n,
+            focus_exact=1.0 - above / (n_fg * self.n) if self.use_focus else 0.0,
+            focus_smooth=1.0 - smooth_mean if self.use_focus else 0.0,
+            alpha1=w.alpha1,
+            alpha2=a2,
+        )
+        return report, grad
+
+
+REPORT_FIELDS = ("cycle_fwd", "cycle_bwd", "focus_exact", "focus_smooth", "alpha1", "alpha2")
+
+
+def _assert_same_bits(result, reference):
+    (rep, grad), (ref, ref_grad) = result, reference
+    for name in REPORT_FIELDS:
+        assert getattr(rep, name) == getattr(ref, name), name
+    assert np.array_equal(grad, ref_grad)
 
 
 def _pair_on(grid):
@@ -409,6 +475,166 @@ class TestSlabObjective:
             tracemalloc.stop()
         # one float64 array over the 64^3 grid alone is 2 MiB
         assert peak < 8 * 2**20
+
+
+needs_two_cpus = pytest.mark.skipif(engine._usable_cpus() < 2, reason="needs two usable CPUs")
+
+
+class TestTwoThreadObjective:
+    """The slabs run on the calling thread plus one helper; the bits are the serial loop's."""
+
+    # 64^3 makes 16 slabs, 48^3 seven, 40x40x23 a short last one, 17x13x11 one
+    @pytest.mark.parametrize("grid", ((64, 64, 64), (48, 48, 48), (40, 40, 23), (17, 13, 11)))
+    def test_bits_equal_the_serial_loop(self, grid):
+        pair, task = _pair_on(grid)
+        w = LossWeights(tau=0.1)
+        rng = np.random.default_rng(11)
+        vecs = [np.concatenate([rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.15, 0.15, 6)]) for _ in range(2)]
+        vecs.append(np.zeros(9))
+        for mode in MODES:
+            args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, w, mode)
+            threaded, serial = PairObjective(*args), SerialSlabObjective(*args)
+            for vec in vecs:
+                _assert_same_bits(threaded(vec), serial(vec))
+
+    def test_register_pair_trace_equals_the_serial_loop(self, monkeypatch):
+        pair, task = _pair_on((40, 40, 23))
+        cfg = OptimConfig(lr0=0.02, epoch_steps=5, plateau_patience=1, max_steps=25, seed=4)
+        args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), cfg)
+        params, trace = register_pair(*args, mode="full")
+        monkeypatch.setattr(engine, "PairObjective", SerialSlabObjective)
+        ref_params, ref_trace = register_pair(*args, mode="full")
+        np.testing.assert_array_equal(params.to_vector(), ref_params.to_vector())
+        assert len(trace.rows) == len(ref_trace.rows) == 25
+        for row, ref in zip(trace.rows, ref_trace.rows):
+            assert (row.step, row.lr) == (ref.step, ref.lr)
+            assert row.report == ref.report
+            np.testing.assert_array_equal(row.params, ref.params)
+
+    def test_slab_error_is_raised_and_the_helper_recovers(self):
+        pair, task = _pair_on((40, 40, 23))
+        w = LossWeights(tau=0.1)
+        vec = np.full(9, 0.05)
+        args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv)
+        for bad in (0, 1, 2):
+            failing = PairObjective(*args, _FailingTask(task, lambda z0, bad=bad: z0 == 10 * bad), w, "full")
+            with pytest.raises(NumericalError, match="slab failed"):
+                failing(vec)
+            _assert_same_bits(PairObjective(*args, task, w, "full")(vec), SerialSlabObjective(*args, task, w, "full")(vec))
+
+    @needs_two_cpus
+    def test_error_on_the_helper_thread_is_raised_by_the_caller(self):
+        pair, task = _pair_on((40, 40, 23))
+        helper_failed = threading.Event()
+
+        def fails_here(z0):
+            # the caller's slab waits until the helper has failed on one of its own
+            if threading.current_thread() is threading.main_thread():
+                assert helper_failed.wait(timeout=30)
+                return False
+            helper_failed.set()
+            return True
+
+        args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv)
+        w = LossWeights(tau=0.1)
+        failing = PairObjective(*args, _FailingTask(task, fails_here), w, "full")
+        with pytest.raises(NumericalError, match="slab failed"):
+            failing(np.full(9, 0.05))
+        assert helper_failed.is_set()
+        vec = np.full(9, -0.03)
+        _assert_same_bits(PairObjective(*args, task, w, "full")(vec), SerialSlabObjective(*args, task, w, "full")(vec))
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        pair, task = _pair_on((40, 40, 23))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(engine, "_helper", None)
+        before = threading.active_count()
+        args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), "full")
+        vec = np.full(9, 0.05)
+        _assert_same_bits(PairObjective(*args)(vec), SerialSlabObjective(*args)(vec))
+        assert threading.active_count() == before
+        assert engine._helper is None
+
+    def test_many_objectives_share_one_helper(self):
+        pair, task = _pair_on((40, 40, 23))
+        before = threading.active_count()
+        vec = np.full(9, 0.05)
+        for _ in range(50):
+            PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, None, LossWeights(), "baseline")(vec)
+        assert threading.active_count() <= before + 1
+
+    def test_concurrent_callers_get_the_serial_bits(self):
+        pair, task = _pair_on((40, 40, 23))
+        args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), "full")
+        obj = PairObjective(*args)
+        vecs = [np.full(9, 0.01 * k) for k in range(4)]
+        expected = [SerialSlabObjective(*args)(v) for v in vecs]
+        results = {}
+
+        def call(k):
+            for _ in range(3):
+                results.setdefault(k, []).append(obj(vecs[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for k, ref in enumerate(expected):
+            assert len(results[k]) == 3
+            for result in results[k]:
+                _assert_same_bits(result, ref)
+
+    def test_cli_register_exits_cleanly(self, tmp_path):
+        """A process that ran a two-thread registration exits 0 and does not hang at exit."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        spec = tmp_path / "spec.json"
+        spec.write_text(PhantomSpec().scaled(40 / 64).to_json())
+        rigidda = [sys.executable, "-m", "rigidda.cli"]
+        common = {"env": env, "capture_output": True, "text": True, "timeout": 300}
+        gen = ["phantom-gen", "--spec", str(spec), "--grid", "40", "40", "23", "--iso", "1.5", "--out-dir", str(tmp_path)]
+        assert subprocess.run(rigidda + gen, **common).returncode == 0
+        config = tmp_path / "config.json"
+        config.write_text('{"optim": {"lr0": 0.02, "epoch_steps": 5, "max_steps": 10}}')
+        run = subprocess.run(
+            rigidda
+            + ["register", "--ax", str(tmp_path / "I.nii"), "--sax", str(tmp_path / "J.nii"), "--gt-transform",
+               str(tmp_path / "gtM.json"), "--mode", "full", "--spec", str(spec), "--config", str(config)],
+            **common,
+        )
+        assert run.returncode == 0, run.stderr
+        assert len(json.loads(run.stdout)["params"]) == 9
+
+
+class _FailingTask:
+    """A task module whose restricted modules raise NumericalError where ``fails_here(z0)`` holds."""
+
+    def __init__(self, task, fails_here):
+        self.task = task
+        self.fails_here = fails_here
+
+    def restrict(self, z0, z1):
+        part = self.task.restrict(z0, z1)
+        fails_here = self.fails_here
+
+        class Part:
+            geometry = part.geometry
+            gradient = staticmethod(part.gradient)
+
+            @staticmethod
+            def evaluate(vol):
+                if fails_here(z0):
+                    raise NumericalError(f"slab failed at z0={z0}")
+                return part.evaluate(vol)
+
+        return Part()
 
 
 def _load_benchmark_tracer():

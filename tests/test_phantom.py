@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidda.errors import ValidationError
-from rigidda.losses import focus_exact
+from rigidda.losses import ProbabilityVolume, focus_exact
 from rigidda.phantom import (
     AnalyticSegmenter,
     Ellipsoid,
@@ -245,6 +245,15 @@ class TestAnalyticSegmenter:
         q = seg.evaluate(vol)
         np.testing.assert_allclose(q.q.sum(axis=0), 1.0, atol=1e-12)
         assert q.q.min() >= 0.0
+
+    def test_probabilities_pass_the_checks_and_are_read_only(self):
+        """evaluate wraps its softmax unchecked; the checking constructor accepts it as it is."""
+        g = GridGeometry.isotropic((16, 16, 16), 3.0)
+        spec = gentle_task_spec()
+        vol, _ = generate_phantom(spec, g, noise_sigma=0.05, seed=5)
+        q = AnalyticSegmenter(spec, g).evaluate(vol)
+        assert not q.q.flags.writeable
+        np.testing.assert_array_equal(ProbabilityVolume(g, q.q).q, q.q)
 
     def test_gradient_matches_finite_differences(self, rng):
         from rigidda.volume import Volume

@@ -63,6 +63,17 @@ class TestIdentityAndShifts:
         assert np.all(out.validity == 0.0)
         assert np.all(out.image.data == 0.0)
 
+    def test_warped_images_are_read_only_and_pass_the_volume_checks(self, rng):
+        """The warps wrap their output unchecked; the checking constructor accepts it as it is."""
+        g = GridGeometry.isotropic((8, 7, 6), 1.0)
+        vol = Volume(g, rng.normal(size=g.shape))
+        m = euler_to_affine(RigidParams.from_vector(np.full(9, 0.1))).m
+        for image in (transform_volume(vol, m, g).image, transform_volume_with_tape(vol, m, g).result.image):
+            assert not image.data.flags.writeable
+            with pytest.raises(ValueError):
+                image.data[0, 0, 0] = 1.0
+            np.testing.assert_array_equal(Volume(g, image.data).data, image.data)
+
     def test_target_coords_shape_and_corners(self):
         g = GridGeometry.isotropic((4, 3, 5), 1.0)
         c = target_coords(g)
