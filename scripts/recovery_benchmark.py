@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from rigidda.engine import register_pair
+from rigidda.errors import ValidationError
 from rigidda.experiments import fast_optim, recovery_case, recovery_error
 from rigidda.losses import LossWeights
 
@@ -23,14 +24,17 @@ def main():
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--grid", type=int, default=64)
     parser.add_argument("--iso", type=float, default=1.5)
-    parser.add_argument("--max-rot-deg", type=float, default=30.0)
+    parser.add_argument("--max-rot-deg", type=float, default=30.0, help="per Euler angle, in [0, 90)")
     parser.add_argument("--max-trans-mm", type=float, default=15.0)
     parser.add_argument("--max-steps", type=int, default=350)
     args = parser.parse_args()
 
     results = []
     for seed in range(args.pairs):
-        pair, _, task = recovery_case(seed, args.grid, args.iso, args.max_rot_deg, args.max_trans_mm)
+        try:
+            pair, _, task = recovery_case(seed, args.grid, args.iso, args.max_rot_deg, args.max_trans_mm)
+        except ValidationError as exc:
+            parser.error(str(exc))
         start = time.perf_counter()
         params, trace = register_pair(
             pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1),

@@ -3,8 +3,10 @@
 
 Generates a two-view phantom pair with a known rigid offset, registers it
 in the requested mode, segments through the task frame, evaluates against
-the exact labels, and writes every artifact (volumes, trace CSV, transform
-JSON, metric report) into the output directory.
+the exact labels, and writes every artifact into the output directory: the
+pair directory (volumes, gtM.json, spec.json), which ``rigidda end2end
+--pair-dir`` reads back, and the run's trace CSV, transform JSON, predicted
+labels and metric report.
 """
 
 import argparse
@@ -16,10 +18,9 @@ import numpy as np
 from rigidda.config import PipelineConfig
 from rigidda.engine import MODES
 from rigidda.experiments import fast_optim
-from rigidda.io import write_volume
 from rigidda.losses import LossWeights
 from rigidda.phantom import AnalyticSegmenter, PhantomSpec, make_pair, world_rigid
-from rigidda.pipeline import run_end2end
+from rigidda.pipeline import run_end2end, save_pair_dir
 
 
 def main():
@@ -50,10 +51,7 @@ def main():
     elapsed = time.perf_counter() - start
 
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_volume(pair.i, out / "I.nii")
-    write_volume(pair.j, out / "J.nii")
-    write_volume(pair.labels_i, out / "labels_I.nii")
+    save_pair_dir(pair, spec, out)
     result.save(out)
 
     print(f"mode {args.mode}: {len(result.trace.rows)} steps in {elapsed:.1f}s")

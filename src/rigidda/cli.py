@@ -19,13 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .engine import MODES, PairObjective, register_pair
+from .engine import FOCUS_MODES, MODES, PairObjective, register_pair
 from .errors import RigiddaError, ValidationError
 from .io import read_volume, write_volume
 from .losses import LossWeights
 from .metrics import evaluate_labels, postprocess_labels
-from .phantom import AnalyticSegmenter, PhantomPair, PhantomSpec, make_pair
-from .pipeline import apply_task, run_end2end
+from .phantom import AnalyticSegmenter, PhantomSpec, make_pair
+from .pipeline import apply_task, load_pair_dir, run_end2end, save_pair_dir
 from .resampler import transform_labels, transform_volume
 from .rigid import RigidParams, check_rigid, euler_to_affine, parse_matrix, read_transform, write_transform
 from .volume import LabelVolume, Volume
@@ -115,36 +115,10 @@ def _require_labels(vol, name: str) -> LabelVolume:
 def cmd_phantom_gen(args) -> int:
     spec = PhantomSpec.from_json(Path(args.spec).read_text()) if args.spec else PhantomSpec()
     rel = check_rigid(read_transform(args.rel_transform)[0], "--rel-transform") if args.rel_transform else np.eye(4)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pair = make_pair(
-        spec,
-        rel,
-        grid=tuple(args.grid),
-        iso=args.iso,
-        seed=args.seed,
-    )
-    write_volume(pair.i, out / "I.nii")
-    write_volume(pair.j, out / "J.nii")
-    write_volume(pair.labels_i, out / "labels_I.nii")
-    write_volume(pair.labels_j, out / "labels_J.nii")
-    write_transform(out / "gtM.json", (pair.gt_m, pair.gt_m_inv))
-    (out / "spec.json").write_text(spec.to_json())
-    log.info("phantom pair written to %s", out)
+    pair = make_pair(spec, rel, grid=tuple(args.grid), iso=args.iso, seed=args.seed)
+    save_pair_dir(pair, spec, args.out_dir)
+    log.info("phantom pair written to %s", args.out_dir)
     return 0
-
-
-def _load_pair_dir(pair_dir: Path) -> tuple[PhantomPair, PhantomSpec]:
-    spec = PhantomSpec.from_json((pair_dir / "spec.json").read_text())
-    i_vol = _require_intensity(read_volume(pair_dir / "I.nii"), "I.nii")
-    j_vol = _require_intensity(read_volume(pair_dir / "J.nii"), "J.nii")
-    labels_i = _require_labels(read_volume(pair_dir / "labels_I.nii"), "labels_I.nii")
-    labels_j = _require_labels(read_volume(pair_dir / "labels_J.nii"), "labels_J.nii")
-    gt_m, gt_m_inv = read_transform(pair_dir / "gtM.json")
-    return (
-        PhantomPair(i_vol, j_vol, labels_i, labels_j, gt_m, gt_m_inv),
-        spec,
-    )
 
 
 def cmd_register(args) -> int:
@@ -153,7 +127,7 @@ def cmd_register(args) -> int:
     gt_m, gt_m_inv = read_transform(args.gt_transform)
     config = _load_config(args.config, args.mode, args.weights)
     task = None
-    if config.mode in ("cycle+focus", "full"):
+    if config.mode in FOCUS_MODES:
         if not args.spec:
             raise ValidationError("focus modes need --spec for the task module")
         spec = PhantomSpec.from_json(Path(args.spec).read_text())
@@ -228,8 +202,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_end2end(args) -> int:
-    pair_dir = Path(args.pair_dir)
-    pair, spec = _load_pair_dir(pair_dir)
+    pair, spec = load_pair_dir(args.pair_dir)
     config = _load_config(args.config, args.mode)
     task = AnalyticSegmenter(spec, pair.i.geometry)
     result = run_end2end(pair, task, config)

@@ -36,6 +36,7 @@ from .volume import FOREGROUND_CLASSES, GridGeometry, Volume
 log = logging.getLogger(__name__)
 
 MODES = ("baseline", "cycle", "cycle+focus", "full")
+FOCUS_MODES = ("cycle+focus", "full")  # the modes whose objective has the task branch
 
 TRACE_COLUMNS = (
     "step",
@@ -181,14 +182,15 @@ class RegistrationTrace:
 
 @dataclass(frozen=True)
 class _Slab:
-    """Whole target slices z0:z1 and the parts of the objective that do not change."""
+    """Whole target slices z0:z1 and the parts of the objective that do not change.
+
+    ``cycle`` has one (fixed image, mask) pair per cycle branch: forward, then
+    backward unless baseline. ``task`` is None without a focus branch.
+    """
 
     geometry: GridGeometry
     coords: np.ndarray  # (4, n) homogeneous normalized coordinates in the whole grid
-    fixed_fwd: np.ndarray
-    mask_fwd: np.ndarray
-    fixed_bwd: np.ndarray | None
-    mask_bwd: np.ndarray | None
+    cycle: list[tuple[np.ndarray, np.ndarray]]
     task: TaskModule | None
 
 
@@ -262,13 +264,13 @@ def _two_thread_map(fn, items: list) -> list:
 class PairObjective:
     """Loss and analytic 9-parameter gradient for one preprocessed pair.
 
-    A step runs slab by slab over whole target slices along z, the axis the
-    in-plane weight and the task module treat slice-wise. Each slab yields
-    its loss sums, its focus count and its parts of the 9-vector gradient,
-    so every temporary is slab-sized; the reported terms equal the
-    whole-grid values. The slabs run on two threads (``_two_thread_map``),
-    and their parts are added in slab order, so the result does not depend
-    on which thread ran which slab.
+    The mode picks the branches once: the forward cycle MSE, the backward one
+    unless baseline, the focus term in ``FOCUS_MODES``. A step runs slab by
+    slab over whole target slices along z, the axis the in-plane weight and
+    the task module treat slice-wise, so every temporary is slab-sized and
+    the reported terms equal the whole-grid values. The slabs run on two
+    threads (``_two_thread_map``); their terms are added in slab order, then
+    branch order, so the bits do not depend on which thread ran which slab.
     """
 
     def __init__(
@@ -285,41 +287,30 @@ class PairObjective:
             raise ValidationError(f"unknown mode {mode!r}; choose from {MODES}")
         if mode != "baseline" and (j_vol is None or gt_m_inv is None):
             raise ValidationError("cycle modes need the second volume and the inverse transform")
-        if mode in ("cycle+focus", "full") and task is None:
+        if mode in FOCUS_MODES and task is None:
             raise ValidationError("focus modes need a task module")
         self.mode = mode
         self.i_vol = i_vol
-        self.j_vol = j_vol
         self.weights = weights
-        self.use_focus = mode in ("cycle+focus", "full")
-        self.use_cycle_bwd = mode != "baseline"
+        # per cycle branch: the moving volume, its ground truth and the name of its
+        # transform, M or M^-1, in euler_to_affine's set; its Jacobian is "d_" + name
+        self.branches = [(i_vol, gt_m, "m"), (j_vol, gt_m_inv, "m_inv")][: 1 if mode == "baseline" else 2]
         target = i_vol.geometry
         self.n = target.num_voxels
         coords = target_coords(target).reshape(4, *target.shape)
         w_field = in_plane_weight(target) if mode == "full" else None
-
-        def fixed_and_mask(vol, m):
-            fixed = transform_volume(vol, m, target, coords.reshape(4, -1))
-            mask = fixed.validity if w_field is None else fixed.validity * w_field
-            return fixed.image.data, mask
-
-        fixed_fwd, mask_fwd = fixed_and_mask(i_vol, gt_m)
-        fixed_bwd = mask_bwd = None
-        if self.use_cycle_bwd:
-            fixed_bwd, mask_bwd = fixed_and_mask(j_vol, gt_m_inv)
+        fixed = [transform_volume(vol, gt, target, coords.reshape(4, -1)) for vol, gt, _ in self.branches]
+        fixed = [(f.image.data, f.validity if w_field is None else f.validity * w_field) for f in fixed]
 
         def cut(a, z0, z1):
-            return None if a is None else np.ascontiguousarray(a[..., z0:z1])
+            return np.ascontiguousarray(a[..., z0:z1])
 
         self.slabs = [
             _Slab(
                 geometry=target.z_slab(z0, z1),
                 coords=cut(coords, z0, z1).reshape(4, -1),
-                fixed_fwd=cut(fixed_fwd, z0, z1),
-                mask_fwd=cut(mask_fwd, z0, z1),
-                fixed_bwd=cut(fixed_bwd, z0, z1),
-                mask_bwd=cut(mask_bwd, z0, z1),
-                task=task.restrict(z0, z1) if self.use_focus else None,
+                cycle=[(cut(image, z0, z1), cut(mask, z0, z1)) for image, mask in fixed],
+                task=task.restrict(z0, z1) if mode in FOCUS_MODES else None,
             )
             for z0, z1 in slab_bounds(target.shape)
         ]
@@ -334,15 +325,9 @@ class PairObjective:
         diff /= self.n
         return sq, tape.vjp(d_m, diff)
 
-    def _slab_terms(self, slab: _Slab, mats, jac) -> tuple:
-        """One slab's (sq_fwd, grad_fwd, sq_bwd, grad_bwd, above, smooth, grad_focus); 0 or None where unused."""
+    def _focus_term(self, slab: _Slab, mats, jac) -> tuple:
+        """One slab's foreground count above r, its share of the smooth mean, and its focus gradient."""
         w = self.weights
-        sq_fwd, g_fwd = self._mse_term(self.i_vol, mats.m, jac.d_m, slab, slab.fixed_fwd, slab.mask_fwd)
-        sq_bwd, g_bwd = 0.0, None
-        if self.use_cycle_bwd:
-            sq_bwd, g_bwd = self._mse_term(self.j_vol, mats.m_inv, jac.d_m_inv, slab, slab.fixed_bwd, slab.mask_bwd)
-        if not self.use_focus:
-            return sq_fwd, g_fwd, sq_bwd, g_bwd, 0, 0.0, None
         tape = transform_volume_with_tape(self.i_vol, mats.m_t, slab.geometry, slab.coords)
         image = tape.result.image
         q = slab.task.evaluate(image)
@@ -354,50 +339,45 @@ class PairObjective:
         smooth = share * (1.0 - focus_smooth(q, w.r, w.tau))
         up_q = focus_smooth_upstream(q, w.r, w.tau)
         up_q *= share
-        g_focus = tape.vjp(jac.d_m_t, slab.task.gradient(image, up_q, q))
-        return sq_fwd, g_fwd, sq_bwd, g_bwd, above, smooth, g_focus
+        return above, smooth, tape.vjp(jac.d_m_t, slab.task.gradient(image, up_q, q))
+
+    def _slab_terms(self, slab: _Slab, mats, jac) -> tuple[list, tuple | None]:
+        """One slab's ``(sum of squares, gradient)`` per cycle branch, and its focus term or None."""
+        cycle = [
+            self._mse_term(vol, getattr(mats, name), getattr(jac, "d_" + name), slab, fixed, mask)
+            for (vol, _, name), (fixed, mask) in zip(self.branches, slab.cycle)
+        ]
+        return cycle, None if slab.task is None else self._focus_term(slab, mats, jac)
 
     def __call__(self, vec: np.ndarray) -> tuple[LossReport, np.ndarray]:
         params = RigidParams.from_vector(vec)
         mats = euler_to_affine(params)
         jac = affine_jacobian(params)
         w = self.weights
-        a2 = w.alpha2 if self.use_focus else 0.0
-        n_fg = len(FOREGROUND_CLASSES)
         grad = np.zeros(N_PARAMS)
-        sq_fwd = sq_bwd = smooth_mean = 0.0
+        sq = [0.0, 0.0]  # forward, backward; a baseline objective leaves the backward sum 0
         above = 0  # foreground entries above r, counted over the whole grid
+        smooth = []  # each slab's share of the smooth focus mean
 
         # the serial sums, in slab order: the bits do not depend on the threads
-        for sq_f, g_f, sq_b, g_b, above_k, smooth_k, g_t in _two_thread_map(
-            lambda slab: self._slab_terms(slab, mats, jac), self.slabs
-        ):
-            sq_fwd += sq_f
-            grad += w.alpha1 * g_f
-            if self.use_cycle_bwd:
-                sq_bwd += sq_b
-                grad += w.alpha1 * g_b
-            if self.use_focus:
+        for cycle, focus in _two_thread_map(lambda slab: self._slab_terms(slab, mats, jac), self.slabs):
+            for k, (sq_k, g_k) in enumerate(cycle):
+                sq[k] += sq_k
+                grad += w.alpha1 * g_k
+            if focus is not None:
+                above_k, smooth_k, g_t = focus
                 above += above_k
-                smooth_mean += smooth_k
-                grad += a2 * g_t
+                smooth.append(smooth_k)
+                grad += w.alpha2 * g_t
 
         report = LossReport(
-            cycle_fwd=0.5 * sq_fwd / self.n,
-            cycle_bwd=0.5 * sq_bwd / self.n,
-            focus_exact=1.0 - above / (n_fg * self.n) if self.use_focus else 0.0,
-            focus_smooth=1.0 - smooth_mean if self.use_focus else 0.0,
-            alpha1=w.alpha1,
-            alpha2=a2,
+            cycle_fwd=0.5 * sq[0] / self.n, cycle_bwd=0.5 * sq[1] / self.n, alpha1=w.alpha1, alpha2=0.0
         )
+        if smooth:
+            report.focus_exact = 1.0 - above / (len(FOREGROUND_CLASSES) * self.n)
+            report.focus_smooth = 1.0 - sum(smooth)
+            report.alpha2 = w.alpha2
         return report, grad
-
-    def free_mask(self) -> np.ndarray:
-        """Which of the 9 parameters this mode optimizes."""
-        free = np.ones(N_PARAMS, dtype=bool)
-        if not self.use_focus:
-            free[6:] = False  # t_t only exists in the two-branch modes
-        return free
 
 
 def register_pair(
@@ -412,14 +392,14 @@ def register_pair(
 ) -> tuple[RigidParams, RegistrationTrace]:
     """Optimize the rigid parameters for one preprocessed pair.
 
-    Modes without a task branch (``baseline``, ``cycle``) leave ``t_t`` frozen
-    at its initial draw, as the trace rows show, and return ``t_t = t``: their
-    task transform M_t is the registration transform M.
+    Modes without a task branch (``baseline``, ``cycle``) leave ``t_t`` at its
+    initial draw, as the trace rows show: its gradient entries are exactly 0,
+    and Adam does not move them. They return ``t_t = t``: their task
+    transform M_t is the registration transform M.
     """
     objective = PairObjective(i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode)
     rng = np.random.default_rng(cfg.seed)
     vec = RigidParams.random_init(rng).to_vector()
-    free = objective.free_mask()
 
     state = AdamState.zeros(N_PARAMS)
     scheduler = PlateauScheduler(cfg)
@@ -441,7 +421,6 @@ def register_pair(
         if total < best_loss:
             best_loss = total
             best_vec = vec.copy()
-        grad = np.where(free, grad, 0.0)
         vec = adam_step(vec, grad, state, lr)
         epoch_losses.append(total)
         if len(epoch_losses) == cfg.epoch_steps:
@@ -454,6 +433,6 @@ def register_pair(
                 break
     log.info("%s registration: %d steps, stopped by %s, best loss %.6g", mode, len(trace.rows), stop, best_loss)
 
-    if not free[6:].any():
+    if mode not in FOCUS_MODES:
         best_vec[6:] = best_vec[3:6]
     return RigidParams.from_vector(best_vec), trace

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import OptimConfig
+from .errors import ValidationError
 from .phantom import AnalyticSegmenter, PhantomPair, PhantomSpec, make_pair, world_rigid
 from .rigid import RigidParams, euler_from_rotation, euler_to_affine
 
@@ -24,7 +25,14 @@ def recovery_case(
     seed: int, grid: int = 64, iso: float = 1.5, max_rot_deg: float = 30.0, max_trans_mm: float = 15.0
 ) -> tuple[PhantomPair, PhantomSpec, AnalyticSegmenter]:
     """Criterion-4 draw: two views of the default phantom, offset by up to
-    ``max_rot_deg`` per Euler angle and ``max_trans_mm`` per axis."""
+    ``max_rot_deg`` per Euler angle and ``max_trans_mm`` per axis.
+
+    ``max_rot_deg`` must lie in [0, 90): a larger theta leaves the range of
+    ``euler_from_rotation``, and ``recovery_error`` would misread the exact
+    transform as a 180 degree error.
+    """
+    if not 0.0 <= max_rot_deg < 90.0:
+        raise ValidationError(f"max_rot_deg must be in [0, 90), got {max_rot_deg}")
     rng = np.random.default_rng(500 + seed)
     bound = np.radians(max_rot_deg)
     angles = rng.uniform(-bound, bound, 3)

@@ -9,12 +9,16 @@ import numpy as np
 
 from .config import PipelineConfig
 from .engine import RegistrationTrace, register_pair
-from .io import write_volume
+from .errors import ValidationError
+from .io import read_volume, write_volume
 from .metrics import MetricReport, evaluate_labels, postprocess_labels
-from .phantom import PhantomPair, TaskModule
+from .phantom import PhantomPair, PhantomSpec, TaskModule
 from .resampler import transform_labels, transform_volume
-from .rigid import RigidParams, euler_to_affine, write_transform
+from .rigid import RigidParams, euler_to_affine, read_transform, write_transform
 from .volume import LabelVolume, Volume
+
+# the volumes of a pair directory, in PhantomPair's field order, and their kinds
+PAIR_VOLUMES = (("I.nii", Volume), ("J.nii", Volume), ("labels_I.nii", LabelVolume), ("labels_J.nii", LabelVolume))
 
 
 def apply_task(
@@ -59,6 +63,29 @@ class End2EndResult:
         write_transform(out / "transform.json", self.params)
         write_volume(self.pred_labels, out / "pred_labels.nii")
         (out / "metrics.json").write_text(self.report.to_json())
+
+
+def save_pair_dir(pair: PhantomPair, spec: PhantomSpec, out_dir) -> None:
+    """Write a pair directory: the four PAIR_VOLUMES, gtM.json {m, m_inv} and spec.json."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for (name, _), vol in zip(PAIR_VOLUMES, (pair.i, pair.j, pair.labels_i, pair.labels_j)):
+        write_volume(vol, out / name)
+    write_transform(out / "gtM.json", (pair.gt_m, pair.gt_m_inv))
+    (out / "spec.json").write_text(spec.to_json())
+
+
+def load_pair_dir(pair_dir) -> tuple[PhantomPair, PhantomSpec]:
+    """The pair and the phantom spec ``save_pair_dir`` wrote into ``pair_dir``."""
+    pair_dir = Path(pair_dir)
+    spec = PhantomSpec.from_json((pair_dir / "spec.json").read_text())
+    vols = []
+    for name, kind in PAIR_VOLUMES:
+        vol = read_volume(pair_dir / name)
+        if not isinstance(vol, kind):
+            raise ValidationError(f"{name} must be {'a label' if kind is LabelVolume else 'an intensity'} volume")
+        vols.append(vol)
+    return PhantomPair(*vols, *read_transform(pair_dir / "gtM.json")), spec
 
 
 def run_end2end(pair: PhantomPair, task: TaskModule, config: PipelineConfig) -> End2EndResult:

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rigidda.phantom import PhantomSpec
 from rigidda.volume import GridGeometry, Volume
+
+# one profile for every property: no per-example deadline, which a slow
+# first numpy call would trip; each test sets its own max_examples
+settings.register_profile("rigidda", deadline=None)
+settings.load_profile("rigidda")
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Optimizer, scheduler, and pair-objective tests."""
 
 import csv
+import functools
 import json
 import importlib.util
 import logging
@@ -14,9 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidda.config import PipelineConfig
 from rigidda.engine import (
+    FOCUS_MODES,
     MODES,
     AdamState,
     EarlyStopper,
@@ -63,7 +67,7 @@ class WholeGridObjective:
         self.weights = weights
         self.target = i_vol.geometry
         self.coords = target_coords(self.target)
-        self.use_focus = mode in ("cycle+focus", "full")
+        self.use_focus = mode in FOCUS_MODES
         self.use_cycle_bwd = mode != "baseline"
         w_field = in_plane_weight(self.target) if mode == "full" else None
         self.fixed_fwd = transform_volume(i_vol, gt_m, self.target, self.coords)
@@ -133,7 +137,9 @@ class SerialSlabObjective(PairObjective):
         mats = euler_to_affine(params)
         jac = affine_jacobian(params)
         w = self.weights
-        a2 = w.alpha2 if self.use_focus else 0.0
+        use_focus = self.mode in FOCUS_MODES
+        use_cycle_bwd = self.mode != "baseline"
+        a2 = w.alpha2 if use_focus else 0.0
         n_fg = len(FOREGROUND_CLASSES)
         grad = np.zeros(N_PARAMS)
         sq_fwd = sq_bwd = smooth_mean = 0.0
@@ -146,15 +152,16 @@ class SerialSlabObjective(PairObjective):
 
         for slab in self.slabs:
             tape = transform_volume_with_tape(self.i_vol, mats.m, slab.geometry, slab.coords)
-            sq, part = mse_term(tape, slab.fixed_fwd, slab.mask_fwd, jac.d_m)
+            sq, part = mse_term(tape, *slab.cycle[0], jac.d_m)
             sq_fwd += sq
             grad += w.alpha1 * part
-            if self.use_cycle_bwd:
-                tape = transform_volume_with_tape(self.j_vol, mats.m_inv, slab.geometry, slab.coords)
-                sq, part = mse_term(tape, slab.fixed_bwd, slab.mask_bwd, jac.d_m_inv)
+            if use_cycle_bwd:
+                j_vol = self.branches[1][0]
+                tape = transform_volume_with_tape(j_vol, mats.m_inv, slab.geometry, slab.coords)
+                sq, part = mse_term(tape, *slab.cycle[1], jac.d_m_inv)
                 sq_bwd += sq
                 grad += w.alpha1 * part
-            if self.use_focus:
+            if use_focus:
                 tape = transform_volume_with_tape(self.i_vol, mats.m_t, slab.geometry, slab.coords)
                 image = tape.result.image
                 q = slab.task.evaluate(image)
@@ -168,8 +175,8 @@ class SerialSlabObjective(PairObjective):
         report = LossReport(
             cycle_fwd=0.5 * sq_fwd / self.n,
             cycle_bwd=0.5 * sq_bwd / self.n,
-            focus_exact=1.0 - above / (n_fg * self.n) if self.use_focus else 0.0,
-            focus_smooth=1.0 - smooth_mean if self.use_focus else 0.0,
+            focus_exact=1.0 - above / (n_fg * self.n) if use_focus else 0.0,
+            focus_smooth=1.0 - smooth_mean if use_focus else 0.0,
             alpha1=w.alpha1,
             alpha2=a2,
         )
@@ -192,6 +199,14 @@ def _pair_on(grid):
     rel = world_rigid((0.3, -0.2, 0.25), (6.0, -4.0, 3.0))
     pair = make_pair(spec, rel, grid=grid, iso=1.5, seed=4)
     return pair, AnalyticSegmenter(spec, pair.i.geometry)
+
+
+@functools.cache
+def _objectives_without_focus():
+    spec, pair = _small_pair()
+    task = AnalyticSegmenter(spec, pair.i.geometry)
+    args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights())
+    return [PairObjective(*args, mode=mode) for mode in MODES if mode not in FOCUS_MODES]
 
 
 # 64^3 makes 16 slabs of 4 slices; 40x40x23 slabs of 10, 10 and 3 slices;
@@ -306,15 +321,13 @@ class TestPairObjective:
         with pytest.raises(ValidationError):
             PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, None, w, mode="full")
 
-    def test_free_mask_per_mode(self):
-        spec, pair = _small_pair()
-        task = AnalyticSegmenter(spec, pair.i.geometry)
-        w = LossWeights()
-        for mode in MODES:
-            obj = PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, w, mode=mode)
-            free = obj.free_mask()
-            assert free[:6].all()
-            assert free[6:].all() == (mode in ("cycle+focus", "full"))
+    @given(vec=st.lists(st.floats(-0.3, 0.3), min_size=9, max_size=9))
+    @settings(max_examples=20)
+    def test_no_task_translation_gradient_without_focus(self, vec):
+        """Without a focus branch the t_t entries are exactly +0.0, so Adam never moves them."""
+        for obj in _objectives_without_focus():
+            _, grad = obj(np.asarray(vec))
+            assert np.array_equal(grad[6:], np.zeros(3)) and not np.signbit(grad[6:]).any()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_gradient_matches_finite_differences(self, mode):

@@ -91,7 +91,7 @@ class TestTrilinearValues:
         assert out[0] == 0.5 * (data[1, 0, 1] + data[2, 0, 1])
 
     @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_convex_combination_bounds(self, seed):
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(5, 5, 5))
@@ -109,7 +109,7 @@ class TestChunkedKernelMatchesOracle:
         st.tuples(*[st.sampled_from([1, 2, 3, 5, 7])] * 3),
         st.sampled_from(_COORD_SHAPES),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_byte_identical(self, seed, data_shape, coord_shape):
         rng = np.random.default_rng(seed)
         data = rng.normal(size=data_shape)

@@ -348,7 +348,7 @@ class TestSigmoid:
         self._same_bits(np.array(self.EDGES).reshape(2, 3, 3))
 
     @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=64))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_bit_identical_on_any_floats(self, values):
         self._same_bits(np.array(values))
 
@@ -362,7 +362,7 @@ class TestLossWeights:
         a1=st.floats(0.01, 10.0),
         a2=st.floats(0.0, 10.0),
     )
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_stability_ordering_enforced(self, a1, a2):
         if a1 > a2:
             LossWeights(alpha1=a1, alpha2=a2)

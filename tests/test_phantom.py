@@ -335,7 +335,7 @@ class TestOneRender:
         noise=st.sampled_from([None, 0.0, 0.05]),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_phantom_and_segmenter_match_oracle(self, shape, spacing, angles, shift, noise, seed):
         spacing = np.asarray(spacing)
         g = GridGeometry(shape, spacing, -spacing * (np.asarray(shape) - 1.0) / 2.0, np.eye(3))

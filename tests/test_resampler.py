@@ -85,7 +85,7 @@ class TestIdentityAndShifts:
 
 class TestRoundTrip:
     @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_warp_unwarp_small_error(self, seed):
         rng = np.random.default_rng(seed)
         g = GridGeometry.isotropic((24, 24, 24), 1.0)
@@ -156,7 +156,7 @@ class TestLabelResampling:
         scale=st.sampled_from([0.0, 1.0, 100.0]),
         seed=st.integers(0, 2**31 - 1),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_half_voxel_shifts_match_stacked_argmax(self, shape, spacing, half_voxels, scale, seed):
         # n - 1 is a power of two, so half-voxel offsets are exact and every
         # sample between two differently labelled voxels is an exact tie
@@ -169,7 +169,7 @@ class TestLabelResampling:
         assert out.data.tobytes() == oracles.transform_labels(labels, m, g, scale).tobytes()
 
     @given(seed=st.integers(0, 2**31 - 1), scale=st.sampled_from([0.0, 1.0, 100.0]))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_random_affines_match_stacked_argmax(self, seed, scale):
         rng = np.random.default_rng(seed)
 
@@ -292,7 +292,7 @@ class TestFusedKernelAgainstOracle:
         seed=st.integers(0, 2**31 - 1),
         far=st.sampled_from([0.2, 1.0, 4.0]),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_kernel_bit_identical(self, shape, seed, far):
         rng = np.random.default_rng(seed)
         data = rng.normal(size=shape)
@@ -317,7 +317,7 @@ class TestFusedKernelAgainstOracle:
         reach=st.sampled_from([0.1, 0.5, 3.0]),
         integer_shift=st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_taped_warp_matches_oracle(self, shape, seed, reach, integer_shift):
         rng = np.random.default_rng(seed)
         src = Volume(GridGeometry.isotropic(shape, 1.0), rng.normal(size=shape))

@@ -52,7 +52,7 @@ class TestRotation:
         np.testing.assert_array_equal(rotation_matrix(0.0, 0.0, 0.0), np.eye(3))
 
     @given(phi=angles, theta=angles, psi=angles)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_special_orthogonal(self, phi, theta, psi):
         r = rotation_matrix(phi, theta, psi)
         assert abs(np.linalg.det(r) - 1.0) < 1e-12
@@ -63,7 +63,7 @@ class TestRotation:
         theta=st.floats(-1.4, 1.4),
         psi=st.floats(-1.4, 1.4),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_euler_round_trip(self, phi, theta, psi):
         r = rotation_matrix(phi, theta, psi)
         rec = euler_from_rotation(r)
@@ -156,7 +156,7 @@ class TestCheckRigid:
         trans=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
         scale=st.floats(0.5, 2.0),
     )
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_accepts_rotations_and_rejects_scaling(self, angles, trans, scale):
         m = euler_to_affine(RigidParams(*angles, t=trans)).m
         assert check_rigid(m, "m") is m

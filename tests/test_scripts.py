@@ -1,10 +1,13 @@
 """Smoke tests: each experiment script runs end to end on tiny arguments."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
+
+from rigidda.cli import main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -24,6 +27,13 @@ def test_recovery_benchmark(monkeypatch, capsys):
     assert "/1 pairs within 2 deg and 1 voxel" in out
 
 
+def test_recovery_benchmark_rejects_rotation_bound(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _run(monkeypatch, capsys, "recovery_benchmark", "--pairs", "1", "--max-rot-deg", "120")
+    assert exit_info.value.code == 2
+    assert "max_rot_deg must be in [0, 90)" in capsys.readouterr().err
+
+
 def test_compare_modes(monkeypatch, capsys):
     out = _run(monkeypatch, capsys, "compare_modes", "--seeds", "1", "--max-steps", "2")
     assert "means over 1 seeds" in out
@@ -40,3 +50,8 @@ def test_run_demo(monkeypatch, capsys, tmp_path, mode):
     assert f"mode {mode}: 2 steps in" in out
     for name in ("trace.csv", "transform.json", "pred_labels.nii", "metrics.json"):
         assert (out_dir / name).exists(), name
+    # the demo's output is a pair directory that end2end reads back
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": mode, "optim": {"lr0": 0.02, "epoch_steps": 2, "max_steps": 2}}))
+    run = ["end2end", "--pair-dir", str(out_dir), "--config", str(config), "--out-dir", str(tmp_path / "run")]
+    assert main(run) == 0

@@ -55,7 +55,7 @@ class TestGridGeometry:
         vz=st.floats(0, 4),
         angle=st.floats(-3.0, 3.0),
     )
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_world_voxel_round_trip(self, vx, vy, vz, angle):
         g = GridGeometry(
             (7, 6, 5), [1.0, 1.5, 3.0], [5.0, -2.0, 1.0], _rotation_z(angle)
@@ -272,7 +272,7 @@ class TestPreprocessLabelsOracle:
         two_classes=st.booleans(),
         seed=st.integers(0, 2**31 - 1),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_matches_stacked_argmax(self, shape, spacing, iso, grid, two_classes, seed):
         # spacings and iso are powers-of-two multiples of each other: resampled
         # samples fall on exact half voxels, where two classes tie exactly
