@@ -299,7 +299,7 @@ class PairObjective:
         self.n = target.num_voxels
         coords = target_coords(target).reshape(4, *target.shape)
         w_field = in_plane_weight(target) if mode == "full" else None
-        fixed = [transform_volume(vol, gt, target, coords.reshape(4, -1)) for vol, gt, _ in self.branches]
+        fixed = [transform_volume(vol, gt, target) for vol, gt, _ in self.branches]
         fixed = [(f.image.data, f.validity if w_field is None else f.validity * w_field) for f in fixed]
 
         def cut(a, z0, z1):

@@ -8,11 +8,14 @@ Conventions shared by the resampler and the preprocessing code:
   the derivative there is the left-sided subgradient,
 * neighbors requested outside the array are clamped to the edge voxel.
 
-One routine, ``_corner_block``, finds the cells and fetches their corners
-for every kernel. It works on at most SLAB_VOXELS samples at a time:
-``trilinear_with_grad`` is called slab by slab, and ``trilinear`` walks a
-whole grid in chunks of that size, so no temporary is larger than eight
-rows of one slab.
+One routine, ``cell_corners``, finds the cells for every kernel, and
+``_corner_block`` adds the gather of their corners. Both work on at most
+SLAB_VOXELS samples at a time: ``trilinear_with_grad`` is called slab by
+slab, and ``trilinear`` walks a whole grid in chunks of that size, so no
+temporary is larger than eight rows of one slab. A caller that samples
+several fields at the same points, such as the one-hot channels of a
+label map, finds the cells once and lerps each field's corners with
+``lerp_corners``.
 """
 
 from __future__ import annotations
@@ -25,25 +28,25 @@ import numpy as np
 SLAB_VOXELS = 16384
 
 
-def _corner_block(data: np.ndarray, ix, iy, iz):
-    """All eight cell corners as one (8, N) block, plus (3, N) fractions and their complements.
+def cell_corners(shape, ix, iy, iz):
+    """Flat indices of all eight cell corners as one (8, N) block, plus (3, N) fractions and their complements.
 
     The cell indices and fractions of the three axes come from one (3, N)
-    pass and the corners from one ``take`` of an (8, N) index block, so N
-    should be at most SLAB_VOXELS. The left-cell convention keeps i0 + 1
-    in bounds on every axis with at least two voxels; a single-voxel axis
-    gets a degenerate cell whose two corners coincide. Corners are ordered
-    z-face first, then x, then y: rows 0-3 are the z0 face (x0y0, x0y1,
-    x1y0, x1y1) and rows 4-7 the z1 face in the same order.
+    pass, so N should be at most SLAB_VOXELS. The left-cell convention keeps
+    i0 + 1 in bounds on every axis with at least two voxels; a single-voxel
+    axis gets a degenerate cell whose two corners coincide. Corners are
+    ordered z-face first, then x, then y: rows 0-3 are the z0 face (x0y0,
+    x0y1, x1y0, x1y1) and rows 4-7 the z1 face in the same order. The
+    indices address the C-order flattening of an array of ``shape``.
     """
-    w, h, d = data.shape
+    w, h, d = shape
     frac = np.empty((3, ix.size))
-    for row, v, n in zip(frac, (ix, iy, iz), data.shape):
+    for row, v, n in zip(frac, (ix, iy, iz), shape):
         np.clip(v, 0.0, n - 1.0, out=row)
     # the left cell index, as whole floats
     i0 = np.ceil(frac)
     i0 -= 1.0
-    np.clip(i0, 0.0, np.maximum(np.asarray(data.shape, dtype=float) - 2.0, 0.0)[:, None], out=i0)
+    np.clip(i0, 0.0, np.maximum(np.asarray(shape, dtype=float) - 2.0, 0.0)[:, None], out=i0)
     frac -= i0
     # flat index of the base corner; exact in float64 far beyond any grid size
     flat = ((i0[0] * h + i0[1]) * d + i0[2]).astype(np.intp)
@@ -53,10 +56,15 @@ def _corner_block(data: np.ndarray, ix, iy, iz):
     sz = 1 if d > 1 else 0
     offsets = np.array([0, sy, sx, sx + sy, sz, sy + sz, sx + sz, sx + sy + sz], dtype=np.intp)
     index = flat + offsets[:, None]
-    del flat
+    return index, frac, 1.0 - frac
+
+
+def _corner_block(data: np.ndarray, ix, iy, iz):
+    """``cell_corners`` with the corners of ``data`` gathered: one (8, N) ``take``."""
+    index, frac, gfrac = cell_corners(data.shape, ix, iy, iz)
     corners = np.ascontiguousarray(data).reshape(-1).take(index)
     del index
-    return corners, frac, 1.0 - frac
+    return corners, frac, gfrac
 
 
 def _lerp(lo, hi, g, f, out=None):
@@ -81,13 +89,21 @@ def trilinear(data: np.ndarray, ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) 
     coords = [np.asarray(c).reshape(-1) for c in (ix, iy, iz)]
     for s0 in range(0, flat.size, SLAB_VOXELS):
         part = slice(s0, s0 + SLAB_VOXELS)
-        corners, (fx, fy, fz), (gx, gy, gz) = _corner_block(data, *(c[part] for c in coords))
-        c = corners.reshape(2, 2, 2, -1)  # (z, x, y)
-        # lerp along x first, then y, then z
-        e = _lerp(c[:, 0], c[:, 1], gx, fx)  # (z, y)
-        e = _lerp(e[:, 0], e[:, 1], gy, fy)  # (z)
-        _lerp(e[0], e[1], gz, fz, out=flat[part])
+        lerp_corners(*_corner_block(data, *(c[part] for c in coords)), out=flat[part])
     return out
+
+
+def lerp_corners(corners, frac, gfrac, out=None):
+    """Trilinear values from an (8, N) corner block in ``cell_corners``' order.
+
+    Lerps along x first, then y, then z, which is ``trilinear``'s arithmetic
+    bit for bit.
+    """
+    (fx, fy, fz), (gx, gy, gz) = frac, gfrac
+    c = corners.reshape(2, 2, 2, -1)  # (z, x, y)
+    e = _lerp(c[:, 0], c[:, 1], gx, fx)  # (z, y)
+    e = _lerp(e[:, 0], e[:, 1], gy, fy)  # (z)
+    return _lerp(e[0], e[1], gz, fz, out=out)
 
 
 def trilinear_with_grad(

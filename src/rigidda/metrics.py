@@ -109,17 +109,19 @@ def closing_2d(mask: np.ndarray, k: int = 5) -> np.ndarray:
     """Per-z-slice binary closing with a k x k square structuring element.
 
     Slices are zero-padded before closing so the operation stays extensive
-    (output always contains the input) at the grid border.
+    (output always contains the input) at the grid border. All slices close
+    at once: a dilation and an erosion over a (k, k, 1) box, each a separable
+    max or min filter. ``binary_dilation`` reflects an even-sized element, so
+    for even k the dilation's box sits one voxel to the right of the erosion's.
     """
     mask = np.asarray(mask, dtype=bool)
     pad = k // 2
-    structure = np.ones((k, k), dtype=bool)
-    out = np.zeros_like(mask)
-    for z in range(mask.shape[2]):
-        padded = np.pad(mask[:, :, z], pad)
-        closed = ndimage.binary_closing(padded, structure=structure)
-        out[:, :, z] = closed[pad:-pad, pad:-pad] if pad else closed
-    return out
+    w, h, _ = mask.shape
+    padded = np.pad(mask, ((pad, pad), (pad, pad), (0, 0)))
+    shift = k % 2 - 1
+    dilated = ndimage.maximum_filter(padded, size=(k, k, 1), mode="constant", origin=(shift, shift, 0))
+    closed = ndimage.minimum_filter(dilated, size=(k, k, 1), mode="constant")
+    return closed[pad : pad + w, pad : pad + h]
 
 
 def postprocess_labels(pred: LabelVolume, k: int = 5) -> LabelVolume:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interp import trilinear, trilinear_with_grad
+from .interp import SLAB_VOXELS, cell_corners, lerp_corners, trilinear, trilinear_with_grad
 from .volume import GridGeometry, LabelVolume, Volume, argmax_labels
 
 _BOUNDS_EPS = 1e-12
@@ -56,18 +56,43 @@ def _source_samples(src_shape, m: np.ndarray, coords: np.ndarray):
     return idx, valid
 
 
-def transform_volume(
-    src: Volume,
-    m: np.ndarray,
-    target: GridGeometry,
-    coords: np.ndarray | None = None,
-) -> SampleResult:
-    """Pull-warp ``src`` onto ``target`` under the normalized-space affine ``m``."""
-    if coords is None:
-        coords = target_coords(target)
-    idx, valid = _source_samples(src.geometry.shape, m, coords)
-    values = trilinear(src.data, idx[0], idx[1], idx[2])
-    values = np.where(valid, values, 0.0)
+def _target_chunks(target: GridGeometry):
+    """``(part, coords)`` per run of SLAB_VOXELS target voxels in C order.
+
+    ``coords`` is the run's (4, n) block of ``target_coords``, gathered from
+    the normalized axis vectors, so the BLAS product of a block is bit-equal
+    to the same columns of the whole-grid product.
+    """
+    axes = target.normalized_axes()
+    _, h, d = target.shape
+    n = target.num_voxels
+    for s0 in range(0, n, SLAB_VOXELS):
+        part = slice(s0, min(s0 + SLAB_VOXELS, n))
+        # the voxel indices of the flat range; // by a scalar is much faster than divmod
+        z = np.arange(part.start, part.stop)
+        x = z // (h * d)
+        z -= x * (h * d)
+        y = z // d
+        z -= y * d
+        coords = np.empty((4, part.stop - s0))
+        for row, axis, v in zip(coords, axes, (x, y, z)):
+            np.take(axis, v, out=row)
+        coords[3] = 1.0
+        yield part, coords
+
+
+def transform_volume(src: Volume, m: np.ndarray, target: GridGeometry) -> SampleResult:
+    """Pull-warp ``src`` onto ``target`` under the normalized-space affine ``m``.
+
+    The target is mapped and sampled SLAB_VOXELS voxels at a time, so apart
+    from the output no temporary is larger than one chunk.
+    """
+    values = np.empty(target.num_voxels)
+    valid = np.empty(target.num_voxels, dtype=bool)
+    for part, coords in _target_chunks(target):
+        idx, in_bounds = _source_samples(src.geometry.shape, m, coords)
+        values[part] = np.where(in_bounds, trilinear(src.data, idx[0], idx[1], idx[2]), 0.0)
+        valid[part] = in_bounds
     shape = target.shape
     return SampleResult(
         image=Volume.trusted(target, values.reshape(shape)),
@@ -85,10 +110,20 @@ def transform_labels(
 
     Each channel is warped with trilinear interpolation. Out-of-bounds samples
     are zero in every channel, so for any ``scale >= 0`` they are background.
+    Per chunk of SLAB_VOXELS target voxels the cells are found once and the
+    labels at their eight corners gathered once; each channel's corners are
+    then the class test of those labels, the values a whole one-hot channel
+    would give.
     """
-    idx, valid = _source_samples(src.geometry.shape, m, target_coords(target))
-    labels = argmax_labels(src.data, lambda channel: np.where(valid, trilinear(channel, *idx), 0.0), scale)
-    return LabelVolume(target, labels.reshape(target.shape))
+    labels = src.data.reshape(-1)
+    out = np.empty(target.num_voxels, dtype=np.int16)
+    for part, coords in _target_chunks(target):
+        idx, valid = _source_samples(src.geometry.shape, m, coords)
+        index, frac, gfrac = cell_corners(src.geometry.shape, *idx)
+        out[part] = argmax_labels(
+            labels.take(index), lambda channel: np.where(valid, lerp_corners(channel, frac, gfrac), 0.0), scale
+        )
+    return LabelVolume(target, out.reshape(target.shape))
 
 
 @dataclass(frozen=True)

@@ -82,12 +82,15 @@ class GridGeometry:
         m[:3, 3] = self.origin + self.direction @ (self.spacing * (n - 1.0) / 2.0)
         return m
 
-    def normalized_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Normalized coordinates of every voxel center, three (W,H,D) arrays."""
+    def normalized_axes(self) -> list[np.ndarray]:
+        """Normalized coordinates of the voxel centers along each axis."""
         if any(n < 2 for n in self.shape):
             raise ValidationError("resampling needs >= 2 voxels per axis")
-        axes = [2.0 * np.arange(n) / (n - 1.0) - 1.0 for n in self.shape]
-        return np.meshgrid(*axes, indexing="ij")
+        return [2.0 * np.arange(n) / (n - 1.0) - 1.0 for n in self.shape]
+
+    def normalized_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Normalized coordinates of every voxel center, three (W,H,D) arrays."""
+        return np.meshgrid(*self.normalized_axes(), indexing="ij")
 
     def z_slab(self, z0: int, z1: int) -> "GridGeometry":
         """The sub-grid of whole slices ``z0:z1``, at their world positions."""
@@ -138,19 +141,30 @@ class LabelVolume:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=np.int16))
-        if data.shape != self.geometry.shape:
+        raw = np.asarray(self.data)
+        if raw.shape != self.geometry.shape:
             raise ValidationError(
-                f"label shape {data.shape} does not match grid {self.geometry.shape}"
+                f"label shape {raw.shape} does not match grid {self.geometry.shape}"
             )
-        bad = np.setdiff1d(np.unique(data), np.arange(NUM_CLASSES))
-        if bad.size:
-            raise ValidationError(f"unknown class id(s) {bad.tolist()}")
+        if raw.dtype.kind not in "biuf":
+            raise ValidationError(f"class ids must be numbers, got dtype {raw.dtype}")
+        # the range is checked before the int16 cast, which would wrap 65537
+        # to 1, and a float must survive the cast, which truncates 1.7 to 1
+        if not (raw.min() >= 0 and raw.max() < NUM_CLASSES):
+            _raise_unknown_ids(raw)
+        data = np.ascontiguousarray(raw, dtype=np.int16)
+        if raw.dtype.kind == "f" and np.any(data != raw):
+            _raise_unknown_ids(raw)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
     def class_mask(self, cls: int) -> np.ndarray:
         return self.data == cls
+
+
+def _raise_unknown_ids(raw: np.ndarray):
+    bad = np.setdiff1d(np.unique(raw), np.arange(NUM_CLASSES))
+    raise ValidationError(f"unknown class id(s) {bad.tolist()}")
 
 
 def argmax_labels(labels: np.ndarray, sample, scale: float) -> np.ndarray:

@@ -1,20 +1,22 @@
-"""Reference implementations of the set-up path and the label warp.
+"""Reference implementations of the set-up path, the warps and the closing.
 
 These are the straightforward forms the program replaced with one phantom
-render and one per-class label argmax: the phantom rendered twice for the
-segmenter, whole stacks of one-hot channels, ``np.argmax`` over them and a
-float round trip through the padding. The tests hold the program to the
-same bytes.
+render, one per-class label argmax, chunked warps and a separable closing:
+the phantom rendered twice for the segmenter, whole stacks of one-hot
+channels, ``np.argmax`` over them, a float round trip through the padding,
+warps that map the whole grid's coordinates at once and a closing that
+works slice by slice. The tests hold the program to the same bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
 
 from rigidda.interp import trilinear
 from rigidda.losses import _sigmoid
-from rigidda.resampler import _source_samples, target_coords
-from rigidda.volume import GridGeometry, NUM_CLASSES, Volume, pad_to_grid
+from rigidda.resampler import SampleResult, _source_samples, target_coords
+from rigidda.volume import GridGeometry, LabelVolume, NUM_CLASSES, Volume, argmax_labels, pad_to_grid
 
 
 def one_hot(labels: np.ndarray) -> np.ndarray:
@@ -30,6 +32,36 @@ def transform_labels(src, m, target, scale=100.0) -> np.ndarray:
     interpolated[:, ~valid] = 0.0
     interpolated[0, ~valid] = scale
     return np.argmax(interpolated, axis=0).astype(np.int16).reshape(target.shape)
+
+
+def whole_grid_transform_volume(src, m, target) -> SampleResult:
+    """The intensity warp with the whole grid's coordinate map in one product."""
+    idx, valid = _source_samples(src.geometry.shape, m, target_coords(target))
+    values = np.where(valid, trilinear(src.data, idx[0], idx[1], idx[2]), 0.0)
+    return SampleResult(
+        image=Volume(target, values.reshape(target.shape)),
+        validity=valid.astype(np.float64).reshape(target.shape),
+    )
+
+
+def whole_grid_transform_labels(src, m, target, scale=100.0) -> LabelVolume:
+    """The label warp with one whole-grid one-hot channel warped at a time."""
+    idx, valid = _source_samples(src.geometry.shape, m, target_coords(target))
+    labels = argmax_labels(src.data, lambda channel: np.where(valid, trilinear(channel, *idx), 0.0), scale)
+    return LabelVolume(target, labels.reshape(target.shape))
+
+
+def closing_2d(mask: np.ndarray, k: int = 5) -> np.ndarray:
+    """Binary closing of each zero-padded z slice with a k x k square, one slice at a time."""
+    mask = np.asarray(mask, dtype=bool)
+    pad = k // 2
+    structure = np.ones((k, k), dtype=bool)
+    out = np.zeros_like(mask)
+    for z in range(mask.shape[2]):
+        padded = np.pad(mask[:, :, z], pad)
+        closed = ndimage.binary_closing(padded, structure=structure)
+        out[:, :, z] = closed[pad:-pad, pad:-pad] if pad else closed
+    return out
 
 
 def resample_isotropic(data: np.ndarray, g: GridGeometry, iso: float) -> tuple[np.ndarray, GridGeometry]:

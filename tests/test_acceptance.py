@@ -114,24 +114,24 @@ def test_criterion_2_gradient_correctness():
     points = cand[keep][:20]
     assert len(points) == 20
 
-    fixed_fwd = transform_volume(pair.i, pair.gt_m, g, coords)
-    fixed_bwd = transform_volume(pair.j, pair.gt_m_inv, g, coords)
+    fixed_fwd = transform_volume(pair.i, pair.gt_m, g)
+    fixed_bwd = transform_volume(pair.j, pair.gt_m_inv, g)
 
     def mse_at(v):
         m = euler_to_affine(RigidParams.from_vector(v)).m
-        t = transform_volume(pair.i, m, g, coords)
+        t = transform_volume(pair.i, m, g)
         d = (t.image.data - fixed_fwd.image.data) * fixed_fwd.validity
         return 0.5 * float(np.mean(d.reshape(-1)[points] ** 2))
 
     def cycle_at(v):
         ms = euler_to_affine(RigidParams.from_vector(v))
-        t2 = transform_volume(pair.j, ms.m_inv, g, coords)
+        t2 = transform_volume(pair.j, ms.m_inv, g)
         d2 = (t2.image.data - fixed_bwd.image.data) * fixed_bwd.validity
         return mse_at(v) + 0.5 * float(np.mean(d2.reshape(-1)[points] ** 2))
 
     def focus_at(v):
         ms = euler_to_affine(RigidParams.from_vector(v))
-        t = transform_volume(pair.i, ms.m_t, g, coords)
+        t = transform_volume(pair.i, ms.m_t, g)
         fg = task.evaluate(t.image).foreground()[:, points]
         return 1.0 - float(np.mean(_sigmoid((fg - w.r) / w.tau)))
 

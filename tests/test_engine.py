@@ -33,6 +33,7 @@ from rigidda.engine import (
     slab_bounds,
 )
 from rigidda.errors import NumericalError, ValidationError
+from rigidda.interp import SLAB_VOXELS
 from rigidda.losses import (
     LossReport,
     LossWeights,
@@ -46,7 +47,7 @@ from rigidda.pipeline import apply_task, run_end2end
 from rigidda.resampler import target_coords, transform_volume, transform_volume_with_tape
 from rigidda.rigid import N_PARAMS, RigidParams, affine_jacobian, euler_to_affine
 from rigidda import engine, pipeline
-from rigidda.volume import FOREGROUND_CLASSES, NUM_CLASSES, Volume
+from rigidda.volume import FOREGROUND_CLASSES, Volume
 from conftest import central_difference, gentle_task_spec, gradient_scale_error
 
 
@@ -70,10 +71,10 @@ class WholeGridObjective:
         self.use_focus = mode in FOCUS_MODES
         self.use_cycle_bwd = mode != "baseline"
         w_field = in_plane_weight(self.target) if mode == "full" else None
-        self.fixed_fwd = transform_volume(i_vol, gt_m, self.target, self.coords)
+        self.fixed_fwd = transform_volume(i_vol, gt_m, self.target)
         self.mask_fwd = self.fixed_fwd.validity if w_field is None else self.fixed_fwd.validity * w_field
         if self.use_cycle_bwd:
-            self.fixed_bwd = transform_volume(j_vol, gt_m_inv, self.target, self.coords)
+            self.fixed_bwd = transform_volume(j_vol, gt_m_inv, self.target)
             self.mask_bwd = (
                 self.fixed_bwd.validity if w_field is None else self.fixed_bwd.validity * w_field
             )
@@ -708,8 +709,10 @@ class TestTracedLookupSites:
         assert calls["rigid.euler_to_affine"] == calls["rigid.affine_jacobian"] == 1
 
     def test_label_warp_samples_through_the_traced_kernel(self):
+        """The intensity warp samples each chunk through the traced kernel; the
+        label warp walks its cells itself, once per chunk for all channels."""
         tracer_mod = _load_benchmark_tracer()
-        pair, task = _pair_on((17, 13, 11))
+        pair, task = _pair_on((40, 40, 23))
         n = pair.i.geometry.num_voxels
         tracer = tracer_mod.Tracer()
         tracer.install()
@@ -719,13 +722,13 @@ class TestTracedLookupSites:
         finally:
             tracer.unit = None
             tracer.remove()
+        calls = Counter(tracer.names)
+        assert calls["resampler.transform_volume"] == calls["resampler.transform_labels"] == 1
+        warp = tracer.names.index("resampler.transform_volume")
         kernel = [k for k, name in enumerate(tracer.names) if name == "interp.trilinear"]
-        # the intensity warp, then one call per class channel of the label warp
-        assert len(kernel) == 1 + NUM_CLASSES
-        assert sum(tracer.counts[k][0] for k in kernel) == (1 + NUM_CLASSES) * n
-        labels = [k for k, name in enumerate(tracer.names) if name == "resampler.transform_labels"]
-        assert len(labels) == 1
-        assert sum(tracer.parents[k] == labels[0] for k in kernel) == NUM_CLASSES
+        assert len(kernel) == -(-n // SLAB_VOXELS) > 1
+        assert all(tracer.parents[k] == warp for k in kernel)
+        assert [tracer.counts[k][0] for k in kernel] == [min(SLAB_VOXELS, n - s0) for s0 in range(0, n, SLAB_VOXELS)]
 
 
 class TestProgressLog:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidda.errors import ValidationError
 from rigidda.metrics import (
@@ -14,6 +16,7 @@ from rigidda.metrics import (
     surface_voxels,
 )
 from rigidda.volume import GridGeometry, LabelVolume
+import oracles
 
 
 def brute_dice(pred, truth):
@@ -168,6 +171,21 @@ class TestClosing2d:
         mask[2:6, 2:6, 0] = True
         out = closing_2d(mask, k=5)
         assert not out[:, :, 1].any()
+
+    @given(
+        shape=st.tuples(*[st.sampled_from([1, 2, 3, 6, 11])] * 3),
+        k=st.integers(1, 7),
+        density=st.sampled_from([0.1, 0.4, 0.7, 0.95]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=200)
+    def test_equals_slice_by_slice_closing(self, shape, k, density, seed):
+        # even k included: binary_dilation reflects an even element, so a
+        # plain max filter there would sit one voxel off
+        mask = np.random.default_rng(seed).uniform(size=shape) < density
+        out = closing_2d(mask, k)
+        assert out.dtype == bool and out.shape == shape
+        np.testing.assert_array_equal(out, oracles.closing_2d(mask, k))
 
 
 class TestPostprocess:

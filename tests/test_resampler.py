@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidda.errors import ValidationError
 from rigidda.interp import trilinear_with_grad
+from rigidda.phantom import AnalyticSegmenter, PhantomSpec, make_pair, world_rigid
+from rigidda.pipeline import apply_task
 from rigidda.resampler import (
     target_coords,
     transform_labels,
@@ -345,37 +348,85 @@ class TestFusedKernelAgainstOracle:
         assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
 
 
+# target grids within one chunk, of exactly two (128 x 64 x 4 = 2 SLAB_VOXELS)
+# and of two whole chunks and a part one (40 x 40 x 23, 30 x 31 x 37)
+_target_shapes = st.sampled_from([(2, 2, 2), (9, 4, 3), (17, 13, 11), (128, 64, 4), (40, 40, 23), (30, 31, 37)])
+
+
+class TestChunkedWarpsAgainstWholeGrid:
+    """The chunked warps give the bytes of the whole-grid coordinate map."""
+
+    @staticmethod
+    def _case(seed, target_shape):
+        rng = np.random.default_rng(seed)
+        src = GridGeometry(tuple(rng.integers(2, 12, 3)), rng.choice([0.75, 1.0, 1.5], 3), rng.normal(size=3), np.eye(3))
+        target = GridGeometry(target_shape, rng.choice([0.75, 1.0, 1.5], 3), rng.normal(size=3), np.eye(3))
+        params = RigidParams.from_vector(np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.4, 0.4, 6)]))
+        return rng, src, target, euler_to_affine(params).m
+
+    @given(seed=st.integers(0, 2**31 - 1), target_shape=_target_shapes)
+    @settings(max_examples=30)
+    def test_volume_warp_bytes(self, seed, target_shape):
+        rng, src, target, m = self._case(seed, target_shape)
+        vol = Volume(src, rng.normal(size=src.shape))
+        got, ref = transform_volume(vol, m, target), oracles.whole_grid_transform_volume(vol, m, target)
+        assert got.image.data.tobytes() == ref.image.data.tobytes()
+        assert got.validity.tobytes() == ref.validity.tobytes()
+
+    @given(seed=st.integers(0, 2**31 - 1), target_shape=_target_shapes, scale=st.sampled_from([0.0, 1.0, 100.0]))
+    @settings(max_examples=30)
+    def test_label_warp_bytes(self, seed, target_shape, scale):
+        rng, src, target, m = self._case(seed, target_shape)
+        labels = LabelVolume(src, rng.integers(0, 4, size=src.shape))
+        got = transform_labels(labels, m, target, scale)
+        assert got.data.tobytes() == oracles.whole_grid_transform_labels(labels, m, target, scale).data.tobytes()
+
+    def test_single_voxel_target_axis_is_rejected(self, rng):
+        g = GridGeometry.isotropic((6, 5, 4), 1.0)
+        flat = GridGeometry.isotropic((8, 8, 1), 1.0)
+        with pytest.raises(ValidationError):
+            transform_volume(Volume(g, rng.normal(size=g.shape)), np.eye(4), flat)
+        with pytest.raises(ValidationError):
+            transform_labels(LabelVolume(g, rng.integers(0, 4, size=g.shape)), np.eye(4), flat)
+
+
+def _traced_peak(fn) -> int:
+    """Bytes ``fn()`` allocates at its peak above what was live before, after one warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestWholeGridWarpMemory:
+    # one float64 array over the 64^3 grid is 2 MiB; a chunk of SLAB_VOXELS
+    # float64 samples is 128 KiB
+    m = euler_to_affine(RigidParams.from_vector(np.array([0.1, -0.05, 0.2, 0.02, 0.01, -0.03, 0, 0, 0]))).m
+
     def test_untaped_warp_peak_stays_slab_sized(self, rng):
-        # one float64 array over the 64^3 grid is 2 MiB: the coordinate map's
-        # whole-grid arrays fit below the bound, whole-grid corner arrays do not
+        # the two float64 outputs are 4 MiB; the whole-grid coordinate map
+        # came to 27 MiB on top of them
         g = GridGeometry.isotropic((64, 64, 64), 1.5)
         vol = Volume(g, rng.normal(size=g.shape))
-        m = euler_to_affine(RigidParams.from_vector(np.array([0.1, -0.05, 0.2, 0.02, 0.01, -0.03, 0, 0, 0]))).m
-        transform_volume(vol, m, g)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            transform_volume(vol, m, g)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 32 * 2**20
+        assert _traced_peak(lambda: transform_volume(vol, self.m, g)) <= 8 * 2**20
 
     def test_label_warp_peak_holds_one_channel(self, rng):
-        # the coordinate map sets the floor; stacking all four interpolated
-        # channels on top of the four one-hot channels came to 40 MiB
+        # the int16 output is 0.5 MiB; warping whole one-hot channels through
+        # the whole-grid coordinate map came to 27 MiB
         g = GridGeometry.isotropic((64, 64, 64), 1.5)
         labels = LabelVolume(g, rng.integers(0, 4, size=g.shape))
-        m = euler_to_affine(RigidParams.from_vector(np.array([0.1, -0.05, 0.2, 0.02, 0.01, -0.03, 0, 0, 0]))).m
-        transform_labels(labels, m, g)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            transform_labels(labels, m, g)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 30 * 2**20
+        assert _traced_peak(lambda: transform_labels(labels, self.m, g)) <= 8 * 2**20
+
+    def test_apply_task_peak(self):
+        # the segmenter's (4, 64, 64, 64) probabilities are 8 MiB of it; the
+        # whole-grid coordinate maps of both warps made it 39.5 MiB
+        spec = PhantomSpec()
+        pair = make_pair(spec, world_rigid((0.3, -0.2, 0.25), (6.0, -4.0, 3.0)), grid=(64, 64, 64), iso=1.5, seed=4)
+        task = AnalyticSegmenter(spec, pair.i.geometry)
+        params = RigidParams.from_vector(np.full(9, 0.05))
+        assert _traced_peak(lambda: apply_task(pair.i, params, task)) <= 24 * 2**20

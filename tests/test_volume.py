@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rigidda.errors import ValidationError
@@ -117,6 +117,39 @@ class TestVolumeTypes:
         data = np.zeros(small_geometry.shape, dtype=np.int16)
         data[0, 0, 0] = 7
         with pytest.raises(ValidationError):
+            LabelVolume(small_geometry, data)
+
+    @given(
+        value=st.one_of(
+            st.integers(-(2**40), 2**40),
+            st.floats(-1e6, 1e6, allow_nan=False),
+            st.sampled_from([65536.0, 65537.0, -65535.0, np.nan, np.inf, -np.inf]),
+        ),
+        dtype=st.sampled_from([np.int64, np.uint32, np.int16, np.uint8, np.float64, np.float32]),
+        at=st.integers(0, 8 * 7 * 6 - 1),
+    )
+    @settings(max_examples=200)
+    def test_label_ids_accepted_exactly_when_a_class(self, value, dtype, at):
+        """The ids 0-3 are accepted in any numeric dtype; anything a cast would change or wrap is not."""
+        g = GridGeometry.isotropic((8, 7, 6), 1.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            cast = np.array(value).astype(dtype)
+        assume(cast.item() == value or (np.isnan(value) and np.isnan(cast)))  # representable in dtype
+        data = np.ones(g.shape, dtype=dtype)
+        data.reshape(-1)[at] = cast
+        if value in (0, 1, 2, 3):
+            lv = LabelVolume(g, data)
+            assert lv.data.dtype == np.int16
+            np.testing.assert_array_equal(lv.data, data)
+        else:
+            with pytest.raises(ValidationError, match="unknown class id"):
+                LabelVolume(g, data)
+
+    @pytest.mark.parametrize("value", [65537, 1.7, -0.5, 4])
+    def test_label_ids_a_cast_would_alter_are_rejected(self, small_geometry, value):
+        data = np.zeros(small_geometry.shape, dtype=np.asarray(value).dtype)
+        data[1, 2, 3] = value
+        with pytest.raises(ValidationError, match=str(value)):
             LabelVolume(small_geometry, data)
 
 
