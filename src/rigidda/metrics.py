@@ -65,18 +65,52 @@ def dice3d(pred: np.ndarray, truth: np.ndarray) -> float | None:
     return 2.0 * inter / total
 
 
-def surface_voxels(mask: np.ndarray) -> np.ndarray:
-    """Boundary voxels: foreground with a 6-neighbor background (or grid edge)."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        return mask
+def _box(mask: np.ndarray, margins) -> tuple[slice, ...] | None:
+    """Slices of the bounding box of ``mask``'s voxels grown by ``margins`` per
+    axis and clamped to the grid; None for an empty mask. The box comes from
+    the mask's projections onto the xy plane and the z axis."""
+    xy = mask.any(axis=2)
+    hits = (xy.any(axis=1), xy.any(axis=0), mask.any(axis=(0, 1)))
+    if not hits[2].any():
+        return None
+    box = []
+    for hit, margin, n in zip(hits, margins, mask.shape):
+        where = np.flatnonzero(hit)
+        box.append(slice(max(int(where[0]) - margin, 0), min(int(where[-1]) + 1 + margin, n)))
+    return tuple(box)
+
+
+def _surface(mask: np.ndarray) -> np.ndarray:
+    """``surface_voxels`` of a mask whose voxels all lie inside the array."""
     structure = ndimage.generate_binary_structure(3, 1)  # 6-connectivity
-    eroded = ndimage.binary_erosion(mask, structure=structure, border_value=0)
-    return mask & ~eroded
+    return mask & ~ndimage.binary_erosion(mask, structure=structure, border_value=0)
+
+
+def surface_voxels(mask: np.ndarray) -> np.ndarray:
+    """Boundary voxels: foreground with a 6-neighbor background (or grid edge).
+
+    The erosion runs on the mask's bounding box grown by one voxel.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    out = np.zeros_like(mask)
+    box = _box(mask, (1, 1, 1))
+    if box is not None:
+        out[box] = _surface(mask[box])
+    return out
+
+
+def _farthest(tree: cKDTree, points: np.ndarray) -> float:
+    """Largest distance from ``points`` to their nearest tree point; 0 for no points."""
+    return float(tree.query(points)[0].max()) if len(points) else 0.0
 
 
 def hausdorff(pred: np.ndarray, truth: np.ndarray, spacing) -> float | None:
-    """Symmetric surface Hausdorff distance in mm; None when a mask is empty."""
+    """Symmetric surface Hausdorff distance in mm; None when a mask is empty.
+
+    Both surfaces are found on the bounding box of the two masks grown by one
+    voxel. Each mask's surface points are looked up in the other's tree only
+    where they are not on the other surface too; those are at distance 0.
+    """
     pred = np.asarray(pred, dtype=bool)
     truth = np.asarray(truth, dtype=bool)
     if pred.shape != truth.shape:
@@ -84,25 +118,33 @@ def hausdorff(pred: np.ndarray, truth: np.ndarray, spacing) -> float | None:
     if not pred.any() or not truth.any():
         return None
     spacing = np.asarray(spacing, dtype=float)
-    pts_p = np.argwhere(surface_voxels(pred)) * spacing
-    pts_t = np.argwhere(surface_voxels(truth)) * spacing
-    d_pt = cKDTree(pts_t).query(pts_p)[0].max()
-    d_tp = cKDTree(pts_p).query(pts_t)[0].max()
-    return float(max(d_pt, d_tp))
+    box = _box(pred | truth, (1, 1, 1))
+    corner = [s.start for s in box]
+    surf_p, surf_t = _surface(pred[box]), _surface(truth[box])
+    idx_p, idx_t = np.argwhere(surf_p), np.argwhere(surf_t)
+    off_p = ~surf_t[tuple(idx_p.T)]
+    off_t = ~surf_p[tuple(idx_t.T)]
+    pts_p, pts_t = (idx_p + corner) * spacing, (idx_t + corner) * spacing
+    d_pt = _farthest(cKDTree(pts_t), pts_p[off_p])
+    d_tp = _farthest(cKDTree(pts_p), pts_t[off_t])
+    return max(d_pt, d_tp)
 
 
 def largest_cc_3d(mask: np.ndarray) -> np.ndarray:
-    """Keep only the largest 26-connected 3D component."""
+    """Keep only the largest 26-connected 3D component, labelled on the mask's bounding box."""
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    box = _box(mask, (0, 0, 0))
+    if box is None:
         return mask.copy()
     structure = np.ones((3, 3, 3), dtype=bool)
-    labeled, n = ndimage.label(mask, structure=structure)
+    part = mask[box]
+    labeled, n = ndimage.label(part, structure=structure)
     if n <= 1:
         return mask.copy()
-    sizes = ndimage.sum_labels(mask, labeled, index=np.arange(1, n + 1))
-    keep = int(np.argmax(sizes)) + 1
-    return labeled == keep
+    sizes = ndimage.sum_labels(part, labeled, index=np.arange(1, n + 1))
+    out = np.zeros_like(mask)
+    out[box] = labeled == int(np.argmax(sizes)) + 1
+    return out
 
 
 def closing_2d(mask: np.ndarray, k: int = 5) -> np.ndarray:
@@ -113,15 +155,22 @@ def closing_2d(mask: np.ndarray, k: int = 5) -> np.ndarray:
     at once: a dilation and an erosion over a (k, k, 1) box, each a separable
     max or min filter. ``binary_dilation`` reflects an even-sized element, so
     for even k the dilation's box sits one voxel to the right of the erosion's.
+    The filters run on the mask's bounding box grown in-plane by 2 (k // 2) + 1.
     """
     mask = np.asarray(mask, dtype=bool)
+    out = np.zeros_like(mask)
     pad = k // 2
-    w, h, _ = mask.shape
-    padded = np.pad(mask, ((pad, pad), (pad, pad), (0, 0)))
+    box = _box(mask, (2 * pad + 1, 2 * pad + 1, 0))
+    if box is None:
+        return out
+    part = mask[box]
+    w, h, _ = part.shape
+    padded = np.pad(part, ((pad, pad), (pad, pad), (0, 0)))
     shift = k % 2 - 1
     dilated = ndimage.maximum_filter(padded, size=(k, k, 1), mode="constant", origin=(shift, shift, 0))
     closed = ndimage.minimum_filter(dilated, size=(k, k, 1), mode="constant")
-    return closed[pad : pad + w, pad : pad + h]
+    out[box] = closed[pad : pad + w, pad : pad + h]
+    return out
 
 
 def postprocess_labels(pred: LabelVolume, k: int = 5) -> LabelVolume:

@@ -8,14 +8,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .engine import RegistrationTrace, register_pair
+from .engine import RegistrationTrace, register_pair, slab_bounds
 from .errors import ValidationError
 from .io import read_volume, write_volume
 from .metrics import MetricReport, evaluate_labels, postprocess_labels
 from .phantom import PhantomPair, PhantomSpec, TaskModule
 from .resampler import transform_labels, transform_volume
 from .rigid import RigidParams, euler_to_affine, read_transform, write_transform
-from .volume import LabelVolume, Volume
+from .volume import LabelVolume, Volume, argmax_channels
 
 # the volumes of a pair directory, in PhantomPair's field order, and their kinds
 PAIR_VOLUMES = (("I.nii", Volume), ("J.nii", Volume), ("labels_I.nii", LabelVolume), ("labels_J.nii", LabelVolume))
@@ -30,15 +30,18 @@ def apply_task(
     """Segment in the task frame and bring the labels back to the axial grid.
 
     The axial volume is transformed with M_t, the task module produces class
-    probabilities, hard labels are taken per voxel, back-transformed with
-    M_t^-1 and post-processed.
+    probabilities slab by slab (``slab_bounds``, through ``task.restrict``, as
+    the registration objective does), hard labels are taken per voxel, back-
+    transformed with M_t^-1 and post-processed.
     """
     mats = euler_to_affine(params)
-    i_t = transform_volume(ax, mats.m_t, ax.geometry)
-    q = task.evaluate(i_t.image)
-    hard = np.argmax(q.q, axis=0).astype(np.int16)
-    task_labels = LabelVolume(ax.geometry, hard)
-    back = transform_labels(task_labels, mats.m_t_inv, ax.geometry)
+    i_t = transform_volume(ax, mats.m_t, ax.geometry).image.data
+    hard = np.empty(ax.geometry.shape, dtype=np.int16)
+    for z0, z1 in slab_bounds(ax.geometry.shape):
+        part = task.restrict(z0, z1)
+        q = part.evaluate(Volume.trusted(part.geometry, np.ascontiguousarray(i_t[..., z0:z1])))
+        hard[..., z0:z1] = argmax_channels(q.q)
+    back = transform_labels(LabelVolume(ax.geometry, hard), mats.m_t_inv, ax.geometry)
     return postprocess_labels(back) if post else back
 
 

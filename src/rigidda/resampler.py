@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .interp import SLAB_VOXELS, cell_corners, lerp_corners, trilinear, trilinear_with_grad
 from .volume import GridGeometry, LabelVolume, Volume, argmax_labels
 
@@ -109,20 +110,31 @@ def transform_labels(
     """Pull-warp a label map: ``argmax_labels`` over the scaled one-hot channels.
 
     Each channel is warped with trilinear interpolation. Out-of-bounds samples
-    are zero in every channel, so for any ``scale >= 0`` they are background.
-    Per chunk of SLAB_VOXELS target voxels the cells are found once and the
-    labels at their eight corners gathered once; each channel's corners are
-    then the class test of those labels, the values a whole one-hot channel
-    would give.
+    are zero in every channel, so they are background, and ``scale = 0``
+    makes every sample background. A negative, non-finite or subnormal
+    ``scale`` raises ``ValidationError``. Per chunk of SLAB_VOXELS target
+    voxels the cells are found once and the labels at their eight corners
+    gathered once. A valid sample whose eight corners share one label takes
+    it: that channel lerps to a positive value and every other one to exactly
+    0. Only the mixed cells lerp each channel's corners, the class test of
+    their labels, which are the values a whole one-hot channel would give.
     """
+    scale = float(scale)
+    if not (scale == 0.0 or np.finfo(float).tiny <= scale < np.inf):
+        raise ValidationError(f"label scale must be 0 or a positive normal float, got {scale}")
     labels = src.data.reshape(-1)
     out = np.empty(target.num_voxels, dtype=np.int16)
     for part, coords in _target_chunks(target):
         idx, valid = _source_samples(src.geometry.shape, m, coords)
         index, frac, gfrac = cell_corners(src.geometry.shape, *idx)
-        out[part] = argmax_labels(
-            labels.take(index), lambda channel: np.where(valid, lerp_corners(channel, frac, gfrac), 0.0), scale
-        )
+        corners = labels.take(index)
+        # scale 0 makes every channel 0 and every sample background
+        uniform = valid & (corners[1:] == corners[0]).all(axis=0) & (scale > 0.0)
+        chunk = np.where(uniform, corners[0], 0)
+        mixed = np.flatnonzero(valid & ~uniform)
+        frac, gfrac = frac[:, mixed], gfrac[:, mixed]
+        chunk[mixed] = argmax_labels(corners[:, mixed], lambda channel: lerp_corners(channel, frac, gfrac), scale)
+        out[part] = chunk
     return LabelVolume(target, out.reshape(target.shape))
 
 

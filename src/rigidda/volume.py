@@ -167,22 +167,28 @@ def _raise_unknown_ids(raw: np.ndarray):
     raise ValidationError(f"unknown class id(s) {bad.tolist()}")
 
 
-def argmax_labels(labels: np.ndarray, sample, scale: float) -> np.ndarray:
-    """Class map of the interpolated one-hot channels of ``labels``, as int16.
+def argmax_channels(channels) -> np.ndarray:
+    """Index of the largest of ``channels`` per sample, the lower one on a tie, as int16.
 
-    ``sample`` maps one channel, ``scale`` where the class is and 0 elsewhere,
-    to its values at the target samples. Each sample takes the class with the
-    largest value, the lower id on a tie, as ``np.argmax`` over the stacked
-    channels does; only one channel and the running maximum are held at a time.
+    This is ``np.argmax`` over the stacked channels for any values but NaN,
+    with only one channel and the running maximum held at a time.
     """
-    for c in range(NUM_CLASSES):
-        value = sample((labels == c) * float(scale))
+    for c, value in enumerate(channels):
         if c == 0:
-            best, out = value, np.zeros(value.shape, dtype=np.int16)
+            best, out = np.array(value, dtype=float), np.zeros(np.shape(value), dtype=np.int16)
         else:
             out[value > best] = c
             np.maximum(best, value, out=best)
     return out
+
+
+def argmax_labels(labels: np.ndarray, sample, scale: float) -> np.ndarray:
+    """Class map of the interpolated one-hot channels of ``labels``, as int16.
+
+    ``sample`` maps one channel, ``scale`` where the class is and 0 elsewhere,
+    to its values at the target samples; ``argmax_channels`` picks the class.
+    """
+    return argmax_channels(sample((labels == c) * float(scale)) for c in range(NUM_CLASSES))
 
 
 def _isotropic_grid(g: GridGeometry, iso: float) -> tuple[GridGeometry, list[np.ndarray]] | None:

@@ -1,22 +1,36 @@
-"""Reference implementations of the set-up path, the warps and the closing.
+"""Reference implementations of the set-up path, the warps, the task
+application and the metrics.
 
 These are the straightforward forms the program replaced with one phantom
-render, one per-class label argmax, chunked warps and a separable closing:
-the phantom rendered twice for the segmenter, whole stacks of one-hot
-channels, ``np.argmax`` over them, a float round trip through the padding,
-warps that map the whole grid's coordinates at once and a closing that
-works slice by slice. The tests hold the program to the same bytes.
+render, one per-class label argmax, chunked warps, a separable closing and
+bounding-box metrics: the phantom rendered twice for the segmenter, whole
+stacks of one-hot channels, ``np.argmax`` over them, a float round trip
+through the padding, warps that map the whole grid's coordinates at once,
+a closing that works slice by slice, a task applied to the whole grid at
+once, and morphology, surfaces and Hausdorff trees over the whole grid. The
+tests hold the program to the same bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from rigidda.interp import trilinear
 from rigidda.losses import _sigmoid
+from rigidda.metrics import ClassMetrics, MetricReport, dice3d
 from rigidda.resampler import SampleResult, _source_samples, target_coords
-from rigidda.volume import GridGeometry, LabelVolume, NUM_CLASSES, Volume, argmax_labels, pad_to_grid
+from rigidda.rigid import euler_to_affine
+from rigidda.volume import (
+    FOREGROUND_CLASSES,
+    NUM_CLASSES,
+    GridGeometry,
+    LabelVolume,
+    Volume,
+    argmax_labels,
+    pad_to_grid,
+)
 
 
 def one_hot(labels: np.ndarray) -> np.ndarray:
@@ -62,6 +76,71 @@ def closing_2d(mask: np.ndarray, k: int = 5) -> np.ndarray:
         closed = ndimage.binary_closing(padded, structure=structure)
         out[:, :, z] = closed[pad:-pad, pad:-pad] if pad else closed
     return out
+
+
+def surface_voxels(mask: np.ndarray) -> np.ndarray:
+    """Foreground voxels the whole-grid 6-connected erosion removes."""
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any():
+        return mask
+    structure = ndimage.generate_binary_structure(3, 1)
+    return mask & ~ndimage.binary_erosion(mask, structure=structure, border_value=0)
+
+
+def hausdorff(pred: np.ndarray, truth: np.ndarray, spacing) -> float | None:
+    """Both trees queried with every surface point of the other mask."""
+    pred = np.asarray(pred, dtype=bool)
+    truth = np.asarray(truth, dtype=bool)
+    if not pred.any() or not truth.any():
+        return None
+    spacing = np.asarray(spacing, dtype=float)
+    pts_p = np.argwhere(surface_voxels(pred)) * spacing
+    pts_t = np.argwhere(surface_voxels(truth)) * spacing
+    d_pt = cKDTree(pts_t).query(pts_p)[0].max()
+    d_tp = cKDTree(pts_p).query(pts_t)[0].max()
+    return float(max(d_pt, d_tp))
+
+
+def largest_cc_3d(mask: np.ndarray) -> np.ndarray:
+    """The largest 26-connected component, labelled over the whole grid."""
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any():
+        return mask.copy()
+    labeled, n = ndimage.label(mask, structure=np.ones((3, 3, 3), dtype=bool))
+    if n <= 1:
+        return mask.copy()
+    sizes = ndimage.sum_labels(mask, labeled, index=np.arange(1, n + 1))
+    return labeled == int(np.argmax(sizes)) + 1
+
+
+def postprocess_labels(pred: LabelVolume, k: int = 5) -> LabelVolume:
+    out = np.zeros(pred.geometry.shape, dtype=np.int16)
+    for cls in FOREGROUND_CLASSES:
+        mask = closing_2d(largest_cc_3d(pred.data == cls), k)
+        out[mask & (out == 0)] = cls
+    return LabelVolume(pred.geometry, out)
+
+
+def evaluate_labels(pred: LabelVolume, truth: LabelVolume) -> MetricReport:
+    vox_ml = truth.geometry.voxel_volume_mm3 / 1000.0
+    per_class = {}
+    for cls in FOREGROUND_CLASSES:
+        pm, tm = pred.data == cls, truth.data == cls
+        hd = hausdorff(pm, tm, truth.geometry.spacing)
+        volumes = (float(pm.sum()) * vox_ml, float(tm.sum()) * vox_ml)
+        per_class[cls] = ClassMetrics(dice3d(pm, tm), hd, hd is None, *volumes)
+    return MetricReport(per_class)
+
+
+def apply_task(ax: Volume, params, task, post: bool = True) -> LabelVolume:
+    """The task run on the whole warped grid, ``np.argmax`` over its stacked
+    probabilities, the stacked-channel label warp back and the whole-grid
+    post-processing."""
+    mats = euler_to_affine(params)
+    i_t = whole_grid_transform_volume(ax, mats.m_t, ax.geometry)
+    hard = np.argmax(task.evaluate(i_t.image).q, axis=0).astype(np.int16)
+    back = LabelVolume(ax.geometry, transform_labels(LabelVolume(ax.geometry, hard), mats.m_t_inv, ax.geometry))
+    return postprocess_labels(back) if post else back
 
 
 def resample_isotropic(data: np.ndarray, g: GridGeometry, iso: float) -> tuple[np.ndarray, GridGeometry]:

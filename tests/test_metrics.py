@@ -188,6 +188,93 @@ class TestClosing2d:
         np.testing.assert_array_equal(out, oracles.closing_2d(mask, k))
 
 
+# axis lengths down to a single voxel; a mask's box of 1 voxel, of the
+# whole axis, or anything between
+_side = st.sampled_from([1, 2, 3, 5, 9, 14])
+_relations = ("independent", "identical", "nested", "disjoint", "single voxel")
+
+
+def _local_mask(rng, shape, density):
+    """Random voxels of a random sub-box of the grid, which may touch any face."""
+    shape = np.asarray(shape)
+    lo = rng.integers(0, shape)
+    hi = lo + 1 + rng.integers(0, shape - lo)
+    mask = np.zeros(tuple(shape), dtype=bool)
+    mask[tuple(slice(a, b) for a, b in zip(lo, hi))] = rng.uniform(size=hi - lo) < density
+    return mask
+
+
+def _mask_pair(rng, shape, relation, density):
+    pred = _local_mask(rng, shape, density)
+    other = _local_mask(rng, shape, density)
+    if relation == "identical":
+        return pred, pred.copy()
+    if relation == "nested":
+        return pred, pred | other
+    if relation == "disjoint":
+        return pred, other & ~pred
+    if relation == "single voxel":
+        single = np.zeros(shape, dtype=bool)
+        single[tuple(rng.integers(0, shape))] = True
+        return single, other
+    return pred, other
+
+
+class TestBoundingBoxMetricsAgainstWholeGrid:
+    """The box-cropped metrics give the whole-grid forms' values exactly."""
+
+    @given(
+        shape=st.tuples(_side, _side, _side),
+        relation=st.sampled_from(_relations),
+        density=st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+        spacing=st.tuples(*[st.sampled_from([0.5, 1.0, 1.5, 2.0, 12.0])] * 3),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=200)
+    def test_hausdorff(self, shape, relation, density, spacing, seed):
+        pred, truth = _mask_pair(np.random.default_rng(seed), shape, relation, density)
+        assert hausdorff(pred, truth, spacing) == oracles.hausdorff(pred, truth, spacing)
+        assert hausdorff(truth, pred, spacing) == oracles.hausdorff(truth, pred, spacing)
+
+    @given(
+        shape=st.tuples(_side, _side, _side),
+        density=st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=150)
+    def test_surface_and_largest_component(self, shape, density, seed):
+        mask = _local_mask(np.random.default_rng(seed), shape, density)
+        for fn in (surface_voxels, largest_cc_3d):
+            got = fn(mask)
+            assert got.dtype == bool and got.shape == mask.shape
+            np.testing.assert_array_equal(got, getattr(oracles, fn.__name__)(mask))
+
+    @given(
+        shape=st.tuples(st.sampled_from([1, 4, 9, 16]), st.sampled_from([1, 4, 9, 16]), st.sampled_from([1, 3])),
+        k=st.integers(1, 7),
+        face=st.sampled_from(["x0", "x1", "y0", "y1", "inside"]),
+        density=st.sampled_from([0.3, 0.8, 1.0]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=200)
+    def test_closing_at_the_in_plane_border(self, shape, k, face, density, seed):
+        rng = np.random.default_rng(seed)
+        mask = _local_mask(rng, shape, density)
+        # push the mask's voxels against one in-plane face of the grid
+        axis, end = {"x0": (0, 0), "x1": (0, -1), "y0": (1, 0), "y1": (1, -1)}.get(face, (None, None))
+        if axis is not None:
+            edge = [slice(None)] * 3
+            edge[axis] = end
+            mask[tuple(edge)] |= rng.uniform(size=mask[tuple(edge)].shape) < density
+        np.testing.assert_array_equal(closing_2d(mask, k), oracles.closing_2d(mask, k))
+
+    def test_empty_masks(self):
+        empty = np.zeros((4, 3, 2), dtype=bool)
+        assert not surface_voxels(empty).any() and not closing_2d(empty, 3).any()
+        assert not largest_cc_3d(empty).any()
+        assert hausdorff(empty, empty, [1.0, 1.0, 1.0]) is None
+
+
 class TestPostprocess:
     def test_removes_satellite_and_stays_disjoint(self):
         g = GridGeometry.isotropic((16, 16, 16), 1.0)

@@ -11,6 +11,7 @@ from rigidda.volume import (
     GridGeometry,
     LabelVolume,
     Volume,
+    argmax_channels,
     argmax_labels,
     clip_and_normalize,
     nearest_rank_quantile,
@@ -294,6 +295,25 @@ class TestArgmaxLabels:
         labels = rng.integers(0, 4, size=small_geometry.shape).astype(np.int16)
         out = argmax_labels(labels, lambda channel: channel.copy(), 0.0)
         assert not out.any()
+
+
+class TestArgmaxChannels:
+    @given(
+        n_channels=st.integers(1, 5),
+        shape=st.sampled_from([(7,), (3, 4), (2, 3, 5)]),
+        levels=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=100)
+    def test_equals_np_argmax(self, n_channels, shape, levels, seed):
+        # few distinct values, so ties between channels are common
+        rng = np.random.default_rng(seed)
+        stack = rng.integers(0, levels, size=(n_channels, *shape)) * rng.choice([-1.5, 0.25, 1e300])
+        before = stack.copy()
+        out = argmax_channels(stack)
+        assert out.dtype == np.int16
+        np.testing.assert_array_equal(out, np.argmax(stack, axis=0))
+        np.testing.assert_array_equal(stack, before)
 
 
 class TestPreprocessLabelsOracle:
