@@ -34,8 +34,9 @@ log = logging.getLogger("rigidda")
 
 
 def _setup_logging():
-    level = os.environ.get("RIGIDDA_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(message)s")
+    # a level name maps to its number; any other text to the string "Level <text>"
+    level = logging.getLevelName(os.environ.get("RIGIDDA_LOG", "warning").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING, format="%(levelname)s %(message)s")
 
 
 def _finite_float(text: str, what: str) -> float:

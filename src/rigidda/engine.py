@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .interp import SLAB_VOXELS
+from .interp import slab_bounds
 from .losses import (
     LossReport,
     LossWeights,
@@ -194,13 +194,6 @@ class _Slab:
     task: TaskModule | None
 
 
-def slab_bounds(shape: tuple[int, int, int]) -> list[tuple[int, int]]:
-    """Slice ranges ``(z0, z1)`` of about SLAB_VOXELS voxels covering the grid."""
-    w, h, d = shape
-    depth = max(1, SLAB_VOXELS // (w * h))
-    return [(z0, min(z0 + depth, d)) for z0 in range(0, d, depth)]
-
-
 _helper: ThreadPoolExecutor | None = None
 _helper_lock = threading.Lock()
 
@@ -297,7 +290,6 @@ class PairObjective:
         self.branches = [(i_vol, gt_m, "m"), (j_vol, gt_m_inv, "m_inv")][: 1 if mode == "baseline" else 2]
         target = i_vol.geometry
         self.n = target.num_voxels
-        coords = target_coords(target).reshape(4, *target.shape)
         w_field = in_plane_weight(target) if mode == "full" else None
         fixed = [transform_volume(vol, gt, target) for vol, gt, _ in self.branches]
         fixed = [(f.image.data, f.validity if w_field is None else f.validity * w_field) for f in fixed]
@@ -308,7 +300,7 @@ class PairObjective:
         self.slabs = [
             _Slab(
                 geometry=target.z_slab(z0, z1),
-                coords=cut(coords, z0, z1).reshape(4, -1),
+                coords=target_coords(target, z0, z1),
                 cycle=[(cut(image, z0, z1), cut(mask, z0, z1)) for image, mask in fixed],
                 task=task.restrict(z0, z1) if mode in FOCUS_MODES else None,
             )

@@ -9,10 +9,12 @@ Conventions shared by the resampler and the preprocessing code:
 * neighbors requested outside the array are clamped to the edge voxel.
 
 One routine, ``cell_corners``, finds the cells for every kernel, and
-``_corner_block`` adds the gather of their corners. Both work on at most
-SLAB_VOXELS samples at a time: ``trilinear_with_grad`` is called slab by
-slab, and ``trilinear`` walks a whole grid in chunks of that size, so no
-temporary is larger than eight rows of one slab. A caller that samples
+``_corner_block`` adds the gather of their corners. Both work on about
+SLAB_VOXELS samples at a time. ``slab_bounds`` cuts a grid into slabs of
+whole z slices of that size, the one cut that the warps and the
+registration objective share: ``trilinear_with_grad`` is called slab by
+slab, and ``trilinear`` walks any set of samples in chunks of SLAB_VOXELS,
+so no temporary is larger than eight rows of one slab. A caller that samples
 several fields at the same points, such as the one-hot channels of a
 label map, finds the cells once and lerps each field's corners with
 ``lerp_corners``.
@@ -26,6 +28,17 @@ import numpy as np
 # cache-sized and malloc reuses them, and the slab-sized (3x4)(4xN) and
 # (3xN)(Nx4) BLAS products stay below OpenBLAS's threading threshold.
 SLAB_VOXELS = 16384
+
+
+def slab_bounds(shape: tuple[int, int, int]) -> list[tuple[int, int]]:
+    """Slice ranges ``(z0, z1)`` of about SLAB_VOXELS voxels covering the grid.
+
+    A slab is never less than one whole slice, so a slice of more than
+    SLAB_VOXELS voxels makes a slab of its own.
+    """
+    w, h, d = shape
+    depth = max(1, SLAB_VOXELS // (w * h))
+    return [(z0, min(z0 + depth, d)) for z0 in range(0, d, depth)]
 
 
 def cell_corners(shape, ix, iy, iz):

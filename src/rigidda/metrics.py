@@ -155,12 +155,13 @@ def closing_2d(mask: np.ndarray, k: int = 5) -> np.ndarray:
     at once: a dilation and an erosion over a (k, k, 1) box, each a separable
     max or min filter. ``binary_dilation`` reflects an even-sized element, so
     for even k the dilation's box sits one voxel to the right of the erosion's.
-    The filters run on the mask's bounding box grown in-plane by 2 (k // 2) + 1.
+    The filters run on the mask's bounding box: a closing by a box stays
+    inside it, and the zero padding holds every filter footprint.
     """
     mask = np.asarray(mask, dtype=bool)
     out = np.zeros_like(mask)
     pad = k // 2
-    box = _box(mask, (2 * pad + 1, 2 * pad + 1, 0))
+    box = _box(mask, (0, 0, 0))
     if box is None:
         return out
     part = mask[box]

@@ -4,6 +4,10 @@ Each target voxel's normalized coordinate is mapped through the affine
 matrix into the source's normalized frame and the source is sampled with
 trilinear interpolation. Samples whose mapped coordinate leaves [-1, 1]
 on any axis are zero-filled and flagged invalid.
+
+The target is cut one way only, into the slabs of whole z slices of
+``slab_bounds``; ``target_coords`` builds a slab's coordinates from the
+grid's axes. The registration objective warps the same slabs on its tape.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .interp import SLAB_VOXELS, cell_corners, lerp_corners, trilinear, trilinear_with_grad
+from .interp import cell_corners, lerp_corners, slab_bounds, trilinear, trilinear_with_grad
 from .volume import GridGeometry, LabelVolume, Volume, argmax_labels
 
 _BOUNDS_EPS = 1e-12
@@ -32,11 +36,20 @@ class SampleResult:
         object.__setattr__(self, "validity", validity)
 
 
-def target_coords(target: GridGeometry) -> np.ndarray:
-    """Homogeneous normalized coordinates of the target grid, shape (4, N)."""
-    nx, ny, nz = target.normalized_grid()
-    n = target.num_voxels
-    return np.stack([nx.reshape(n), ny.reshape(n), nz.reshape(n), np.ones(n)])
+def target_coords(target: GridGeometry, z0: int = 0, z1: int | None = None) -> np.ndarray:
+    """Homogeneous normalized coordinates (4, n) of the target's whole slices z0:z1, by default all.
+
+    The axes broadcast into the slab's C order, so a slab's BLAS product is
+    bit-equal to the same columns of the whole grid's.
+    """
+    ax, ay, az = target.normalized_axes()
+    az = az[z0:z1]
+    coords = np.empty((4, ax.size, ay.size, az.size))
+    coords[0] = ax[:, None, None]
+    coords[1] = ay[:, None]
+    coords[2] = az
+    coords[3] = 1.0
+    return coords.reshape(4, -1)
 
 
 def _index_scale(src_shape) -> np.ndarray:
@@ -57,48 +70,20 @@ def _source_samples(src_shape, m: np.ndarray, coords: np.ndarray):
     return idx, valid
 
 
-def _target_chunks(target: GridGeometry):
-    """``(part, coords)`` per run of SLAB_VOXELS target voxels in C order.
-
-    ``coords`` is the run's (4, n) block of ``target_coords``, gathered from
-    the normalized axis vectors, so the BLAS product of a block is bit-equal
-    to the same columns of the whole-grid product.
-    """
-    axes = target.normalized_axes()
-    _, h, d = target.shape
-    n = target.num_voxels
-    for s0 in range(0, n, SLAB_VOXELS):
-        part = slice(s0, min(s0 + SLAB_VOXELS, n))
-        # the voxel indices of the flat range; // by a scalar is much faster than divmod
-        z = np.arange(part.start, part.stop)
-        x = z // (h * d)
-        z -= x * (h * d)
-        y = z // d
-        z -= y * d
-        coords = np.empty((4, part.stop - s0))
-        for row, axis, v in zip(coords, axes, (x, y, z)):
-            np.take(axis, v, out=row)
-        coords[3] = 1.0
-        yield part, coords
-
-
 def transform_volume(src: Volume, m: np.ndarray, target: GridGeometry) -> SampleResult:
     """Pull-warp ``src`` onto ``target`` under the normalized-space affine ``m``.
 
-    The target is mapped and sampled SLAB_VOXELS voxels at a time, so apart
-    from the output no temporary is larger than one chunk.
+    The target is mapped and sampled slab by slab (``slab_bounds``), so apart
+    from the output no temporary is larger than one slab.
     """
-    values = np.empty(target.num_voxels)
-    valid = np.empty(target.num_voxels, dtype=bool)
-    for part, coords in _target_chunks(target):
-        idx, in_bounds = _source_samples(src.geometry.shape, m, coords)
-        values[part] = np.where(in_bounds, trilinear(src.data, idx[0], idx[1], idx[2]), 0.0)
-        valid[part] = in_bounds
-    shape = target.shape
-    return SampleResult(
-        image=Volume.trusted(target, values.reshape(shape)),
-        validity=valid.astype(np.float64).reshape(shape),
-    )
+    values = np.empty(target.shape)
+    valid = np.empty(target.shape, dtype=bool)
+    w, h, _ = target.shape
+    for z0, z1 in slab_bounds(target.shape):
+        idx, in_bounds = _source_samples(src.geometry.shape, m, target_coords(target, z0, z1))
+        values[..., z0:z1] = np.where(in_bounds, trilinear(src.data, idx[0], idx[1], idx[2]), 0.0).reshape(w, h, -1)
+        valid[..., z0:z1] = in_bounds.reshape(w, h, -1)
+    return SampleResult(image=Volume.trusted(target, values), validity=valid.astype(np.float64))
 
 
 def transform_labels(
@@ -112,30 +97,31 @@ def transform_labels(
     Each channel is warped with trilinear interpolation. Out-of-bounds samples
     are zero in every channel, so they are background, and ``scale = 0``
     makes every sample background. A negative, non-finite or subnormal
-    ``scale`` raises ``ValidationError``. Per chunk of SLAB_VOXELS target
-    voxels the cells are found once and the labels at their eight corners
-    gathered once. A valid sample whose eight corners share one label takes
-    it: that channel lerps to a positive value and every other one to exactly
-    0. Only the mixed cells lerp each channel's corners, the class test of
+    ``scale`` raises ``ValidationError``. Per slab of whole target slices
+    (``slab_bounds``) the cells are found once and the labels at their eight
+    corners gathered once. A valid sample whose eight corners share one label
+    takes it: that channel lerps to a positive value and every other one to
+    exactly 0. Only the mixed cells lerp each channel's corners, the class test of
     their labels, which are the values a whole one-hot channel would give.
     """
     scale = float(scale)
     if not (scale == 0.0 or np.finfo(float).tiny <= scale < np.inf):
         raise ValidationError(f"label scale must be 0 or a positive normal float, got {scale}")
     labels = src.data.reshape(-1)
-    out = np.empty(target.num_voxels, dtype=np.int16)
-    for part, coords in _target_chunks(target):
-        idx, valid = _source_samples(src.geometry.shape, m, coords)
+    out = np.empty(target.shape, dtype=np.int16)
+    w, h, _ = target.shape
+    for z0, z1 in slab_bounds(target.shape):
+        idx, valid = _source_samples(src.geometry.shape, m, target_coords(target, z0, z1))
         index, frac, gfrac = cell_corners(src.geometry.shape, *idx)
         corners = labels.take(index)
         # scale 0 makes every channel 0 and every sample background
         uniform = valid & (corners[1:] == corners[0]).all(axis=0) & (scale > 0.0)
-        chunk = np.where(uniform, corners[0], 0)
+        part = np.where(uniform, corners[0], 0)
         mixed = np.flatnonzero(valid & ~uniform)
         frac, gfrac = frac[:, mixed], gfrac[:, mixed]
-        chunk[mixed] = argmax_labels(corners[:, mixed], lambda channel: lerp_corners(channel, frac, gfrac), scale)
-        out[part] = chunk
-    return LabelVolume(target, out.reshape(target.shape))
+        part[mixed] = argmax_labels(corners[:, mixed], lambda channel: lerp_corners(channel, frac, gfrac), scale)
+        out[..., z0:z1] = part.reshape(w, h, -1)
+    return LabelVolume(target, out)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ argument wiring, file I/O and exit codes are all covered.
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +234,30 @@ class TestEval:
             ]
         )
         assert code == 2
+
+
+class TestLogLevel:
+    """``RIGIDDA_LOG`` takes logging's level names; any other text means warning.
+
+    Run in a subprocess: under pytest's capture handlers ``basicConfig`` does
+    nothing, so an in-process call would not show a bad level.
+    """
+
+    @pytest.mark.parametrize("value", ["info", "WARN", "basic_format", "root", "20", ""])
+    def test_any_value_reaches_the_command(self, tmp_path, value):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+            "RIGIDDA_LOG": value,
+        }
+        missing = [str(tmp_path / "pred.nii"), "--truth", str(tmp_path / "truth.nii")]
+        run = subprocess.run(
+            [sys.executable, "-m", "rigidda.cli", "eval", "--pred", *missing],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 4, run.stderr
+        assert "Traceback" not in run.stderr
 
 
 class TestLossesCheck:

@@ -33,7 +33,6 @@ from rigidda.engine import (
     slab_bounds,
 )
 from rigidda.errors import NumericalError, ValidationError
-from rigidda.interp import SLAB_VOXELS
 from rigidda.losses import (
     LossReport,
     LossWeights,
@@ -473,6 +472,23 @@ class TestSlabObjective:
         with pytest.raises(ValidationError):
             task.restrict(5, 12)
 
+    def test_set_up_builds_no_whole_grid_coordinate_map(self):
+        """Each slab's coordinates come from its own slices: a full-mode set-up
+        at 64^3 peaked at 42.1 MiB with the 8 MiB whole-grid map, and at 34.0
+        MiB without it (two fixed warps, their masks, the task's slabs)."""
+        pair, task = _pair_on((64, 64, 64))
+        args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), "full")
+        PairObjective(*args)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            PairObjective(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 38 * 2**20
+
     @pytest.mark.parametrize("mode", MODES)
     def test_step_allocates_no_whole_grid_temporaries(self, mode):
         pair, task = _pair_on((64, 64, 64))
@@ -709,11 +725,10 @@ class TestTracedLookupSites:
         assert calls["rigid.euler_to_affine"] == calls["rigid.affine_jacobian"] == 1
 
     def test_label_warp_samples_through_the_traced_kernel(self):
-        """The intensity warp samples each chunk through the traced kernel; the
-        label warp walks its cells itself, once per chunk for all channels."""
+        """The intensity warp samples each slab through the traced kernel; the
+        label warp walks its cells itself, once per slab for all channels."""
         tracer_mod = _load_benchmark_tracer()
         pair, task = _pair_on((40, 40, 23))
-        n = pair.i.geometry.num_voxels
         tracer = tracer_mod.Tracer()
         tracer.install()
         try:
@@ -726,9 +741,9 @@ class TestTracedLookupSites:
         assert calls["resampler.transform_volume"] == calls["resampler.transform_labels"] == 1
         warp = tracer.names.index("resampler.transform_volume")
         kernel = [k for k, name in enumerate(tracer.names) if name == "interp.trilinear"]
-        assert len(kernel) == -(-n // SLAB_VOXELS) > 1
+        # one call per slab of slab_bounds: slices 0:10, 10:20 and 20:23 of 40 x 40
         assert all(tracer.parents[k] == warp for k in kernel)
-        assert [tracer.counts[k][0] for k in kernel] == [min(SLAB_VOXELS, n - s0) for s0 in range(0, n, SLAB_VOXELS)]
+        assert [tracer.counts[k][0] for k in kernel] == [16000, 16000, 4800]
 
 
 class TestProgressLog:

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidda.errors import ValidationError
-from rigidda.interp import trilinear_with_grad
+from rigidda.interp import slab_bounds, trilinear_with_grad
 from rigidda.phantom import AnalyticSegmenter, PhantomSpec, generate_phantom, make_pair, world_rigid
 from rigidda.pipeline import apply_task
 from rigidda.resampler import (
+    _source_samples,
     target_coords,
     transform_labels,
     transform_volume,
@@ -358,13 +359,16 @@ class TestFusedKernelAgainstOracle:
         assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
 
 
-# target grids within one chunk, of exactly two (128 x 64 x 4 = 2 SLAB_VOXELS)
-# and of two whole chunks and a part one (40 x 40 x 23, 30 x 31 x 37)
-_target_shapes = st.sampled_from([(2, 2, 2), (9, 4, 3), (17, 13, 11), (128, 64, 4), (40, 40, 23), (30, 31, 37)])
+# target grids of one slab, of exactly two (128 x 64 x 4 = 2 SLAB_VOXELS), of
+# two whole slabs and a short one (40 x 40 x 23, 30 x 31 x 37), and of
+# one-slice slabs larger than SLAB_VOXELS (130 x 140 x 3)
+_target_shapes = st.sampled_from(
+    [(2, 2, 2), (9, 4, 3), (17, 13, 11), (128, 64, 4), (40, 40, 23), (30, 31, 37), (130, 140, 3)]
+)
 
 
 class TestChunkedWarpsAgainstWholeGrid:
-    """The chunked warps give the bytes of the whole-grid coordinate map."""
+    """The slab-walking warps give the bytes of the whole-grid coordinate map."""
 
     @staticmethod
     def _case(seed, target_shape):
@@ -373,6 +377,30 @@ class TestChunkedWarpsAgainstWholeGrid:
         target = GridGeometry(target_shape, rng.choice([0.75, 1.0, 1.5], 3), rng.normal(size=3), np.eye(3))
         params = RigidParams.from_vector(np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.4, 0.4, 6)]))
         return rng, src, target, euler_to_affine(params).m
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        target_shape=st.sampled_from([(2, 2, 2), (17, 13, 11), (40, 40, 23), (300, 60, 5), (130, 140, 3)]),
+        start=st.integers(0, 2**16),
+        depth=st.integers(1, 12),
+    )
+    @settings(max_examples=30)
+    def test_slab_coordinates_and_samples_are_whole_grid_columns(self, seed, target_shape, start, depth):
+        # the slabs of slab_bounds (a short last one; W x H > SLAB_VOXELS at 300 x 60)
+        # and one more run of whole slices, as short as one
+        rng, src, target, m = self._case(seed, target_shape)
+        d = target.shape[2]
+        run = (start % d, min(start % d + depth, d))
+        whole = np.stack([*target.normalized_grid(), np.ones(target.shape)])
+        idx, valid = _source_samples(src.shape, m, whole.reshape(4, -1))
+        idx, valid = idx.reshape(3, *target.shape), valid.reshape(target.shape)
+        for z0, z1 in slab_bounds(target.shape) + [run]:
+            coords = target_coords(target, z0, z1)
+            assert coords.tobytes() == whole[..., z0:z1].reshape(4, -1).tobytes()
+            got_idx, got_valid = _source_samples(src.shape, m, coords)
+            assert got_idx.tobytes() == idx[..., z0:z1].reshape(3, -1).tobytes()
+            assert got_valid.tobytes() == valid[..., z0:z1].reshape(-1).tobytes()
+        assert target_coords(target).tobytes() == whole.reshape(4, -1).tobytes()
 
     @given(seed=st.integers(0, 2**31 - 1), target_shape=_target_shapes)
     @settings(max_examples=30)
