@@ -5,22 +5,16 @@ Each family member shifts the phantom toward the bottom grid border (the
 apex slices fall off the volume) and acquires the first view with thick
 slices, so the three optimization modes see strictly increasing amounts of
 information: forward MSE only (baseline), both cycle directions (cycle),
-and cycle plus the probability-guided focus term (full). The script prints
-mean Dice per class and the mean exact focus loss per mode. With the
-default flags the family is criterion 5's.
+and cycle plus the probability-guided focus term (full). The script prints,
+over ``rigidda.experiments.ablate``, mean Dice per class and the mean exact
+focus loss per mode. With the default flags the family is criterion 5's.
 """
 
 import argparse
 import time
 
-import numpy as np
-
-from rigidda.config import PipelineConfig
-from rigidda.experiments import apex_case, fast_optim
-from rigidda.losses import LossWeights, focus_exact
-from rigidda.pipeline import run_end2end
-from rigidda.resampler import transform_volume
-from rigidda.rigid import euler_to_affine
+from rigidda.errors import ValidationError
+from rigidda.experiments import ABLATION_MODES, ablate
 
 CLASS_LABELS = ("LV", "MYO", "RV")
 
@@ -33,36 +27,29 @@ def main():
     parser.add_argument("--slice-mm", type=float, default=12.0, help="first-view slice thickness")
     parser.add_argument("--max-steps", type=int, default=100)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
-    modes = ("baseline", "cycle", "full")
-    dice_sum = {m: np.zeros(3) for m in modes}
-    focus_sum = {m: 0.0 for m in modes}
+    runs = []
     start = time.perf_counter()
-    for seed in range(args.seeds):
-        pair, _, task = apex_case(seed, args.grid, args.iso, args.slice_mm)
-        for mode in modes:
-            optim = fast_optim(seed, args.max_steps)
-            config = PipelineConfig(mode=mode, weights=LossWeights(tau=0.1), optim=optim)
-            result = run_end2end(pair, task, config)
-            dice = [result.report.per_class[c].dice or 0.0 for c in (1, 2, 3)]
-            dice_sum[mode] += dice
-            warped = transform_volume(pair.i, euler_to_affine(result.params).m_t, pair.i.geometry)
-            focus_sum[mode] += focus_exact(task.evaluate(warped.image))
-            print(
-                f"seed {seed} {mode:8s} dice "
-                + " ".join(f"{n}={d:.3f}" for n, d in zip(CLASS_LABELS, dice))
-            )
+    try:
+        for seed in range(args.seeds):
+            runs.append(ablate(seed, args.max_steps, grid=args.grid, iso=args.iso, slice_mm=args.slice_mm))
+            for mode, run in runs[-1].items():
+                print(
+                    f"seed {seed} {mode:8s} dice "
+                    + " ".join(f"{n}={d:.3f}" for n, d in zip(CLASS_LABELS, run.dice))
+                )
+    except ValidationError as exc:
+        parser.error(str(exc))
 
     print(f"\nmeans over {args.seeds} seeds ({time.perf_counter() - start:.0f}s):")
     header = " ".join(f"{n:>7s}" for n in CLASS_LABELS)
     print(f"{'mode':10s} {header} {'focus':>8s}")
-    for mode in modes:
-        md = dice_sum[mode] / args.seeds
-        print(
-            f"{mode:10s} "
-            + " ".join(f"{d:7.4f}" for d in md)
-            + f" {focus_sum[mode] / args.seeds:8.4f}"
-        )
+    for mode in ABLATION_MODES:
+        dice = sum(run[mode].dice for run in runs) / args.seeds
+        focus = sum(run[mode].focus for run in runs) / args.seeds
+        print(f"{mode:10s} " + " ".join(f"{d:7.4f}" for d in dice) + f" {focus:8.4f}")
 
 
 if __name__ == "__main__":

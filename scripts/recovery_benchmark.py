@@ -1,22 +1,18 @@
 #!/usr/bin/env python3
 """Transform-recovery benchmark: accuracy and runtime of full-mode registration.
 
-Draws seeded random rigid offsets (rotation and translation bounded on the
-command line), builds a two-view phantom pair for each, registers in full
-mode, and reports the worst per-axis rotation error in degrees and
-translation error in voxels, plus wall time per pair. With the default
-flags the pairs are criterion 4's.
+Runs ``rigidda.experiments.recover`` on seeded random rigid offsets
+(rotation and translation bounded on the command line) and reports the
+worst per-axis rotation error in degrees and translation error in voxels,
+plus wall time per pair. With the default flags the pairs are criterion 4's.
 """
 
 import argparse
-import time
 
 import numpy as np
 
-from rigidda.engine import register_pair
 from rigidda.errors import ValidationError
-from rigidda.experiments import fast_optim, recovery_case, recovery_error
-from rigidda.losses import LossWeights
+from rigidda.experiments import recover
 
 
 def main():
@@ -28,25 +24,22 @@ def main():
     parser.add_argument("--max-trans-mm", type=float, default=15.0)
     parser.add_argument("--max-steps", type=int, default=350)
     args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
+    draw = dict(grid=args.grid, iso=args.iso, max_rot_deg=args.max_rot_deg, max_trans_mm=args.max_trans_mm)
     results = []
-    for seed in range(args.pairs):
-        try:
-            pair, _, task = recovery_case(seed, args.grid, args.iso, args.max_rot_deg, args.max_trans_mm)
-        except ValidationError as exc:
-            parser.error(str(exc))
-        start = time.perf_counter()
-        params, trace = register_pair(
-            pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1),
-            fast_optim(seed, args.max_steps), mode="full",
-        )
-        elapsed = time.perf_counter() - start
-        ang_err, t_err = (e.max() for e in recovery_error(pair, params))
-        results.append((ang_err, t_err, elapsed))
-        print(
-            f"pair {seed}: rot err {ang_err:6.3f} deg, trans err {t_err:6.3f} vox, "
-            f"{len(trace.rows)} steps, {elapsed:5.1f}s"
-        )
+    try:
+        for seed in range(args.pairs):
+            run = recover(seed, args.max_steps, **draw)
+            ang_err, t_err = run.ang_err.max(), run.t_err.max()
+            results.append((ang_err, t_err, run.seconds))
+            print(
+                f"pair {seed}: rot err {ang_err:6.3f} deg, trans err {t_err:6.3f} vox, "
+                f"{run.steps} steps, {run.seconds:5.1f}s"
+            )
+    except ValidationError as exc:
+        parser.error(str(exc))
 
     ang, tr, times = map(np.asarray, zip(*results))
     print(

@@ -15,10 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from rigidda.config import PipelineConfig
 from rigidda.engine import MODES
-from rigidda.experiments import fast_optim
-from rigidda.losses import LossWeights
+from rigidda.errors import ValidationError
+from rigidda.experiments import fast_config
 from rigidda.phantom import AnalyticSegmenter, PhantomSpec, make_pair, world_rigid
 from rigidda.pipeline import run_end2end, save_pair_dir
 
@@ -33,22 +32,26 @@ def main():
     parser.add_argument("--max-steps", type=int, default=150)
     args = parser.parse_args()
 
-    rng = np.random.default_rng(args.seed)
-    angles = rng.uniform(-0.3, 0.3, 3)
-    trans = rng.uniform(-8.0, 8.0, 3)
-    rel = world_rigid(tuple(angles), tuple(trans))
-    spec = PhantomSpec()
+    if args.seed < 0:
+        parser.error(f"--seed must be at least 0, got {args.seed}")
 
-    print(f"generating pair: angles {np.degrees(angles).round(1)} deg, translation {trans.round(1)} mm")
-    pair = make_pair(spec, rel, grid=(args.grid,) * 3, iso=args.iso, seed=args.seed)
-    task = AnalyticSegmenter(spec, pair.i.geometry)
+    try:
+        config = fast_config(args.mode, args.seed, args.max_steps)
+        rng = np.random.default_rng(args.seed)
+        angles = rng.uniform(-0.3, 0.3, 3)
+        trans = rng.uniform(-8.0, 8.0, 3)
+        rel = world_rigid(tuple(angles), tuple(trans))
+        spec = PhantomSpec()
 
-    optim = fast_optim(args.seed, args.max_steps)
-    config = PipelineConfig(seed=args.seed, mode=args.mode, weights=LossWeights(tau=0.1), optim=optim)
+        print(f"generating pair: angles {np.degrees(angles).round(1)} deg, translation {trans.round(1)} mm")
+        pair = make_pair(spec, rel, grid=(args.grid,) * 3, iso=args.iso, seed=args.seed)
+        task = AnalyticSegmenter(spec, pair.i.geometry)
 
-    start = time.perf_counter()
-    result = run_end2end(pair, task, config)
-    elapsed = time.perf_counter() - start
+        start = time.perf_counter()
+        result = run_end2end(pair, task, config)
+        elapsed = time.perf_counter() - start
+    except ValidationError as exc:
+        parser.error(str(exc))
 
     out = Path(args.out_dir)
     save_pair_dir(pair, spec, out)

@@ -14,10 +14,9 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from rigidda.config import PipelineConfig
-from rigidda.engine import EarlyStopper, OptimConfig, PlateauScheduler, register_pair
-from rigidda.experiments import apex_case, fast_optim, recovery_case, recovery_error
+from rigidda.engine import EarlyStopper, OptimConfig, PlateauScheduler
+from rigidda.experiments import ABLATION_MODES, ablate, fast_config, recover
 from rigidda.losses import (
-    LossWeights,
     ProbabilityVolume,
     _sigmoid,
     bce,
@@ -95,7 +94,7 @@ def test_criterion_2_gradient_correctness():
     g = pair.i.geometry
     task = AnalyticSegmenter(spec, g)
     coords = target_coords(g)
-    w = LossWeights(tau=0.1)
+    w = fast_config("full", 0, 1).weights  # the experiments' focus sharpness
     rng = np.random.default_rng(11)
     vec = np.concatenate([rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.15, 0.15, 6)])
     mats = euler_to_affine(RigidParams.from_vector(vec))
@@ -212,21 +211,11 @@ def test_criterion_3_cycle_reconstruction():
 
 @pytest.mark.slow
 def test_criterion_4_transform_recovery():
-    successes = 0
-    worst_time = 0.0
-    details = []
-    for seed in range(10):
-        # up to 30 degrees and 15 mm (10 voxels at 1.5 mm) on a 64^3 grid
-        pair, _, task = recovery_case(seed)
-        start = time.perf_counter()
-        params, _ = register_pair(
-            pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), fast_optim(seed, 350),
-            mode="full",
-        )
-        worst_time = max(worst_time, time.perf_counter() - start)
-        ang_err, t_err = recovery_error(pair, params)
-        successes += bool(np.all(ang_err < 2.0) and np.all(t_err < 1.0))
-        details.append(f"{ang_err.max():.2f}deg/{t_err.max():.2f}vox")
+    # up to 30 degrees and 15 mm (10 voxels at 1.5 mm) on a 64^3 grid
+    runs = [recover(seed) for seed in range(10)]
+    successes = sum(bool(np.all(r.ang_err < 2.0) and np.all(r.t_err < 1.0)) for r in runs)
+    worst_time = max(r.seconds for r in runs)
+    details = [f"{r.ang_err.max():.2f}deg/{r.t_err.max():.2f}vox" for r in runs]
     ok = successes >= 9 and worst_time < 120.0
     _verdict(
         4,
@@ -244,19 +233,9 @@ def test_criterion_4_transform_recovery():
 
 @pytest.mark.slow
 def test_criterion_5_extension_ordering():
-    modes = ("baseline", "cycle", "full")
-    dice_sum = {m: np.zeros(3) for m in modes}
-    focus_sum = {m: 0.0 for m in modes}
-    for seed in range(5):
-        pair, _, task = apex_case(seed)
-        for mode in modes:
-            config = PipelineConfig(mode=mode, weights=LossWeights(tau=0.1), optim=fast_optim(seed, 100))
-            result = run_end2end(pair, task, config)
-            dice_sum[mode] += [result.report.per_class[c].dice or 0.0 for c in (1, 2, 3)]
-            warped = transform_volume(pair.i, euler_to_affine(result.params).m_t, pair.i.geometry)
-            focus_sum[mode] += focus_exact(task.evaluate(warped.image))
-    mean_dice = {m: dice_sum[m] / 5.0 for m in modes}
-    mean_focus = {m: focus_sum[m] / 5.0 for m in modes}
+    runs = [ablate(seed) for seed in range(5)]
+    mean_dice = {m: sum(run[m].dice for run in runs) / 5.0 for m in ABLATION_MODES}
+    mean_focus = {m: sum(run[m].focus for run in runs) / 5.0 for m in ABLATION_MODES}
     dice_ok = bool(
         np.all(mean_dice["full"] >= mean_dice["cycle"])
         and np.all(mean_dice["cycle"] >= mean_dice["baseline"])

@@ -34,6 +34,36 @@ def test_recovery_benchmark_rejects_rotation_bound(monkeypatch, capsys):
     assert "max_rot_deg must be in [0, 90)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("recovery_benchmark", ["--pairs", "0"], "--pairs must be at least 1"),
+        ("recovery_benchmark", ["--pairs", "-1"], "--pairs must be at least 1"),
+        ("recovery_benchmark", ["--max-steps", "0"], "step counts must be positive"),
+        ("recovery_benchmark", ["--max-trans-mm", "nan"], "max_trans_mm must be finite and >= 0"),
+        ("recovery_benchmark", ["--max-trans-mm", "inf"], "max_trans_mm must be finite and >= 0"),
+        ("recovery_benchmark", ["--max-trans-mm", "-1"], "max_trans_mm must be finite and >= 0"),
+        ("recovery_benchmark", ["--grid", "1"], "resampling needs >= 2 voxels per axis"),
+        ("compare_modes", ["--seeds", "0"], "--seeds must be at least 1"),
+        ("compare_modes", ["--grid", "16", "--max-steps", "0"], "step counts must be positive"),
+        ("compare_modes", ["--grid", "16", "--slice-mm", "-1"], "iso and slice_mm must be finite and positive"),
+        ("compare_modes", ["--grid", "16", "--slice-mm", "0"], "iso and slice_mm must be finite and positive"),
+        ("compare_modes", ["--grid", "16", "--iso", "0"], "iso and slice_mm must be finite and positive"),
+        ("run_demo", ["--max-steps", "0"], "step counts must be positive"),
+        ("run_demo", ["--grid", "1"], "resampling needs >= 2 voxels per axis"),
+        ("run_demo", ["--grid", "16", "--iso", "0"], "spacing must be 3 finite positive values"),
+        ("run_demo", ["--seed", "-1"], "--seed must be at least 0"),
+    ],
+)
+def test_bad_argument_exits_2(monkeypatch, capsys, tmp_path, name, args, message):
+    monkeypatch.chdir(tmp_path)  # run_demo's default output directory
+    with pytest.raises(SystemExit) as exit_info:
+        _run(monkeypatch, capsys, name, *args)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_compare_modes(monkeypatch, capsys):
     out = _run(monkeypatch, capsys, "compare_modes", "--seeds", "1", "--max-steps", "2")
     assert "means over 1 seeds" in out
