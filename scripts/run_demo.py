@@ -32,9 +32,6 @@ def main():
     parser.add_argument("--max-steps", type=int, default=150)
     args = parser.parse_args()
 
-    if args.seed < 0:
-        parser.error(f"--seed must be at least 0, got {args.seed}")
-
     try:
         config = fast_config(args.mode, args.seed, args.max_steps)
         rng = np.random.default_rng(args.seed)

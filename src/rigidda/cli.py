@@ -8,7 +8,6 @@ end2end. Exit codes: 0 success, 2 validation error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import math
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, replace_settings
 from .engine import FOCUS_MODES, MODES, PairObjective, register_pair
 from .errors import RigiddaError, ValidationError
 from .io import read_volume, write_volume
@@ -72,23 +71,17 @@ def _parse_transform_arg(text: str) -> np.ndarray:
     raise ValidationError("--transform expects a JSON file, 9 parameters, or 16 matrix entries")
 
 
-_WEIGHT_NAMES = tuple(f.name for f in dataclasses.fields(LossWeights))
-
-
 def _parse_weights_arg(text: str | None, base: LossWeights | None = None) -> LossWeights:
     """``base`` (default: the default weights) with the named weights of ``text`` replaced."""
-    kwargs = {}
+    values = {}
     for item in (text or "").split(","):
         if not item:
             continue
         if "=" not in item:
             raise ValidationError(f"bad weights item {item!r}, expected name=value")
         name, value = item.split("=", 1)
-        name = name.strip()
-        if name not in _WEIGHT_NAMES:
-            raise ValidationError(f"unknown weight {name!r}; choose from {', '.join(_WEIGHT_NAMES)}")
-        kwargs[name] = _finite_float(value, f"weight {name}")
-    return dataclasses.replace(base or LossWeights(), **kwargs)
+        values[name.strip()] = _finite_float(value, f"weight {name.strip()}")
+    return replace_settings(base or LossWeights(), values, "weights")
 
 
 def _load_config(path: str | None, mode: str | None, weights: str | None = None) -> PipelineConfig:

@@ -1,28 +1,28 @@
-"""Pipeline configuration with JSON-schema validation."""
+"""Pipeline configuration and its JSON reader.
+
+The settings dataclasses (``PipelineConfig``, ``LossWeights``, ``OptimConfig``)
+alone say which settings exist and which values are valid: each checks its
+fields in ``__post_init__``, so an object built in Python is checked as one
+read from a file. The reader adds what only JSON needs: finite numbers, an
+object at the top and for each section, and no name that is not a field.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
-import jsonschema
-
-from .engine import OptimConfig
+from .engine import MODES, OptimConfig
 from .errors import ValidationError
 from .losses import LossWeights
 
 
-def _load_schema() -> dict:
-    text = resources.files("rigidda").joinpath("schemas/pipeline_config.schema.json").read_text()
-    return json.loads(text)
-
-
 def _finite(parse):
     """A json.loads number hook: NaN, +-Infinity, 1e400 and integers beyond the
-    float range pass every schema bound, and the optimizer cannot use them."""
+    float range pass every range check, and the optimizer cannot use them."""
 
     def check(text: str):
         if not math.isfinite(float(text)):
@@ -32,15 +32,34 @@ def _finite(parse):
     return check
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def replace_settings(base, values: dict, section: str):
+    """``base`` with the settings named in ``values`` replaced; a name that is not
+    a field of ``base`` is rejected, and the dataclass checks the values."""
+    names = [f.name for f in dataclasses.fields(base)]
+    for name in values:
+        if name not in names:
+            raise ValidationError(f"unknown {section} setting {name!r}; choose from {', '.join(names)}")
+    return dataclasses.replace(base, **values)
+
+
 @dataclass
 class PipelineConfig:
-    """What a registration run takes from a config file: its seed, mode, loss weights
-    and optimizer settings. The schema rejects any other key."""
+    """What a registration run takes from a config file: its mode, loss weights
+    and optimizer settings. The file's top-level ``seed`` is the optimizer's."""
 
-    seed: int = 0
     mode: str = "full"
     weights: LossWeights = field(default_factory=LossWeights)
     optim: OptimConfig = field(default_factory=OptimConfig)
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValidationError(f"unknown mode {self.mode!r}; choose from {', '.join(MODES)}")
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
@@ -48,19 +67,14 @@ class PipelineConfig:
             raw = json.loads(text, parse_constant=_finite(float), parse_float=_finite(float), parse_int=_finite(int))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
-        try:
-            jsonschema.validate(raw, _load_schema())
-        except jsonschema.ValidationError as exc:
-            raise ValidationError(f"config rejected by schema: {exc.message}") from exc
-        cfg = cls(
-            **{key: raw[key] for key in ("seed", "mode") if key in raw},
-            weights=LossWeights(**raw.get("weights", {})),
-            optim=OptimConfig(**raw.get("optim", {})),
-        )
-        # pipeline seed is the single source of randomness unless overridden
-        if "seed" not in raw.get("optim", {}):
-            cfg.optim.seed = cfg.seed
-        return cfg
+        top = dict(_object(raw, "config"))
+        weights = _object(top.pop("weights", {}), "config section 'weights'")
+        optim = _object(top.pop("optim", {}), "config section 'optim'")
+        # the top-level seed seeds the optimizer unless the optim section names its own
+        seeded = replace_settings(OptimConfig(), {"seed": top.pop("seed")} if "seed" in top else {}, "optim")
+        top["weights"] = replace_settings(LossWeights(), weights, "weights")
+        top["optim"] = replace_settings(seeded, optim, "optim")
+        return replace_settings(cls(), top, "config")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_numbers
 from .interp import slab_bounds
 from .losses import (
     LossReport,
@@ -76,12 +76,20 @@ class OptimConfig:
     min_delta: float = 1e-6  # improvement below this counts as "no gain"
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
+        check_numbers(self, "optim")
+        if not self.lr0 > 0:
+            raise ValidationError(f"initial learning rate must be positive, got {self.lr0}")
         if not 0 < self.plateau_factor < 1:
             raise ValidationError("plateau factor must be in (0, 1)")
-        if self.lr_min > self.lr0:
-            raise ValidationError("minimal learning rate exceeds the initial one")
-        if self.epoch_steps < 1 or self.max_steps < 1:
-            raise ValidationError("step counts must be positive")
+        if not 0 <= self.lr_min <= self.lr0:
+            raise ValidationError(f"minimal learning rate must be in [0, lr0], got {self.lr_min}")
+        if min(self.epoch_steps, self.max_steps, self.plateau_patience, self.stop_patience) < 1:
+            raise ValidationError("epoch and step counts must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"optimizer seed must be non-negative, got {self.seed}")
+        if not self.min_delta >= 0:
+            raise ValidationError(f"min_delta must be non-negative, got {self.min_delta}")
 
 
 @dataclass

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the settings' type check.
 
 Exit-code mapping used by the CLI: validation errors -> 2,
 numerical failures -> 3, I/O failures -> 4.
 """
+
+import dataclasses
+import numbers
 
 
 class RigiddaError(Exception):
@@ -15,6 +18,17 @@ class ValidationError(RigiddaError):
     """Invalid configuration, geometry, or argument values."""
 
     exit_code = 2
+
+
+def check_numbers(settings, section: str):
+    """Each field of the dataclass ``settings`` annotated ``int`` holds an integer
+    and every other field an integer or a float; a bool is neither."""
+    for f in dataclasses.fields(settings):
+        value = getattr(settings, f.name)
+        integer = f.type in ("int", int)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+            kind = "an integer" if integer else "a number"
+            raise ValidationError(f"{section} {f.name} must be {kind}, got {value!r}")
 
 
 class NumericalError(RigiddaError):

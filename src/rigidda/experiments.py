@@ -30,7 +30,7 @@ def fast_config(mode: str, seed: int, max_steps: int) -> PipelineConfig:
     optim = OptimConfig(
         seed=seed, lr0=0.02, epoch_steps=10, plateau_patience=3, stop_patience=8, max_steps=max_steps
     )
-    return PipelineConfig(seed=seed, mode=mode, weights=LossWeights(tau=0.1), optim=optim)
+    return PipelineConfig(mode=mode, weights=LossWeights(tau=0.1), optim=optim)
 
 
 def recovery_case(
@@ -63,11 +63,7 @@ def apex_case(
     """Criterion-5 draw: the apex slices pushed off the grid and a first view of
     ``slice_mm`` thick slices, whose forward term carries little through-plane
     information, so each added loss term (backward cycle, then focus) helps.
-
-    ``iso`` and ``slice_mm``, which size the first view's grid, must be finite and positive.
     """
-    if not (0.0 < iso < np.inf and 0.0 < slice_mm < np.inf):
-        raise ValidationError(f"iso and slice_mm must be finite and positive, got {iso} and {slice_mm}")
     rng = np.random.default_rng(1000 + seed)
     angles = rng.uniform(-0.15, 0.15, 3)
     tx, ty = rng.uniform(-4.0, 4.0, 2)

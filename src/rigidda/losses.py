@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_numbers
 from .volume import FOREGROUND_CLASSES, GridGeometry, NUM_CLASSES
 
 PROB_EPS = 1e-7
@@ -72,12 +72,14 @@ class LossWeights:
     tau: float = 0.02
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
+        check_numbers(self, "weights")
         # the stability condition is alpha1 > alpha2; alpha2 = 0 disables focus
         if not self.alpha1 > self.alpha2 >= 0:
             raise ValidationError("require alpha1 > alpha2 >= 0")
         if not 0 < self.r < 1:
             raise ValidationError("threshold r must be in (0, 1)")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValidationError("surrogate temperature must be positive")
 
 

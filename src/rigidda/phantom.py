@@ -361,6 +361,10 @@ def make_pair(
     """
     if seed < 0:
         raise ValidationError(f"noise seed must be non-negative, got {seed}")
+    for name, spacing in (("iso", (iso,) * 3), ("ax", ax_spacing), ("sax", sax_spacing)):
+        values = np.asarray((iso,) * 3 if spacing is None else spacing, dtype=float)
+        if values.shape != (3,) or not np.all(np.isfinite(values) & (values > 0)):
+            raise ValidationError(f"{name} spacing must be 3 finite positive values, got {spacing}")
     rel = np.asarray(rel, dtype=float)
     extent = np.asarray(grid, dtype=float) * iso
 

@@ -14,11 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rigidda
 from rigidda.cli import _parse_floats, _parse_weights_arg, main
-from rigidda.config import PipelineConfig, _load_schema
-from rigidda.engine import OptimConfig
+from rigidda.config import PipelineConfig
+from rigidda.engine import MODES, OptimConfig
 from rigidda.errors import ValidationError
 from rigidda.io import read_volume, write_volume
 from rigidda.losses import LossWeights
@@ -349,12 +351,12 @@ class TestEnd2End:
 class TestPipelineConfig:
     def test_defaults(self):
         cfg = PipelineConfig()
-        assert cfg.mode == "full" and cfg.seed == 0
+        assert cfg.mode == "full"
         assert cfg.weights == LossWeights() and cfg.optim == OptimConfig()
 
     def test_seed_propagates_to_optimizer(self):
         cfg = PipelineConfig.from_json('{"seed": 7}')
-        assert cfg.seed == 7 and cfg.optim.seed == 7
+        assert cfg.optim.seed == 7
 
     def test_explicit_optim_seed_wins(self):
         cfg = PipelineConfig.from_json('{"seed": 7, "optim": {"seed": 11}}')
@@ -385,7 +387,7 @@ class TestPipelineConfig:
 
     def test_integers_stay_integers(self):
         cfg = PipelineConfig.from_json('{"seed": 12345678901234567, "optim": {"max_steps": 7}}')
-        assert cfg.seed == 12345678901234567 and cfg.optim.max_steps == 7
+        assert cfg.optim.seed == 12345678901234567 and cfg.optim.max_steps == 7
 
     @pytest.mark.parametrize(
         "text",
@@ -425,12 +427,6 @@ def _field_names(cls) -> set:
 class TestConfigHasNoDeadKeys:
     """Every config key is read by the program; a key nothing reads is rejected."""
 
-    def test_schema_matches_dataclasses(self):
-        props = _load_schema()["properties"]
-        assert set(props) == _field_names(PipelineConfig)
-        assert set(props["weights"]["properties"]) == _field_names(LossWeights)
-        assert set(props["optim"]["properties"]) == _field_names(OptimConfig)
-
     @pytest.mark.parametrize(
         "config",
         [
@@ -457,6 +453,149 @@ class TestConfigHasNoDeadKeys:
     def test_all_exports_resolve(self):
         for name in rigidda.__all__:
             assert getattr(rigidda, name) is not None
+
+
+# One row per bound the config file's settings must meet, plus wrong JSON types and unknown
+# names: (section, settings), where a section of None is the top level.
+_BAD_SETTINGS = {
+    "lr0-zero": ("optim", {"lr0": 0}),
+    "lr0-negative": ("optim", {"lr0": -0.1}),
+    "plateau_factor-zero": ("optim", {"plateau_factor": 0}),
+    "plateau_factor-one": ("optim", {"plateau_factor": 1}),
+    "plateau_patience-zero": ("optim", {"plateau_patience": 0}),
+    "lr_min-negative": ("optim", {"lr_min": -1e-9}),
+    "stop_patience-zero": ("optim", {"stop_patience": 0}),
+    "epoch_steps-zero": ("optim", {"epoch_steps": 0}),
+    "max_steps-zero": ("optim", {"max_steps": 0}),
+    "optim-seed-negative": ("optim", {"seed": -1}),
+    "min_delta-negative": ("optim", {"min_delta": -1e-9}),
+    "alpha1-zero": ("weights", {"alpha1": 0, "alpha2": 0}),
+    "alpha2-negative": ("weights", {"alpha2": -0.1}),
+    "r-zero": ("weights", {"r": 0}),
+    "r-one": ("weights", {"r": 1}),
+    "tau-zero": ("weights", {"tau": 0}),
+    "seed-negative": (None, {"seed": -1}),
+    "seed-negative-under-optim-seed": (None, {"seed": -1, "optim": {"seed": 3}}),
+    "mode-unknown": (None, {"mode": "fancy"}),
+    "mode-number": (None, {"mode": 3}),
+    "max_steps-bool": ("optim", {"max_steps": True}),
+    "seed-bool": (None, {"seed": True}),
+    "lr0-bool": ("optim", {"lr0": True}),
+    "alpha1-bool": ("weights", {"alpha1": True}),
+    "max_steps-whole-float": ("optim", {"max_steps": 2.0}),
+    "optim-seed-whole-float": ("optim", {"seed": 1.0}),
+    "seed-whole-float": (None, {"seed": 1.0}),
+    "lr0-string": ("optim", {"lr0": "0.1"}),
+    "tau-null": ("weights", {"tau": None}),
+    "unknown-top-level": (None, {"bogus": 1}),
+    "unknown-weight": ("weights", {"w_seg": 0.5}),
+    "unknown-optim": ("optim", {"momentum": 0.9}),
+}
+_SECTION_CLASS = {None: PipelineConfig, "weights": LossWeights, "optim": OptimConfig}
+
+
+class TestSettingsCheckThemselves:
+    """A setting is rejected alike from a config file and from Python."""
+
+    @pytest.mark.parametrize("section, values", _BAD_SETTINGS.values(), ids=_BAD_SETTINGS)
+    def test_bad_setting_rejected(self, section, values):
+        with pytest.raises(ValidationError):
+            PipelineConfig.from_json(json.dumps({section: values} if section else values))
+        cls = _SECTION_CLASS[section]
+        if set(values) <= _field_names(cls):
+            with pytest.raises(ValidationError):
+                cls(**values)
+
+    @pytest.mark.parametrize(
+        "text", ["[]", "3", "null", '"full"', '{"weights": []}', '{"optim": 1}', '{"weights": null}', '{"optim": "x"}']
+    )
+    def test_non_object_rejected(self, text):
+        with pytest.raises(ValidationError):
+            PipelineConfig.from_json(text)
+
+    @pytest.mark.parametrize("config", [{"optim": {"max_steps": 2.0}}, {"seed": 1.0}], ids=["max_steps", "seed"])
+    def test_whole_float_in_integer_setting_exit_2(self, pair_dir, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert main(["end2end", "--pair-dir", str(pair_dir), "--config", str(path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_integer_learning_rate_stays_integer(self):
+        assert type(PipelineConfig.from_json('{"optim": {"lr0": 1}}').optim.lr0) is int
+
+    def test_cli_imports_without_jsonschema(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        probe = "import sys, rigidda.cli; sys.exit('jsonschema' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+
+
+_JUNK_NAMES = ["bogus", "", "Seed", "w_seg"]
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2000),
+    st.integers(-2, 50).map(float),
+    st.floats(-2.0, 2.0),
+    st.sampled_from(["full", "cycle", "fancy", ""]),
+)
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2), st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2))
+
+
+def _section_of(cls):
+    names = sorted(_field_names(cls)) + _JUNK_NAMES
+    return st.dictionaries(st.sampled_from(names), _VALUES, max_size=4)
+
+
+_CONFIGS = st.dictionaries(
+    st.sampled_from(["seed", "mode", "weights", "optim", *_JUNK_NAMES]),
+    st.one_of(_VALUES, _section_of(LossWeights), _section_of(OptimConfig)),
+    max_size=4,
+)
+
+
+def _is_int(value):
+    return type(value) is int
+
+
+def _is_number(value):
+    return type(value) in (int, float) and value == value
+
+
+# each setting's declared type and range, written out independently of the dataclasses
+_SETTING_OK = {
+    "alpha1": lambda w: _is_number(w.alpha1) and w.alpha1 > w.alpha2,
+    "alpha2": lambda w: _is_number(w.alpha2) and 0 <= w.alpha2 < w.alpha1,
+    "r": lambda w: _is_number(w.r) and 0 < w.r < 1,
+    "tau": lambda w: _is_number(w.tau) and w.tau > 0,
+    "lr0": lambda o: _is_number(o.lr0) and o.lr0 > 0,
+    "plateau_factor": lambda o: _is_number(o.plateau_factor) and 0 < o.plateau_factor < 1,
+    "plateau_patience": lambda o: _is_int(o.plateau_patience) and o.plateau_patience >= 1,
+    "lr_min": lambda o: _is_number(o.lr_min) and 0 <= o.lr_min <= o.lr0,
+    "stop_patience": lambda o: _is_int(o.stop_patience) and o.stop_patience >= 1,
+    "epoch_steps": lambda o: _is_int(o.epoch_steps) and o.epoch_steps >= 1,
+    "max_steps": lambda o: _is_int(o.max_steps) and o.max_steps >= 1,
+    "seed": lambda o: _is_int(o.seed) and o.seed >= 0,
+    "min_delta": lambda o: _is_number(o.min_delta) and o.min_delta >= 0,
+}
+
+
+class TestConfigReaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_CONFIGS)
+    def test_valid_config_or_validation_error(self, raw):
+        try:
+            cfg = PipelineConfig.from_json(json.dumps(raw))
+        except ValidationError:
+            return
+        assert _field_names(PipelineConfig) == {"mode", "weights", "optim"}
+        assert cfg.mode in MODES
+        assert type(cfg.weights) is LossWeights and type(cfg.optim) is OptimConfig
+        for section in (cfg.weights, cfg.optim):
+            for name in _field_names(type(section)):
+                assert _SETTING_OK[name](section), (name, getattr(section, name))
 
 
 class TestRegisterHonorsConfig:

@@ -53,13 +53,13 @@ def test_translation_bound_not_finite_or_negative_rejected(max_trans_mm):
 
 @pytest.mark.parametrize("draw", [{"iso": 0.0}, {"slice_mm": -1.0}, {"slice_mm": 0.0}, {"slice_mm": math.nan}])
 def test_apex_spacing_not_finite_or_positive_rejected(draw):
-    with pytest.raises(ValidationError, match="iso and slice_mm"):
+    with pytest.raises(ValidationError, match="spacing must be 3 finite positive values"):
         apex_case(0, **{"grid": 16, **draw})
 
 
 def test_fast_config_is_the_preset():
     config = fast_config("cycle", 5, 7)
-    assert config == PipelineConfig(seed=5, mode="cycle", weights=LossWeights(tau=0.1), optim=_preset(5, 7))
+    assert config == PipelineConfig(mode="cycle", weights=LossWeights(tau=0.1), optim=_preset(5, 7))
 
 
 def test_recover_is_the_inline_registration():

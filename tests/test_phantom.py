@@ -196,6 +196,18 @@ class TestMakePair:
         pair = make_pair(PhantomSpec(), rel, grid=(24, 24, 24), iso=4.0)
         np.testing.assert_allclose(pair.gt_m @ pair.gt_m_inv, np.eye(4), atol=1e-10)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("name", ["iso", "ax", "sax"])
+    def test_bad_spacing_rejected_before_geometry(self, name, bad):
+        spacing = {"iso": {"iso": bad}, "ax": {"ax_spacing": (2.0, 2.0, bad)}, "sax": {"sax_spacing": (bad, 2.0, 2.0)}}
+        with pytest.raises(ValidationError, match=f"^{name} spacing must be 3 finite positive values"):
+            make_pair(PhantomSpec(), np.eye(4), grid=(8, 8, 8), **{"iso": 4.0, **spacing[name]})
+
+    @pytest.mark.parametrize("name", ["ax_spacing", "sax_spacing"])
+    def test_spacing_of_wrong_length_rejected(self, name):
+        with pytest.raises(ValidationError, match="spacing must be 3 finite positive values, got \\(2.0, 2.0\\)"):
+            make_pair(PhantomSpec(), np.eye(4), grid=(8, 8, 8), iso=4.0, **{name: (2.0, 2.0)})
+
 
 class TestAnalyticSegmenter:
     def _calibration(self, spec, g, pose=None):

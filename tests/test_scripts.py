@@ -46,13 +46,13 @@ def test_recovery_benchmark_rejects_rotation_bound(monkeypatch, capsys):
         ("recovery_benchmark", ["--grid", "1"], "resampling needs >= 2 voxels per axis"),
         ("compare_modes", ["--seeds", "0"], "--seeds must be at least 1"),
         ("compare_modes", ["--grid", "16", "--max-steps", "0"], "step counts must be positive"),
-        ("compare_modes", ["--grid", "16", "--slice-mm", "-1"], "iso and slice_mm must be finite and positive"),
-        ("compare_modes", ["--grid", "16", "--slice-mm", "0"], "iso and slice_mm must be finite and positive"),
-        ("compare_modes", ["--grid", "16", "--iso", "0"], "iso and slice_mm must be finite and positive"),
+        ("compare_modes", ["--grid", "16", "--slice-mm", "-1"], "ax spacing must be 3 finite positive values"),
+        ("compare_modes", ["--grid", "16", "--slice-mm", "0"], "ax spacing must be 3 finite positive values"),
+        ("compare_modes", ["--grid", "16", "--iso", "0"], "iso spacing must be 3 finite positive values"),
         ("run_demo", ["--max-steps", "0"], "step counts must be positive"),
         ("run_demo", ["--grid", "1"], "resampling needs >= 2 voxels per axis"),
         ("run_demo", ["--grid", "16", "--iso", "0"], "spacing must be 3 finite positive values"),
-        ("run_demo", ["--seed", "-1"], "--seed must be at least 0"),
+        ("run_demo", ["--seed", "-1"], "optimizer seed must be non-negative"),
     ],
 )
 def test_bad_argument_exits_2(monkeypatch, capsys, tmp_path, name, args, message):
