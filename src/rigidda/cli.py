@@ -94,20 +94,8 @@ def _load_config(path: str | None, mode: str | None, weights: str | None = None)
     return config
 
 
-def _require_intensity(vol, name: str) -> Volume:
-    if not isinstance(vol, Volume):
-        raise ValidationError(f"{name} must be an intensity volume")
-    return vol
-
-
-def _require_labels(vol, name: str) -> LabelVolume:
-    if not isinstance(vol, LabelVolume):
-        raise ValidationError(f"{name} must be a label volume")
-    return vol
-
-
 def cmd_phantom_gen(args) -> int:
-    spec = PhantomSpec.from_json(Path(args.spec).read_text()) if args.spec else PhantomSpec()
+    spec = PhantomSpec.from_file(args.spec) if args.spec else PhantomSpec()
     rel = check_rigid(read_transform(args.rel_transform)[0], "--rel-transform") if args.rel_transform else np.eye(4)
     pair = make_pair(spec, rel, grid=tuple(args.grid), iso=args.iso, seed=args.seed)
     save_pair_dir(pair, spec, args.out_dir)
@@ -116,15 +104,15 @@ def cmd_phantom_gen(args) -> int:
 
 
 def cmd_register(args) -> int:
-    ax = _require_intensity(read_volume(args.ax), "--ax")
-    sax = _require_intensity(read_volume(args.sax), "--sax") if args.sax else None
+    ax = read_volume(args.ax, Volume)
+    sax = read_volume(args.sax, Volume) if args.sax else None
     gt_m, gt_m_inv = read_transform(args.gt_transform)
     config = _load_config(args.config, args.mode, args.weights)
     task = None
     if config.mode in FOCUS_MODES:
         if not args.spec:
             raise ValidationError("focus modes need --spec for the task module")
-        spec = PhantomSpec.from_json(Path(args.spec).read_text())
+        spec = PhantomSpec.from_file(args.spec)
         task = AnalyticSegmenter(spec, ax.geometry)
     params, trace = register_pair(ax, sax, gt_m, gt_m_inv, task, config.weights, config.optim, mode=config.mode)
     if args.trace:
@@ -136,20 +124,20 @@ def cmd_register(args) -> int:
 
 
 def cmd_resample(args) -> int:
-    src = read_volume(args.input)
+    src = read_volume(args.input, LabelVolume if args.labels else Volume)
     target_like = read_volume(args.target_like) if args.target_like else src
     m = _parse_transform_arg(args.transform)
     if args.labels:
-        out = transform_labels(_require_labels(src, "--input"), m, target_like.geometry)
+        out = transform_labels(src, m, target_like.geometry)
     else:
-        out = transform_volume(_require_intensity(src, "--input"), m, target_like.geometry).image
+        out = transform_volume(src, m, target_like.geometry).image
     write_volume(out, args.output)
     return 0
 
 
 def cmd_eval(args) -> int:
-    pred = _require_labels(read_volume(args.pred), "--pred")
-    truth = _require_labels(read_volume(args.truth), "--truth")
+    pred = read_volume(args.pred, LabelVolume)
+    truth = read_volume(args.truth, LabelVolume)
     if args.spacing_from:
         ref = read_volume(args.spacing_from)
         truth = LabelVolume(ref.geometry, truth.data)
@@ -172,12 +160,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_losses_check(args) -> int:
-    ax = _require_intensity(read_volume(args.ax), "--ax")
-    sax = _require_intensity(read_volume(args.sax), "--sax")
+    ax = read_volume(args.ax, Volume)
+    sax = read_volume(args.sax, Volume)
     gt_m, gt_m_inv = read_transform(args.gt_transform)
     weights = _parse_weights_arg(args.weights)
     params = _parse_params(args.params)
-    spec = PhantomSpec.from_json(Path(args.spec).read_text()) if args.spec else PhantomSpec()
+    spec = PhantomSpec.from_file(args.spec) if args.spec else PhantomSpec()
     task = AnalyticSegmenter(spec, ax.geometry)
     objective = PairObjective(ax, sax, gt_m, gt_m_inv, task, weights, mode="full")
     report, _ = objective(params.to_vector())
@@ -186,9 +174,9 @@ def cmd_losses_check(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    ax = _require_intensity(read_volume(args.ax), "--ax")
+    ax = read_volume(args.ax, Volume)
     params = _parse_params(args.params)
-    spec = PhantomSpec.from_json(Path(args.spec).read_text()) if args.spec else PhantomSpec()
+    spec = PhantomSpec.from_file(args.spec) if args.spec else PhantomSpec()
     task = AnalyticSegmenter(spec, ax.geometry)
     labels = apply_task(ax, params, task, post=not args.no_post)
     write_volume(labels, args.output)

@@ -11,25 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import MODES, OptimConfig
 from .errors import ValidationError
+from .io import parse_json
 from .losses import LossWeights
-
-
-def _finite(parse):
-    """A json.loads number hook: NaN, +-Infinity, 1e400 and integers beyond the
-    float range pass every range check, and the optimizer cannot use them."""
-
-    def check(text: str):
-        if not math.isfinite(float(text)):
-            raise ValidationError(f"config number {text} does not fit a finite float")
-        return parse(text)
-
-    return check
 
 
 def _object(value, what: str) -> dict:
@@ -60,14 +48,13 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}; choose from {', '.join(MODES)}")
+        for name, cls in (("weights", LossWeights), ("optim", OptimConfig)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValidationError(f"config {name} must be a {cls.__name__}, got {getattr(self, name)!r}")
 
     @classmethod
-    def from_json(cls, text: str) -> "PipelineConfig":
-        try:
-            raw = json.loads(text, parse_constant=_finite(float), parse_float=_finite(float), parse_int=_finite(int))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config is not valid JSON: {exc}") from exc
-        top = dict(_object(raw, "config"))
+    def from_json(cls, text: str | bytes) -> "PipelineConfig":
+        top = dict(_object(parse_json(text, "config"), "config"))
         weights = _object(top.pop("weights", {}), "config section 'weights'")
         optim = _object(top.pop("optim", {}), "config section 'optim'")
         # the top-level seed seeds the optimizer unless the optim section names its own
@@ -78,4 +65,4 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(Path(path).read_bytes())

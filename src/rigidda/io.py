@@ -7,19 +7,22 @@ Two formats, chosen by extension:
 * ``.raw`` (+ sidecar ``.json``) — raw little-endian float32/uint8 buffer
   with a JSON header {shape, spacing, origin, direction, kind}.
 
-Data is written x-fastest (Fortran order over (W, H, D)).
+Data is written x-fastest (Fortran order over (W, H, D)). Every JSON input
+of the package is read by ``parse_json`` and its numbers by ``json_numbers``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import VolumeIOError
+from .errors import ValidationError, VolumeIOError
 from .volume import GridGeometry, LabelVolume, NUM_CLASSES, Volume
 
 _HDR_SIZE = 348
@@ -27,6 +30,54 @@ _VOX_OFFSET = 352.0
 _DT_FLOAT32 = 16
 _DT_INT16 = 4
 _MAGIC = b"n+1\x00"
+
+
+def parse_json(data: str | bytes, what: str):
+    """The JSON value of ``data``, text or UTF-8 bytes. Bad UTF-8, bad JSON and a number
+    beyond the float range (NaN, +-Infinity, 1e400, 1 and 400 zeros), which would pass
+    every range check after it, raise ValidationError naming ``what``."""
+
+    def finite(text: str, parse=float):
+        if not math.isfinite(float(text)):
+            raise ValidationError(f"{what} number {reprlib.repr(text)} does not fit a finite float")
+        return parse(text)
+
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return json.loads(text, parse_constant=finite, parse_float=finite, parse_int=lambda text: finite(text, int))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} is not UTF-8: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
+
+
+def read_json(path: str | Path, what: str):
+    """``parse_json`` of the file at ``path``; a file that cannot be read raises OSError."""
+    return parse_json(Path(path).read_bytes(), what)
+
+
+def _entries(value, shape: tuple) -> list | None:
+    """The entries of ``value``, nested lists of exactly ``shape``, in row-major order; else None."""
+    if not shape:
+        return [value]
+    if not isinstance(value, list) or len(value) != shape[0]:
+        return None
+    rows = [_entries(v, shape[1:]) for v in value]
+    return None if None in rows else [e for row in rows for e in row]
+
+
+def json_numbers(value, shapes, what: str) -> np.ndarray:
+    """``value`` as a float array of the first of ``shapes`` (``()``: one number) that it
+    fills with finite ints and floats; else, as for a bool or a string, ValidationError."""
+    for shape in shapes:
+        entries = _entries(value, shape)
+        if entries is not None and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max for v in entries
+        ):
+            return np.array(entries, dtype=float).reshape(shape)
+    sizes = " or ".join("x".join(map(str, s)) for s in shapes)
+    wanted = f"{sizes} finite numbers" if sizes else "a finite number"
+    raise ValidationError(f"{what} must be {wanted}, got {reprlib.repr(value)}")
 
 
 def _build_sform(g: GridGeometry) -> np.ndarray:
@@ -130,11 +181,6 @@ def read_nifti(path: str | Path) -> Volume | LabelVolume:
     return Volume(geometry, data.astype(np.float64))
 
 
-def _is_whole(value) -> bool:
-    """A JSON number with no fractional part (not a boolean)."""
-    return value.is_integer() if isinstance(value, float) else type(value) is int
-
-
 def write_sidecar(vol: Volume | LabelVolume, path: str | Path):
     path = Path(path)
     is_label = isinstance(vol, LabelVolume)
@@ -153,35 +199,30 @@ def write_sidecar(vol: Volume | LabelVolume, path: str | Path):
 
 def read_sidecar(path: str | Path) -> Volume | LabelVolume:
     path = Path(path)
-    json_path = path.with_suffix(".json")
     try:
-        header = json.loads(json_path.read_text())
+        header = read_json(path.with_suffix(".json"), "sidecar header")
+        if not isinstance(header, dict):
+            raise ValidationError("sidecar header must be a JSON object")
+        for key in ("shape", "spacing", "origin", "direction", "kind"):
+            if key not in header:
+                raise ValidationError(f"sidecar missing {key!r}")
+        shape = json_numbers(header["shape"], ((3,),), "sidecar shape")
+        if np.any(shape < 1) or np.any(shape % 1):
+            raise ValidationError(f"sidecar shape {header['shape']!r} is not 3 positive whole numbers")
+        shape = tuple(int(n) for n in shape)
+        kind = header["kind"]
+        if kind not in ("intensity", "label"):
+            raise ValidationError(f"unknown kind {kind!r}")
+        spacing, origin = (json_numbers(header[k], ((3,),), f"sidecar {k}") for k in ("spacing", "origin"))
+        direction = json_numbers(header["direction"], ((3, 3),), "sidecar direction")
+        if not np.allclose(direction.T @ direction, np.eye(3), atol=1e-9):
+            raise VolumeIOError("non-orthonormal-direction", "sidecar direction is not orthonormal")
+        # GridGeometry rejects a spacing that is not positive
+        geometry = GridGeometry(shape, spacing, origin, direction)
     except OSError as exc:
         raise VolumeIOError("unreadable-file", str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise VolumeIOError("malformed-header", f"bad sidecar JSON: {exc}") from exc
-    for key in ("shape", "spacing", "origin", "direction", "kind"):
-        if key not in header:
-            raise VolumeIOError("malformed-header", f"sidecar missing {key!r}")
-    shape = header["shape"]
-    if not isinstance(shape, list) or len(shape) != 3 or not all(_is_whole(n) and n >= 1 for n in shape):
-        raise VolumeIOError("malformed-header", f"sidecar shape {shape!r} is not 3 positive whole numbers")
-    shape = tuple(int(n) for n in shape)
-    kind = header["kind"]
-    if kind not in ("intensity", "label"):
-        raise VolumeIOError("malformed-header", f"unknown kind {kind!r}")
-    try:
-        spacing, origin, direction = (np.asarray(header[k], dtype=float) for k in ("spacing", "origin", "direction"))
-    except (TypeError, ValueError):
-        raise VolumeIOError("malformed-header", "sidecar spacing, origin or direction is not numeric") from None
-    vectors = spacing.shape == origin.shape == (3,) and np.all(np.isfinite([*spacing, *origin]))
-    if not vectors or np.any(spacing <= 0):
-        raise VolumeIOError("malformed-header", "sidecar spacing and origin must be finite 3-vectors, spacing > 0")
-    if direction.shape != (3, 3) or not np.allclose(
-        direction.T @ direction, np.eye(3), atol=1e-9
-    ):
-        raise VolumeIOError("non-orthonormal-direction", "sidecar direction is not orthonormal")
-    geometry = GridGeometry(shape, spacing, origin, direction)
+    except ValidationError as exc:
+        raise VolumeIOError("malformed-header", str(exc)) from None
     dtype = np.dtype("u1") if kind == "label" else np.dtype("<f4")
     blob = path.read_bytes()
     n = math.prod(shape)
@@ -195,14 +236,17 @@ def read_sidecar(path: str | Path) -> Volume | LabelVolume:
     return Volume(geometry, data.astype(np.float64))
 
 
-def read_volume(path: str | Path) -> Volume | LabelVolume:
-    """Dispatch on extension: .nii or .raw (+ .json sidecar)."""
+def read_volume(path: str | Path, kind: type | None = None) -> Volume | LabelVolume:
+    """Dispatch on extension: .nii or .raw (+ .json sidecar). A file that does not
+    hold a ``kind`` (``Volume`` or ``LabelVolume``) raises ValidationError naming it."""
     path = Path(path)
-    if path.suffix == ".nii":
-        return read_nifti(path)
-    if path.suffix == ".raw":
-        return read_sidecar(path)
-    raise VolumeIOError("unsupported-format", f"unknown extension {path.suffix!r}")
+    readers = {".nii": read_nifti, ".raw": read_sidecar}
+    if path.suffix not in readers:
+        raise VolumeIOError("unsupported-format", f"unknown extension {path.suffix!r}")
+    vol = readers[path.suffix](path)
+    if kind is not None and not isinstance(vol, kind):
+        raise ValidationError(f"{path} must be {'a label' if kind is LabelVolume else 'an intensity'} volume")
+    return vol
 
 
 def write_volume(vol: Volume | LabelVolume, path: str | Path):

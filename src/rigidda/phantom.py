@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import copy
 import json
-import sys
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Protocol
 
 import numpy as np
 
 from .errors import ValidationError
+from .io import json_numbers, parse_json
 from .losses import ProbabilityVolume, _sigmoid
 from .rigid import check_rigid, parse_matrix, rotation_matrix
 from .volume import (
@@ -55,19 +56,6 @@ class Ellipsoid:
 _ELLIPSOIDS = ("lv", "myo_outer", "rv")
 _TISSUES = ("background", "LV", "MYO", "RV")
 _SPEC_SCALARS = ("sigma_mm", "noise_sigma", "logit_scale", "prior_sigma_mm", "prior_bias_mm", "intensity_sigma")
-
-
-def _spec_number(value, what: str) -> float:
-    # the range test also rejects NaN, and integers too large for a float
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ValidationError(f"phantom spec {what} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _spec_triple(value, what: str) -> tuple[float, float, float]:
-    if not isinstance(value, list) or len(value) != 3:
-        raise ValidationError(f"phantom spec {what} must be a list of 3 numbers, got {value!r}")
-    return tuple(_spec_number(v, what) for v in value)
 
 
 @dataclass
@@ -125,36 +113,35 @@ class PhantomSpec:
         return json.dumps({**ellipsoids, "levels": self.levels, **scalars, "pose": pose}, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "PhantomSpec":
+    def from_json(cls, text: str | bytes) -> "PhantomSpec":
         """Parse the ``to_json`` layout; absent entries keep their defaults.
 
         Every entry is checked here, so a malformed spec raises ValidationError.
         """
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid phantom spec JSON: {exc}") from exc
+        raw = parse_json(text, "phantom spec")
         if not isinstance(raw, dict):
             raise ValidationError("phantom spec must be a JSON object")
         kwargs = {}
         for name in _ELLIPSOIDS:
             if name in raw:
                 ell = raw[name] if isinstance(raw[name], dict) else {}
-                kwargs[name] = Ellipsoid(
-                    _spec_triple(ell.get("center"), f"{name}.center"),
-                    _spec_triple(ell.get("semi_axes"), f"{name}.semi_axes"),
-                )
+                axes = (json_numbers(ell.get(k), ((3,),), f"phantom spec {name}.{k}") for k in ("center", "semi_axes"))
+                kwargs[name] = Ellipsoid(*(tuple(a.tolist()) for a in axes))
         if "levels" in raw:
             levels = raw["levels"]
             if not isinstance(levels, dict) or sorted(levels) != sorted(_TISSUES):
                 raise ValidationError(f"phantom spec levels must give exactly {', '.join(_TISSUES)}")
-            kwargs["levels"] = {k: _spec_number(v, f"levels.{k}") for k, v in levels.items()}
+            kwargs["levels"] = {k: float(json_numbers(v, ((),), f"phantom spec levels.{k}")) for k, v in levels.items()}
         for name in _SPEC_SCALARS:
             if name in raw:
-                kwargs[name] = _spec_number(raw[name], name)
+                kwargs[name] = float(json_numbers(raw[name], ((),), f"phantom spec {name}"))
         if "pose" in raw:
             kwargs["pose"] = check_rigid(parse_matrix(raw["pose"], "phantom spec pose"), "phantom spec pose")
         return cls(**kwargs)
+
+    @classmethod
+    def from_file(cls, path) -> "PhantomSpec":
+        return cls.from_json(Path(path).read_bytes())
 
 
 def _region_sdfs(spec: PhantomSpec, points_mm: np.ndarray) -> tuple[dict[int, np.ndarray], np.ndarray]:

@@ -9,7 +9,6 @@ import numpy as np
 
 from .config import PipelineConfig
 from .engine import RegistrationTrace, register_pair, slab_bounds
-from .errors import ValidationError
 from .io import read_volume, write_volume
 from .metrics import MetricReport, evaluate_labels, postprocess_labels
 from .phantom import PhantomPair, PhantomSpec, TaskModule
@@ -81,13 +80,8 @@ def save_pair_dir(pair: PhantomPair, spec: PhantomSpec, out_dir) -> None:
 def load_pair_dir(pair_dir) -> tuple[PhantomPair, PhantomSpec]:
     """The pair and the phantom spec ``save_pair_dir`` wrote into ``pair_dir``."""
     pair_dir = Path(pair_dir)
-    spec = PhantomSpec.from_json((pair_dir / "spec.json").read_text())
-    vols = []
-    for name, kind in PAIR_VOLUMES:
-        vol = read_volume(pair_dir / name)
-        if not isinstance(vol, kind):
-            raise ValidationError(f"{name} must be {'a label' if kind is LabelVolume else 'an intensity'} volume")
-        vols.append(vol)
+    spec = PhantomSpec.from_file(pair_dir / "spec.json")
+    vols = [read_volume(pair_dir / name, kind) for name, kind in PAIR_VOLUMES]
     return PhantomPair(*vols, *read_transform(pair_dir / "gtM.json")), spec
 
 

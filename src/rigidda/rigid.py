@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .io import json_numbers, read_json
 
 N_PARAMS = 9
 
@@ -202,14 +203,8 @@ def write_transform(path, transform: RigidParams | tuple[np.ndarray, np.ndarray]
 
 
 def parse_matrix(value, what: str) -> np.ndarray:
-    """A 4x4 matrix from a JSON value holding 16 finite numbers."""
-    try:
-        m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        m = None
-    if m is None or m.shape not in ((16,), (4, 4)) or not np.all(np.isfinite(m)):
-        raise ValidationError(f"{what} must hold 16 finite numbers")
-    return m.reshape(4, 4)
+    """A 4x4 matrix from a JSON value holding 16 finite numbers, flat or as 4 rows."""
+    return json_numbers(value, ((16,), (4, 4)), what).reshape(4, 4)
 
 
 def check_rigid(m: np.ndarray, what: str) -> np.ndarray:
@@ -226,10 +221,7 @@ def check_rigid(m: np.ndarray, what: str) -> np.ndarray:
 def read_transform(path) -> tuple[np.ndarray, np.ndarray]:
     """``(m, m_inv)`` from a transform file, ``{"m", "m_inv"?, ...}`` or a bare list of 16;
     a missing ``m_inv`` is computed, and a malformed file raises ValidationError."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"transform file {path} is not JSON: {exc}") from None
+    raw = read_json(path, f"transform file {path}")
     if isinstance(raw, dict):
         if "m" not in raw:
             raise ValidationError(f"transform file {path} has no \"m\" entry")

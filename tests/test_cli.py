@@ -347,6 +347,13 @@ class TestEnd2End:
         printed = json.loads(capsys.readouterr().out)
         assert set(printed) == {"LV", "MYO", "RV"}
 
+    def test_volume_of_wrong_kind_exit_2(self, pair_dir, tmp_path, capsys):
+        (pair_dir / "I.nii").write_bytes((pair_dir / "labels_I.nii").read_bytes())
+        out = tmp_path / "run"
+        assert main(["end2end", "--pair-dir", str(pair_dir), "--out-dir", str(out)]) == 2
+        assert "I.nii must be an intensity volume" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipelineConfig:
     def test_defaults(self):
@@ -398,13 +405,18 @@ class TestPipelineConfig:
             '{"optim": {"lr_min": -Infinity}}',
             '{"weights": {"alpha1": 1e400}}',
             '{"optim": {"lr0": 1%s}}' % ("0" * 400),
+            b'{"mode": "\xff"}',
+            b'{"seed": 3, "mode": "cycle"}\xfe',
         ],
-        ids=["min_delta-nan", "tau-nan", "lr0-inf", "lr_min-neg-inf", "alpha1-overflow", "lr0-huge-int"],
+        ids=[
+            "min_delta-nan", "tau-nan", "lr0-inf", "lr_min-neg-inf", "alpha1-overflow", "lr0-huge-int",
+            "non-utf8-string", "non-utf8-trailer",
+        ],
     )
     @pytest.mark.parametrize("command", ["end2end", "register"])
     def test_non_finite_config_exit_2(self, pair_dir, tmp_path, command, text):
         config = tmp_path / "config.json"
-        config.write_text(text)
+        config.write_bytes(text if isinstance(text, bytes) else text.encode())
         out = tmp_path / "out"
         if command == "end2end":
             args = ["end2end", "--pair-dir", str(pair_dir), "--out-dir", str(out)]
@@ -520,6 +532,22 @@ class TestSettingsCheckThemselves:
         out = tmp_path / "run"
         assert main(["end2end", "--pair-dir", str(pair_dir), "--config", str(path), "--out-dir", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            {"weights": {"alpha1": 2.0}},
+            {"optim": None},
+            {"weights": {"alpha1": 2.0}, "optim": None},
+            {"optim": {"max_steps": 5}},
+            {"weights": OptimConfig()},
+            {"optim": LossWeights()},
+        ],
+        ids=["weights-dict", "optim-none", "both", "optim-dict", "weights-optim", "optim-weights"],
+    )
+    def test_section_must_be_its_dataclass(self, sections):
+        with pytest.raises(ValidationError):
+            PipelineConfig(**sections)
 
     def test_integer_learning_rate_stays_integer(self):
         assert type(PipelineConfig.from_json('{"optim": {"lr0": 1}}').optim.lr0) is int
@@ -726,10 +754,18 @@ class TestMalformedNumbers:
             json.dumps([0.0] * 16),
             json.dumps([1.0, [2.0]]),
             json.dumps("a string"),
+            json.dumps({"m": [10**400] + _IDENTITY16[1:]}),
+            json.dumps({"m": _IDENTITY16, "m_inv": _IDENTITY16[:15] + [10**400]}),
+            json.dumps({"m": _IDENTITY16[:15] + [True]}),
+            json.dumps({"m": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, True]]}),
+            json.dumps({"m": _IDENTITY16[:15] + ["1"]}),
+            json.dumps(_IDENTITY16[:15] + ["1"]),
+            "[" * 100000,
         ],
         ids=[
             "not-json", "no-m", "short-m", "strings", "object", "short-m_inv",
             "nan", "singular", "singular-list", "ragged", "string",
+            "huge-int", "huge-int-m_inv", "true", "true-nested", "string-one", "string-one-list", "deep-nesting",
         ],
     )
     @pytest.mark.parametrize("command", ["register", "resample"])
@@ -754,6 +790,16 @@ class TestMalformedNumbers:
         assert main(args + ["--output", str(tmp_path / "x.nii")]) == 0
 
 
+# spec files that escaped as a traceback or were accepted: a JSON value, or the file's bytes
+_BAD_PAIR_SPECS = {
+    "huge-int-pose": {"pose": [10**400] + _IDENTITY16[1:]},
+    "true-pose": {"pose": _IDENTITY16[:15] + [True]},
+    "string-one-pose": {"pose": _IDENTITY16[:15] + ["1"]},
+    "non-utf8": b'{"sigma_mm": 1.0, "note": "\xff"}',
+    "deep-nesting": b'{"note": ' + b"[" * 100000,
+}
+
+
 class TestMalformedSpec:
     """A malformed phantom spec file ends in exit 2, never a traceback."""
 
@@ -772,16 +818,17 @@ class TestMalformedSpec:
             {"pose": [1.0] * 15},
             {"pose": ["a"] * 16},
             [1, 2],
+            *_BAD_PAIR_SPECS.values(),
         ],
         ids=[
             "empty-ellipsoid", "list-ellipsoid", "short-center", "string-axis", "string-scalar",
             "null-scalar", "bool-scalar", "partial-levels", "string-level", "short-pose",
-            "string-pose", "not-object",
+            "string-pose", "not-object", *_BAD_PAIR_SPECS,
         ],
     )
     def test_apply_exit_2(self, pair_dir, tmp_path, spec):
         bad = tmp_path / "bad_spec.json"
-        bad.write_text(json.dumps(spec))
+        bad.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
         args = ["apply", "--ax", str(pair_dir / "I.nii"), "--params", "0,0,0,0,0,0,0,0,0"]
         assert main(args + ["--spec", str(bad), "--output", str(tmp_path / "o.nii")]) == 2
 
@@ -793,3 +840,10 @@ class TestMalformedSpec:
         bad.write_text('{"sigma_mm": %s}' % value)
         args = ["apply", "--ax", str(pair_dir / "I.nii"), "--params", "0,0,0,0,0,0,0,0,0"]
         assert main(args + ["--spec", str(bad), "--output", str(tmp_path / "o.nii")]) == 2
+
+    @pytest.mark.parametrize("spec", _BAD_PAIR_SPECS.values(), ids=_BAD_PAIR_SPECS)
+    def test_pair_dir_spec_exit_2(self, pair_dir, fast_config, tmp_path, spec):
+        (pair_dir / "spec.json").write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
+        out = tmp_path / "run"
+        assert main(["end2end", "--pair-dir", str(pair_dir), "--config", str(fast_config), "--out-dir", str(out)]) == 2
+        assert not out.exists()

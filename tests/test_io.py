@@ -1,13 +1,18 @@
-"""Volume file I/O round trips and failure modes."""
+"""Volume file I/O round trips and failure modes, and the shared JSON reader."""
 
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rigidda.errors import VolumeIOError
-from rigidda.io import read_nifti, read_volume, write_nifti, write_volume
+from rigidda.errors import ValidationError, VolumeIOError
+from rigidda.io import read_nifti, read_sidecar, read_volume, write_nifti, write_sidecar, write_volume
+from rigidda.phantom import PhantomSpec, world_rigid
+from rigidda.rigid import RigidParams, euler_to_affine, read_transform, write_transform
 from rigidda.volume import GridGeometry, LabelVolume, Volume
 
 
@@ -218,12 +223,23 @@ class TestSidecar:
             ("origin", [0.0, float("-inf"), 0.0]),
             ("direction", "abc"),
             ("direction", [[1.0, 0.0], [0.0]]),
+            ("shape", [10**400, 5, 4]),
+            ("spacing", [10**400, 1.5, 3.0]),
+            ("spacing", [True, 1.5, 3.0]),
+            ("spacing", ["1.5", 1.5, 3.0]),
+            ("origin", [-4.0, 2.5, True]),
+            ("origin", ["-4", 2.5, 1.0]),
+            ("direction", [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            ("direction", [[True, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            ("direction", [[1, 0, 0], [0, "1", 0], [0, 0, 1]]),
         ],
         ids=[
             "shape-string", "shape-fraction", "shape-two", "shape-four", "shape-scalar", "shape-null",
             "shape-bool", "shape-zero", "shape-negative", "spacing-string", "spacing-two", "spacing-nan",
             "spacing-inf", "spacing-zero", "origin-string", "origin-object", "origin-inf",
-            "direction-string", "direction-ragged",
+            "direction-string", "direction-ragged", "shape-huge-int", "spacing-huge-int", "spacing-true",
+            "spacing-string-number", "origin-true", "origin-string-number", "direction-huge-int",
+            "direction-true", "direction-string-one",
         ],
     )
     def test_bad_header_exits_4(self, tmp_path, intensity, key, value):
@@ -235,6 +251,30 @@ class TestSidecar:
         header = json.loads(json_path.read_text())
         header[key] = value
         json_path.write_text(json.dumps(header))
+        with pytest.raises(VolumeIOError) as err:
+            read_volume(path)
+        assert err.value.code == "malformed-header"
+        args = ["resample", "--input", str(path), "--transform", "0,0,0,0,0,0,0,0,0"]
+        assert main(args + ["--output", str(tmp_path / "o.nii")]) == 4
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b'{"shape": [6, 5, 4], "kind": "intensity\xff"}',
+            b"\xff\xfe{}",
+            b'"shape spacing origin direction kind"',
+            b'["shape", "spacing", "origin", "direction", "kind"]',
+            b"3",
+            b"[" * 100000,
+        ],
+        ids=["non-utf8-string", "non-utf8-start", "string-naming-keys", "list-naming-keys", "number", "deep-nesting"],
+    )
+    def test_bad_header_bytes_exits_4(self, tmp_path, intensity, blob):
+        from rigidda.cli import main
+
+        path = tmp_path / "vol.raw"
+        write_volume(intensity, path)
+        (tmp_path / "vol.json").write_bytes(blob)
         with pytest.raises(VolumeIOError) as err:
             read_volume(path)
         assert err.value.code == "malformed-header"
@@ -262,6 +302,16 @@ class TestSidecar:
 
 
 class TestDispatch:
+    @pytest.mark.parametrize("suffix", [".nii", ".raw"])
+    @pytest.mark.parametrize("stored_labels", [False, True], ids=["intensity-file", "label-file"])
+    def test_kind_mismatch_names_the_file(self, tmp_path, intensity, labels, stored_labels, suffix):
+        path = tmp_path / f"vol{suffix}"
+        write_volume(labels if stored_labels else intensity, path)
+        stored, other = (LabelVolume, Volume) if stored_labels else (Volume, LabelVolume)
+        with pytest.raises(ValidationError, match=re.escape(f"{path} must be")):
+            read_volume(path, other)
+        assert type(read_volume(path, stored)) is stored is type(read_volume(path))
+
     def test_unknown_extension(self, tmp_path, intensity):
         with pytest.raises(VolumeIOError) as err:
             write_volume(intensity, tmp_path / "vol.mha")
@@ -269,3 +319,170 @@ class TestDispatch:
         with pytest.raises(VolumeIOError) as err:
             read_volume(tmp_path / "vol.mha")
         assert err.value.code == "unsupported-format"
+
+
+# what a mutation puts in place of one number of a valid file
+_SWAPS = ["1" + "0" * 400, "-1" + "0" * 400, "true", "false", '"1"', "NaN", "-Infinity", "1e400", "null"]
+_NUMBER = re.compile(r"-?\d+(\.\d+)?([eE][-+]?\d+)?")
+
+
+@st.composite
+def _mutated(draw, text: str) -> bytes:
+    """``text`` as UTF-8 with one to three mutations: a flipped byte, a truncation,
+    or one number swapped for a huge integer, a boolean, a string or a non-finite value."""
+    data = text.encode()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "truncate", "swap"]))
+        if kind == "flip" and data:
+            i = draw(st.integers(0, len(data) - 1))
+            data = data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1:]
+        elif kind == "truncate":
+            data = data[: draw(st.integers(0, max(len(data) - 1, 0)))]
+        else:
+            numbers = list(_NUMBER.finditer(data.decode("utf-8", "replace")))
+            if numbers and data.isascii():
+                m = draw(st.sampled_from(numbers))
+                data = data[: m.start()] + draw(st.sampled_from(_SWAPS)).encode() + data[m.end():]
+    return data
+
+
+def _only_numbers(value) -> bool:
+    """Nested lists of JSON ints and floats only: no bool, string or null."""
+    return all(map(_only_numbers, value)) if isinstance(value, list) else type(value) in (int, float)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def transform_texts(fuzz_dir):
+    """Valid transform files: written by write_transform, a nested m, a bare list of 16."""
+    texts = []
+    for record in (RigidParams.from_vector([0.1, -0.2, 0.3, 0.05, -0.1, 0.02, 0.0, 0.01, -0.03]), (np.eye(4),) * 2):
+        write_transform(fuzz_dir / "t.json", record)
+        texts.append((fuzz_dir / "t.json").read_text())
+    return texts + [json.dumps({"m": np.eye(4).tolist()}), json.dumps(np.eye(4).reshape(16).tolist())]
+
+
+@pytest.fixture(scope="module")
+def intensity_and_labels():
+    g = GridGeometry((6, 5, 4), [1.5, 1.5, 3.0], [-4.0, 2.5, 1.0], np.eye(3))
+    rng = np.random.default_rng(0)
+    return Volume(g, rng.uniform(-1, 1, g.shape)), LabelVolume(g, rng.integers(0, 4, g.shape))
+
+
+def _spec_texts():
+    posed = PhantomSpec().scaled(0.7)
+    posed.pose = world_rigid((0.1, -0.2, 0.3), (1.0, 2.0, -3.0))
+    return [PhantomSpec().to_json(), posed.to_json()]
+
+
+class TestJsonReaderFuzz:
+    """A mutated transform file, phantom spec or sidecar header is read or rejected
+    with the package's own error, never anything else (the config has its own fuzz)."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_transform_file(self, fuzz_dir, transform_texts, data):
+        text = data.draw(st.sampled_from(transform_texts))
+        path = fuzz_dir / "mutated_transform.json"
+        path.write_bytes(data.draw(_mutated(text)))
+        try:
+            m, m_inv = read_transform(path)
+        except ValidationError:
+            return
+        raw = json.loads(path.read_bytes())
+        entries = raw["m"] if isinstance(raw, dict) else raw
+        assert _only_numbers(entries)
+        np.testing.assert_array_equal(m, np.array(entries, dtype=float).reshape(4, 4))
+        assert m_inv.shape == (4, 4) and m_inv.dtype == np.float64
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_spec_file(self, fuzz_dir, data):
+        path = fuzz_dir / "mutated_spec.json"
+        path.write_bytes(data.draw(_mutated(data.draw(st.sampled_from(_spec_texts())))))
+        try:
+            spec = PhantomSpec.from_file(path)
+        except ValidationError:
+            return
+        raw = json.loads(path.read_bytes())
+        for name in ("sigma_mm", "noise_sigma", "logit_scale", "prior_sigma_mm", "prior_bias_mm", "pose"):
+            if name in raw:
+                assert _only_numbers(raw[name])
+                np.testing.assert_array_equal(getattr(spec, name), np.reshape(raw[name], np.shape(getattr(spec, name))))
+        assert all(type(v) is float for v in [*spec.levels.values(), *spec.lv.center, *spec.rv.semi_axes])
+
+    @settings(max_examples=300)
+    @given(data=st.data(), labels=st.booleans())
+    def test_sidecar_header(self, fuzz_dir, intensity_and_labels, data, labels):
+        path = fuzz_dir / "mutated.raw"
+        write_sidecar(intensity_and_labels[labels], path)
+        header = path.with_suffix(".json")
+        header.write_bytes(data.draw(_mutated(header.read_text())))
+        try:
+            back = read_volume(path)
+        except VolumeIOError:
+            return
+        raw = json.loads(header.read_bytes())
+        for name in ("shape", "spacing", "origin", "direction"):
+            assert _only_numbers(raw[name])
+            np.testing.assert_array_equal(getattr(back.geometry, name), raw[name])
+
+
+_ANGLES = st.floats(-3.0, 3.0)
+_OFFSETS = st.floats(-0.5, 0.5)
+
+
+class TestJsonRoundTrip:
+    """What the writers write, the shared reader reads back to the same bits."""
+
+    @settings(max_examples=50)
+    @given(st.lists(_ANGLES, min_size=3, max_size=3), st.lists(_OFFSETS, min_size=6, max_size=6))
+    def test_transform(self, fuzz_dir, angles, offsets):
+        params = RigidParams.from_vector(angles + offsets)
+        mats = euler_to_affine(params)
+        path = fuzz_dir / "round_trip_transform.json"
+        write_transform(path, params)
+        m, m_inv = read_transform(path)
+        np.testing.assert_array_equal(m, mats.m)
+        np.testing.assert_array_equal(m_inv, mats.m_inv)
+        write_transform(path, (mats.m_t, mats.m_t_inv))
+        m, m_inv = read_transform(path)
+        np.testing.assert_array_equal(m, mats.m_t)
+        np.testing.assert_array_equal(m_inv, mats.m_t_inv)
+
+    @settings(max_examples=50)
+    @given(st.one_of(st.none(), st.floats(0.1, 3.0)), st.lists(_ANGLES, min_size=3, max_size=3))
+    def test_spec(self, fuzz_dir, factor, angles):
+        spec = PhantomSpec() if factor is None else PhantomSpec().scaled(factor)
+        spec.pose = world_rigid(tuple(angles), (1.0, -2.0, 0.5))
+        path = fuzz_dir / "round_trip_spec.json"
+        path.write_text(spec.to_json())
+        back = PhantomSpec.from_file(path)
+        assert back.to_json() == spec.to_json()
+        np.testing.assert_array_equal(back.pose, spec.pose)
+
+    @settings(max_examples=50)
+    @given(
+        st.lists(st.integers(1, 5), min_size=3, max_size=3),
+        st.lists(st.floats(0.1, 5.0), min_size=3, max_size=3),
+        st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+        st.lists(_ANGLES, min_size=3, max_size=3),
+        st.booleans(),
+    )
+    def test_sidecar(self, fuzz_dir, shape, spacing, origin, angles, labels):
+        direction = world_rigid(tuple(angles), (0.0, 0.0, 0.0))[:3, :3]
+        g = GridGeometry(tuple(shape), spacing, origin, direction)
+        rng = np.random.default_rng(1)
+        vol = LabelVolume(g, rng.integers(0, 4, g.shape)) if labels else Volume(g, rng.uniform(-1, 1, g.shape))
+        path = fuzz_dir / "round_trip.raw"
+        write_sidecar(vol, path)
+        back = read_sidecar(path)
+        assert type(back) is type(vol) and back.geometry.shape == g.shape
+        for name in ("spacing", "origin", "direction"):
+            np.testing.assert_array_equal(getattr(back.geometry, name), getattr(g, name))
+        expected = vol.data if labels else vol.data.astype(np.float32).astype(np.float64)
+        np.testing.assert_array_equal(back.data, expected)
