@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .engine import MODES, OptimConfig
 from .errors import ValidationError
-from .io import parse_json
+from .io import known_names, parse_json
 from .losses import LossWeights
 
 
@@ -29,10 +29,7 @@ def _object(value, what: str) -> dict:
 def replace_settings(base, values: dict, section: str):
     """``base`` with the settings named in ``values`` replaced; a name that is not
     a field of ``base`` is rejected, and the dataclass checks the values."""
-    names = [f.name for f in dataclasses.fields(base)]
-    for name in values:
-        if name not in names:
-            raise ValidationError(f"unknown {section} setting {name!r}; choose from {', '.join(names)}")
+    known_names(values, [f.name for f in dataclasses.fields(base)], f"{section} setting")
     return dataclasses.replace(base, **values)
 
 

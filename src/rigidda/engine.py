@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import csv
 import logging
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError, check_numbers
-from .interp import slab_bounds
+from .interp import slab_bounds, two_thread_map
 from .losses import (
     LossReport,
     LossWeights,
@@ -202,66 +199,6 @@ class _Slab:
     task: TaskModule | None
 
 
-_helper: ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
-
-
-def _reset_helper():
-    # a forked child has the executor object but not its thread
-    global _helper, _helper_lock
-    _helper = None
-    _helper_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_helper)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _two_thread_map(fn, items: list) -> list:
-    """``[fn(x) for x in items]``, run by the calling thread and one helper thread.
-
-    Both threads take the next item from one shared iterator, so an odd item
-    count still balances; numpy releases the interpreter lock inside the slab
-    kernels, so the two overlap. The helper is one thread for the whole
-    process, started by the first call that can use it: never with one item
-    or one usable CPU. The call returns or raises only once no item is
-    running, and an error on either thread stops both from taking more.
-    """
-    global _helper
-    if len(items) < 2 or _usable_cpus() < 2:
-        return [fn(x) for x in items]
-    results = [None] * len(items)
-    todo = iter(range(len(items)))  # next() on it is one C call, atomic under the GIL
-
-    def work():
-        try:
-            for k in todo:
-                results[k] = fn(items[k])
-        except BaseException:
-            for _ in todo:  # drain it, so the other thread stops after its item
-                pass
-            raise
-
-    with _helper_lock:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rigidda-slab")
-        future = _helper.submit(work)
-    try:
-        work()
-    finally:
-        if not future.cancel():
-            wait([future])
-    if not future.cancelled():
-        future.result()
-    return results
-
-
 class PairObjective:
     """Loss and analytic 9-parameter gradient for one preprocessed pair.
 
@@ -270,7 +207,7 @@ class PairObjective:
     slab over whole target slices along z, the axis the in-plane weight and
     the task module treat slice-wise, so every temporary is slab-sized and
     the reported terms equal the whole-grid values. The slabs run on two
-    threads (``_two_thread_map``); their terms are added in slab order, then
+    threads (``two_thread_map``); their terms are added in slab order, then
     branch order, so the bits do not depend on which thread ran which slab.
     """
 
@@ -360,7 +297,7 @@ class PairObjective:
         smooth = []  # each slab's share of the smooth focus mean
 
         # the serial sums, in slab order: the bits do not depend on the threads
-        for cycle, focus in _two_thread_map(lambda slab: self._slab_terms(slab, mats, jac), self.slabs):
+        for cycle, focus in two_thread_map(lambda slab: self._slab_terms(slab, mats, jac), self.slabs):
             for k, (sq_k, g_k) in enumerate(cycle):
                 sq[k] += sq_k
                 grad += w.alpha1 * g_k

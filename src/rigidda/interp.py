@@ -18,9 +18,19 @@ so no temporary is larger than eight rows of one slab. A caller that samples
 several fields at the same points, such as the one-hot channels of a
 label map, finds the cells once and lerps each field's corners with
 ``lerp_corners``.
+
+``two_thread_map`` runs a list of independent items, such as those slabs,
+on the calling thread and one helper thread. Every slab walk and every
+per-class loop of the package goes through it; on one usable CPU it is the
+plain loop.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -39,6 +49,71 @@ def slab_bounds(shape: tuple[int, int, int]) -> list[tuple[int, int]]:
     w, h, d = shape
     depth = max(1, SLAB_VOXELS // (w * h))
     return [(z0, min(z0 + depth, d)) for z0 in range(0, d, depth)]
+
+
+_helper: ThreadPoolExecutor | None = None
+_helper_lock = threading.Lock()
+
+
+def _reset_helper():
+    # a forked child has the executor object but not its thread
+    global _helper, _helper_lock
+    _helper = None
+    _helper_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_helper)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def two_thread_map(fn, items: Sequence) -> list:
+    """``[fn(x) for x in items]``, run by the calling thread and one helper thread.
+
+    Both threads take the next item from one shared iterator, so an odd item
+    count still balances; numpy and scipy release the interpreter lock inside
+    their kernels, so the two overlap. The helper is one thread for the whole
+    process, started by the first call that can use it: never with one item
+    or one usable CPU. The call returns or raises only once no item is
+    running, and an error on either thread stops both from taking more.
+    A call made from inside an item, on either thread, runs its items on
+    that thread alone unless the helper comes free, so nesting cannot wait
+    on itself. Every caller has each item write a disjoint part of its
+    output or return its own value, so the bytes do not depend on which
+    thread ran which item.
+    """
+    global _helper
+    if len(items) < 2 or _usable_cpus() < 2:
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    todo = iter(range(len(items)))  # next() on it is one C call, atomic under the GIL
+
+    def work():
+        try:
+            for k in todo:
+                results[k] = fn(items[k])
+        except BaseException:
+            for _ in todo:  # drain it, so the other thread stops after its item
+                pass
+            raise
+
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rigidda-slab")
+        future = _helper.submit(work)
+    try:
+        work()
+    finally:
+        if not future.cancel():
+            wait([future])
+    if not future.cancelled():
+        future.result()
+    return results
 
 
 def cell_corners(shape, ix, iy, iz):

@@ -56,6 +56,14 @@ def read_json(path: str | Path, what: str):
     return parse_json(Path(path).read_bytes(), what)
 
 
+def known_names(entries, names, what: str):
+    """Reject a name in ``entries`` that is not one of ``names``: a misspelt name
+    would otherwise leave its setting at the default."""
+    for name in entries:
+        if name not in names:
+            raise ValidationError(f"unknown {what} {name!r}; choose from {', '.join(names)}")
+
+
 def _entries(value, shape: tuple) -> list | None:
     """The entries of ``value``, nested lists of exactly ``shape``, in row-major order; else None."""
     if not shape:

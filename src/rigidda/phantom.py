@@ -19,7 +19,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ValidationError
-from .io import json_numbers, parse_json
+from .io import json_numbers, known_names, parse_json
 from .losses import ProbabilityVolume, _sigmoid
 from .rigid import check_rigid, parse_matrix, rotation_matrix
 from .volume import (
@@ -56,6 +56,7 @@ class Ellipsoid:
 _ELLIPSOIDS = ("lv", "myo_outer", "rv")
 _TISSUES = ("background", "LV", "MYO", "RV")
 _SPEC_SCALARS = ("sigma_mm", "noise_sigma", "logit_scale", "prior_sigma_mm", "prior_bias_mm", "intensity_sigma")
+_ELLIPSOID_KEYS = ("center", "semi_axes")
 
 
 @dataclass
@@ -116,16 +117,19 @@ class PhantomSpec:
     def from_json(cls, text: str | bytes) -> "PhantomSpec":
         """Parse the ``to_json`` layout; absent entries keep their defaults.
 
-        Every entry is checked here, so a malformed spec raises ValidationError.
+        Every entry is checked here, so a malformed spec, or one with a name
+        that is not in the layout, raises ValidationError.
         """
         raw = parse_json(text, "phantom spec")
         if not isinstance(raw, dict):
             raise ValidationError("phantom spec must be a JSON object")
+        known_names(raw, (*_ELLIPSOIDS, "levels", *_SPEC_SCALARS, "pose"), "phantom spec entry")
         kwargs = {}
         for name in _ELLIPSOIDS:
             if name in raw:
                 ell = raw[name] if isinstance(raw[name], dict) else {}
-                axes = (json_numbers(ell.get(k), ((3,),), f"phantom spec {name}.{k}") for k in ("center", "semi_axes"))
+                known_names(ell, _ELLIPSOID_KEYS, f"phantom spec {name} entry")
+                axes = (json_numbers(ell.get(k), ((3,),), f"phantom spec {name}.{k}") for k in _ELLIPSOID_KEYS)
                 kwargs[name] = Ellipsoid(*(tuple(a.tolist()) for a in axes))
         if "levels" in raw:
             levels = raw["levels"]

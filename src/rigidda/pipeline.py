@@ -1,4 +1,9 @@
-"""End-to-end wiring: register, apply the task module, back-transform, evaluate."""
+"""End-to-end wiring: register, apply the task module, back-transform, evaluate.
+
+Applying the task runs on two threads where two CPUs are usable: both warps,
+the slab-wise segmentation, the post-processing and the evaluation each hand
+their slabs or classes to ``interp.two_thread_map``.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .engine import RegistrationTrace, register_pair, slab_bounds
+from .engine import RegistrationTrace, register_pair
+from .interp import slab_bounds, two_thread_map
 from .io import read_volume, write_volume
 from .metrics import MetricReport, evaluate_labels, postprocess_labels
 from .phantom import PhantomPair, PhantomSpec, TaskModule
@@ -30,16 +36,20 @@ def apply_task(
 
     The axial volume is transformed with M_t, the task module produces class
     probabilities slab by slab (``slab_bounds``, through ``task.restrict``, as
-    the registration objective does), hard labels are taken per voxel, back-
-    transformed with M_t^-1 and post-processed.
+    the registration objective does, two slabs at a time), hard labels are
+    taken per voxel, back-transformed with M_t^-1 and post-processed.
     """
     mats = euler_to_affine(params)
     i_t = transform_volume(ax, mats.m_t, ax.geometry).image.data
     hard = np.empty(ax.geometry.shape, dtype=np.int16)
-    for z0, z1 in slab_bounds(ax.geometry.shape):
+
+    def segment(bounds):
+        z0, z1 = bounds
         part = task.restrict(z0, z1)
         q = part.evaluate(Volume.trusted(part.geometry, np.ascontiguousarray(i_t[..., z0:z1])))
         hard[..., z0:z1] = argmax_channels(q.q)
+
+    two_thread_map(segment, slab_bounds(ax.geometry.shape))
     back = transform_labels(LabelVolume(ax.geometry, hard), mats.m_t_inv, ax.geometry)
     return postprocess_labels(back) if post else back
 

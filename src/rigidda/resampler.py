@@ -7,7 +7,9 @@ on any axis are zero-filled and flagged invalid.
 
 The target is cut one way only, into the slabs of whole z slices of
 ``slab_bounds``; ``target_coords`` builds a slab's coordinates from the
-grid's axes. The registration objective warps the same slabs on its tape.
+grid's axes. The untaped warps run their slabs on two threads
+(``two_thread_map``), each slab writing its own slices of the output, and
+the registration objective warps the same slabs on its tape.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .interp import cell_corners, lerp_corners, slab_bounds, trilinear, trilinear_with_grad
+from .interp import cell_corners, lerp_corners, slab_bounds, trilinear, trilinear_with_grad, two_thread_map
 from .volume import GridGeometry, LabelVolume, Volume, argmax_labels
 
 _BOUNDS_EPS = 1e-12
@@ -73,16 +75,21 @@ def _source_samples(src_shape, m: np.ndarray, coords: np.ndarray):
 def transform_volume(src: Volume, m: np.ndarray, target: GridGeometry) -> SampleResult:
     """Pull-warp ``src`` onto ``target`` under the normalized-space affine ``m``.
 
-    The target is mapped and sampled slab by slab (``slab_bounds``), so apart
-    from the output no temporary is larger than one slab.
+    The target is mapped and sampled slab by slab (``slab_bounds``), two slabs
+    at a time (``two_thread_map``), so apart from the output no temporary is
+    larger than two slabs.
     """
     values = np.empty(target.shape)
     valid = np.empty(target.shape, dtype=bool)
     w, h, _ = target.shape
-    for z0, z1 in slab_bounds(target.shape):
+
+    def slab(bounds):
+        z0, z1 = bounds
         idx, in_bounds = _source_samples(src.geometry.shape, m, target_coords(target, z0, z1))
         values[..., z0:z1] = np.where(in_bounds, trilinear(src.data, idx[0], idx[1], idx[2]), 0.0).reshape(w, h, -1)
         valid[..., z0:z1] = in_bounds.reshape(w, h, -1)
+
+    two_thread_map(slab, slab_bounds(target.shape))
     return SampleResult(image=Volume.trusted(target, values), validity=valid.astype(np.float64))
 
 
@@ -98,8 +105,8 @@ def transform_labels(
     are zero in every channel, so they are background, and ``scale = 0``
     makes every sample background. A negative, non-finite or subnormal
     ``scale`` raises ``ValidationError``. Per slab of whole target slices
-    (``slab_bounds``) the cells are found once and the labels at their eight
-    corners gathered once. A valid sample whose eight corners share one label
+    (``slab_bounds``, two at a time through ``two_thread_map``) the cells are
+    found once and the labels at their eight corners gathered once. A valid sample whose eight corners share one label
     takes it: that channel lerps to a positive value and every other one to
     exactly 0. Only the mixed cells lerp each channel's corners, the class test of
     their labels, which are the values a whole one-hot channel would give.
@@ -110,7 +117,9 @@ def transform_labels(
     labels = src.data.reshape(-1)
     out = np.empty(target.shape, dtype=np.int16)
     w, h, _ = target.shape
-    for z0, z1 in slab_bounds(target.shape):
+
+    def slab(bounds):
+        z0, z1 = bounds
         idx, valid = _source_samples(src.geometry.shape, m, target_coords(target, z0, z1))
         index, frac, gfrac = cell_corners(src.geometry.shape, *idx)
         corners = labels.take(index)
@@ -121,6 +130,8 @@ def transform_labels(
         frac, gfrac = frac[:, mixed], gfrac[:, mixed]
         part[mixed] = argmax_labels(corners[:, mixed], lambda channel: lerp_corners(channel, frac, gfrac), scale)
         out[..., z0:z1] = part.reshape(w, h, -1)
+
+    two_thread_map(slab, slab_bounds(target.shape))
     return LabelVolume(target, out)
 
 

@@ -220,14 +220,18 @@ def check_rigid(m: np.ndarray, what: str) -> np.ndarray:
 
 def read_transform(path) -> tuple[np.ndarray, np.ndarray]:
     """``(m, m_inv)`` from a transform file, ``{"m", "m_inv"?, ...}`` or a bare list of 16;
-    a missing ``m_inv`` is computed, and a malformed file raises ValidationError."""
+    a missing ``m_inv`` is computed, and a malformed file, or one whose ``m @ m_inv``
+    is off the identity by more than 1e-6 in any entry, raises ValidationError."""
     raw = read_json(path, f"transform file {path}")
     if isinstance(raw, dict):
         if "m" not in raw:
             raise ValidationError(f"transform file {path} has no \"m\" entry")
         m = parse_matrix(raw["m"], "transform \"m\"")
         if "m_inv" in raw:
-            return m, parse_matrix(raw["m_inv"], "transform \"m_inv\"")
+            m_inv = parse_matrix(raw["m_inv"], "transform \"m_inv\"")
+            if not np.abs(m @ m_inv - np.eye(4)).max() <= 1e-6:
+                raise ValidationError(f"transform file {path}: \"m_inv\" is not the inverse of \"m\"")
+            return m, m_inv
     else:
         m = parse_matrix(raw, "transform JSON (16 numbers or {m, m_inv})")
     try:

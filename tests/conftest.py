@@ -2,17 +2,37 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from rigidda.phantom import PhantomSpec
+from rigidda import interp
+from rigidda.errors import NumericalError
+from rigidda.phantom import AnalyticSegmenter, PhantomSpec, make_pair, world_rigid
 from rigidda.volume import GridGeometry, Volume
 
 # one profile for every property: no per-example deadline, which a slow
 # first numpy call would trip; each test sets its own max_examples
 settings.register_profile("rigidda", deadline=None)
 settings.load_profile("rigidda")
+
+
+needs_two_cpus = pytest.mark.skipif(interp._usable_cpus() < 2, reason="needs two usable CPUs")
+
+
+def force_one_cpu(mp: pytest.MonkeyPatch):
+    """Under the monkeypatch ``mp``, ``two_thread_map`` sees one usable CPU and
+    runs the plain loop; the process's helper thread is put aside meanwhile."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    mp.setattr(interp, "_helper", None)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """The test runs as on a one-CPU machine."""
+    force_one_cpu(monkeypatch)
 
 
 @pytest.fixture
@@ -89,3 +109,35 @@ def gradient_scale_error(analytic: np.ndarray, fd: np.ndarray) -> float:
     """Worst component error relative to the gradient's own scale."""
     denom = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-300)
     return float(np.abs(analytic - fd).max() / denom)
+
+
+def pair_on(grid):
+    """A criterion-4 style pair on ``grid`` at 1.5 mm, and a segmenter for it."""
+    spec = PhantomSpec().scaled(min(grid) / 64.0)
+    rel = world_rigid((0.3, -0.2, 0.25), (6.0, -4.0, 3.0))
+    pair = make_pair(spec, rel, grid=grid, iso=1.5, seed=4)
+    return pair, AnalyticSegmenter(spec, pair.i.geometry)
+
+
+class FailingTask:
+    """A task module whose restricted modules raise NumericalError where ``fails_here(z0)`` holds."""
+
+    def __init__(self, task, fails_here):
+        self.task = task
+        self.fails_here = fails_here
+
+    def restrict(self, z0, z1):
+        part = self.task.restrict(z0, z1)
+        fails_here = self.fails_here
+
+        class Part:
+            geometry = part.geometry
+            gradient = staticmethod(part.gradient)
+
+            @staticmethod
+            def evaluate(vol):
+                if fails_here(z0):
+                    raise NumericalError(f"slab failed at z0={z0}")
+                return part.evaluate(vol)
+
+        return Part()

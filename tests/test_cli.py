@@ -761,11 +761,13 @@ class TestMalformedNumbers:
             json.dumps({"m": _IDENTITY16[:15] + ["1"]}),
             json.dumps(_IDENTITY16[:15] + ["1"]),
             "[" * 100000,
+            json.dumps({"m": _IDENTITY16, "m_inv": (2.0 * np.eye(4)).reshape(16).tolist()}),
         ],
         ids=[
             "not-json", "no-m", "short-m", "strings", "object", "short-m_inv",
             "nan", "singular", "singular-list", "ragged", "string",
             "huge-int", "huge-int-m_inv", "true", "true-nested", "string-one", "string-one-list", "deep-nesting",
+            "m_inv-not-the-inverse",
         ],
     )
     @pytest.mark.parametrize("command", ["register", "resample"])
@@ -778,6 +780,13 @@ class TestMalformedNumbers:
             args = ["resample", "--input", str(pair_dir / "I.nii"), "--transform", str(bad)]
             args += ["--output", str(tmp_path / "x.nii")]
         assert main(args) == 2
+
+    def test_disagreeing_ground_truth_exit_2_in_cycle_mode(self, pair_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"m": _IDENTITY16, "m_inv": (2.0 * np.eye(4)).reshape(16).tolist()}))
+        args = ["register", "--ax", str(pair_dir / "I.nii"), "--sax", str(pair_dir / "J.nii")]
+        assert main(args + ["--gt-transform", str(bad), "--mode", "cycle"]) == 2
+        assert "not the inverse" in capsys.readouterr().err
 
     def test_unreadable_transform_path_exit_4(self, pair_dir, tmp_path):
         args = ["resample", "--input", str(pair_dir / "I.nii"), "--transform", str(tmp_path)]
@@ -818,12 +827,14 @@ class TestMalformedSpec:
             {"pose": [1.0] * 15},
             {"pose": ["a"] * 16},
             [1, 2],
+            {"sigmamm": 5.0},
+            {"lv": {"center": [0, 0, 0], "semi_axes": [1, 1, 1], "radius": 1}},
             *_BAD_PAIR_SPECS.values(),
         ],
         ids=[
             "empty-ellipsoid", "list-ellipsoid", "short-center", "string-axis", "string-scalar",
             "null-scalar", "bool-scalar", "partial-levels", "string-level", "short-pose",
-            "string-pose", "not-object", *_BAD_PAIR_SPECS,
+            "string-pose", "not-object", "unknown-name", "unknown-ellipsoid-name", *_BAD_PAIR_SPECS,
         ],
     )
     def test_apply_exit_2(self, pair_dir, tmp_path, spec):

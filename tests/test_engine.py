@@ -45,9 +45,9 @@ from rigidda.phantom import AnalyticSegmenter, PhantomSpec, make_pair, world_rig
 from rigidda.pipeline import apply_task, run_end2end
 from rigidda.resampler import target_coords, transform_volume, transform_volume_with_tape
 from rigidda.rigid import N_PARAMS, RigidParams, affine_jacobian, euler_to_affine
-from rigidda import engine, pipeline
+from rigidda import engine, interp, pipeline
 from rigidda.volume import FOREGROUND_CLASSES, Volume
-from conftest import central_difference, gentle_task_spec, gradient_scale_error
+from conftest import FailingTask, central_difference, gentle_task_spec, gradient_scale_error, needs_two_cpus, pair_on
 
 
 def _small_pair(seed=0):
@@ -191,14 +191,6 @@ def _assert_same_bits(result, reference):
     for name in REPORT_FIELDS:
         assert getattr(rep, name) == getattr(ref, name), name
     assert np.array_equal(grad, ref_grad)
-
-
-def _pair_on(grid):
-    """A criterion-4 style pair on ``grid`` at 1.5 mm, and a segmenter for it."""
-    spec = PhantomSpec().scaled(min(grid) / 64.0)
-    rel = world_rigid((0.3, -0.2, 0.25), (6.0, -4.0, 3.0))
-    pair = make_pair(spec, rel, grid=grid, iso=1.5, seed=4)
-    return pair, AnalyticSegmenter(spec, pair.i.geometry)
 
 
 @functools.cache
@@ -441,7 +433,7 @@ class TestSlabObjective:
 
     @pytest.mark.parametrize("grid", SLAB_GRIDS)
     def test_matches_whole_grid_oracle(self, grid):
-        pair, task = _pair_on(grid)
+        pair, task = pair_on(grid)
         w = LossWeights(tau=0.1)
         rng = np.random.default_rng(9)
         vecs = [np.concatenate([rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.15, 0.15, 6)]) for _ in range(2)]
@@ -459,7 +451,7 @@ class TestSlabObjective:
                 assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
     def test_restricted_segmenter_matches_whole_grid_slices(self, rng):
-        pair, task = _pair_on((17, 13, 11))
+        pair, task = pair_on((17, 13, 11))
         part = task.restrict(3, 8)
         sub = pair.i.geometry.z_slab(3, 8)
         q = task.evaluate(pair.i).q
@@ -476,7 +468,7 @@ class TestSlabObjective:
         """Each slab's coordinates come from its own slices: a full-mode set-up
         at 64^3 peaked at 42.1 MiB with the 8 MiB whole-grid map, and at 34.0
         MiB without it (two fixed warps, their masks, the task's slabs)."""
-        pair, task = _pair_on((64, 64, 64))
+        pair, task = pair_on((64, 64, 64))
         args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), "full")
         PairObjective(*args)
         tracemalloc.start()
@@ -491,7 +483,7 @@ class TestSlabObjective:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_step_allocates_no_whole_grid_temporaries(self, mode):
-        pair, task = _pair_on((64, 64, 64))
+        pair, task = pair_on((64, 64, 64))
         obj = PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), mode)
         vec = np.full(9, 0.05)
         obj(vec)
@@ -507,16 +499,13 @@ class TestSlabObjective:
         assert peak < 8 * 2**20
 
 
-needs_two_cpus = pytest.mark.skipif(engine._usable_cpus() < 2, reason="needs two usable CPUs")
-
-
 class TestTwoThreadObjective:
     """The slabs run on the calling thread plus one helper; the bits are the serial loop's."""
 
     # 64^3 makes 16 slabs, 48^3 seven, 40x40x23 a short last one, 17x13x11 one
     @pytest.mark.parametrize("grid", ((64, 64, 64), (48, 48, 48), (40, 40, 23), (17, 13, 11)))
     def test_bits_equal_the_serial_loop(self, grid):
-        pair, task = _pair_on(grid)
+        pair, task = pair_on(grid)
         w = LossWeights(tau=0.1)
         rng = np.random.default_rng(11)
         vecs = [np.concatenate([rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.15, 0.15, 6)]) for _ in range(2)]
@@ -528,7 +517,7 @@ class TestTwoThreadObjective:
                 _assert_same_bits(threaded(vec), serial(vec))
 
     def test_register_pair_trace_equals_the_serial_loop(self, monkeypatch):
-        pair, task = _pair_on((40, 40, 23))
+        pair, task = pair_on((40, 40, 23))
         cfg = OptimConfig(lr0=0.02, epoch_steps=5, plateau_patience=1, max_steps=25, seed=4)
         args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), cfg)
         params, trace = register_pair(*args, mode="full")
@@ -542,19 +531,19 @@ class TestTwoThreadObjective:
             np.testing.assert_array_equal(row.params, ref.params)
 
     def test_slab_error_is_raised_and_the_helper_recovers(self):
-        pair, task = _pair_on((40, 40, 23))
+        pair, task = pair_on((40, 40, 23))
         w = LossWeights(tau=0.1)
         vec = np.full(9, 0.05)
         args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv)
         for bad in (0, 1, 2):
-            failing = PairObjective(*args, _FailingTask(task, lambda z0, bad=bad: z0 == 10 * bad), w, "full")
+            failing = PairObjective(*args, FailingTask(task, lambda z0, bad=bad: z0 == 10 * bad), w, "full")
             with pytest.raises(NumericalError, match="slab failed"):
                 failing(vec)
             _assert_same_bits(PairObjective(*args, task, w, "full")(vec), SerialSlabObjective(*args, task, w, "full")(vec))
 
     @needs_two_cpus
     def test_error_on_the_helper_thread_is_raised_by_the_caller(self):
-        pair, task = _pair_on((40, 40, 23))
+        pair, task = pair_on((40, 40, 23))
         helper_failed = threading.Event()
 
         def fails_here(z0):
@@ -567,26 +556,24 @@ class TestTwoThreadObjective:
 
         args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv)
         w = LossWeights(tau=0.1)
-        failing = PairObjective(*args, _FailingTask(task, fails_here), w, "full")
+        failing = PairObjective(*args, FailingTask(task, fails_here), w, "full")
         with pytest.raises(NumericalError, match="slab failed"):
             failing(np.full(9, 0.05))
         assert helper_failed.is_set()
         vec = np.full(9, -0.03)
         _assert_same_bits(PairObjective(*args, task, w, "full")(vec), SerialSlabObjective(*args, task, w, "full")(vec))
 
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        pair, task = _pair_on((40, 40, 23))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(engine, "_helper", None)
+    def test_one_cpu_starts_no_thread(self, one_cpu):
+        pair, task = pair_on((40, 40, 23))
         before = threading.active_count()
         args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), "full")
         vec = np.full(9, 0.05)
         _assert_same_bits(PairObjective(*args)(vec), SerialSlabObjective(*args)(vec))
         assert threading.active_count() == before
-        assert engine._helper is None
+        assert interp._helper is None
 
     def test_many_objectives_share_one_helper(self):
-        pair, task = _pair_on((40, 40, 23))
+        pair, task = pair_on((40, 40, 23))
         before = threading.active_count()
         vec = np.full(9, 0.05)
         for _ in range(50):
@@ -594,7 +581,7 @@ class TestTwoThreadObjective:
         assert threading.active_count() <= before + 1
 
     def test_concurrent_callers_get_the_serial_bits(self):
-        pair, task = _pair_on((40, 40, 23))
+        pair, task = pair_on((40, 40, 23))
         args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), "full")
         obj = PairObjective(*args)
         vecs = [np.full(9, 0.01 * k) for k in range(4)]
@@ -643,30 +630,6 @@ class TestTwoThreadObjective:
         assert len(json.loads(run.stdout)["params"]) == 9
 
 
-class _FailingTask:
-    """A task module whose restricted modules raise NumericalError where ``fails_here(z0)`` holds."""
-
-    def __init__(self, task, fails_here):
-        self.task = task
-        self.fails_here = fails_here
-
-    def restrict(self, z0, z1):
-        part = self.task.restrict(z0, z1)
-        fails_here = self.fails_here
-
-        class Part:
-            geometry = part.geometry
-            gradient = staticmethod(part.gradient)
-
-            @staticmethod
-            def evaluate(vol):
-                if fails_here(z0):
-                    raise NumericalError(f"slab failed at z0={z0}")
-                return part.evaluate(vol)
-
-        return Part()
-
-
 def _load_benchmark_tracer():
     """perfbench/tracer.py, imported from its file; the benchmark is only read."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -699,7 +662,7 @@ class TestTracedLookupSites:
 
     def test_full_step_calls_every_objective_layer(self):
         tracer_mod = _load_benchmark_tracer()
-        pair, task = _pair_on((17, 13, 11))
+        pair, task = pair_on((17, 13, 11))
         obj = PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), "full")
         n_slabs = len(obj.slabs)
         tracer = tracer_mod.Tracer()
@@ -724,12 +687,10 @@ class TestTracedLookupSites:
         assert calls["losses.focus"] == 3 * n_slabs
         assert calls["rigid.euler_to_affine"] == calls["rigid.affine_jacobian"] == 1
 
-    def test_label_warp_samples_through_the_traced_kernel(self):
-        """The intensity warp samples each slab through the traced kernel; the
-        label warp walks its cells itself, once per slab for all channels."""
-        tracer_mod = _load_benchmark_tracer()
-        pair, task = _pair_on((40, 40, 23))
-        tracer = tracer_mod.Tracer()
+    @staticmethod
+    def _traced_apply_task():
+        tracer = _load_benchmark_tracer().Tracer()
+        pair, task = pair_on((40, 40, 23))
         tracer.install()
         try:
             tracer.unit = ("unit", "probe")
@@ -737,6 +698,12 @@ class TestTracedLookupSites:
         finally:
             tracer.unit = None
             tracer.remove()
+        return tracer
+
+    def test_label_warp_samples_through_the_traced_kernel(self, one_cpu):
+        """The intensity warp samples each slab through the traced kernel; the
+        label warp walks its cells itself, once per slab for all channels."""
+        tracer = self._traced_apply_task()
         calls = Counter(tracer.names)
         assert calls["resampler.transform_volume"] == calls["resampler.transform_labels"] == 1
         warp = tracer.names.index("resampler.transform_volume")
@@ -744,6 +711,18 @@ class TestTracedLookupSites:
         # one call per slab of slab_bounds: slices 0:10, 10:20 and 20:23 of 40 x 40
         assert all(tracer.parents[k] == warp for k in kernel)
         assert [tracer.counts[k][0] for k in kernel] == [16000, 16000, 4800]
+
+    def test_two_thread_apply_task_records_every_span(self):
+        """On two threads the spans are the same, in any order. The tracer keeps
+        one span stack for all threads, so parents and order are not checked."""
+        tracer = self._traced_apply_task()
+        calls = Counter(tracer.names)
+        for name in ("pipeline.apply_task", "resampler.transform_volume", "resampler.transform_labels",
+                     "metrics.postprocess_labels", "rigid.euler_to_affine"):
+            assert calls[name] == 1, name
+        assert calls["phantom.AnalyticSegmenter.evaluate"] == 3
+        kernel = [k for k, name in enumerate(tracer.names) if name == "interp.trilinear"]
+        assert sorted(tracer.counts[k][0] for k in kernel) == [4800, 16000, 16000]
 
 
 class TestProgressLog:

@@ -1,11 +1,16 @@
-"""Trilinear interpolation kernel tests against independent references."""
+"""Trilinear interpolation kernel tests against independent references, and the two-thread map."""
+
+import sys
+import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from rigidda.interp import SLAB_VOXELS, trilinear, trilinear_with_grad
+from rigidda.interp import SLAB_VOXELS, trilinear, trilinear_with_grad, two_thread_map
+from conftest import needs_two_cpus
 
 
 def _random_coords(rng, shape, n, margin=0.0):
@@ -165,3 +170,42 @@ class TestTrilinearGradient:
             data, np.array([2.0]), np.array([1.0]), np.array([1.0])
         )
         assert dx[0] == data[2, 1, 1] - data[1, 1, 1]
+
+
+class TestTwoThreadMap:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 16])
+    def test_results_in_item_order(self, n):
+        assert two_thread_map(lambda x: x * x, list(range(n))) == [x * x for x in range(n)]
+
+    def test_one_cpu_runs_the_plain_loop_on_the_caller(self, one_cpu):
+        threads = two_thread_map(lambda x: threading.current_thread(), list(range(5)))
+        assert threads == [threading.current_thread()] * 5
+
+    @needs_two_cpus
+    def test_nested_call_returns_the_serial_result_on_either_thread(self):
+        """An item that calls ``two_thread_map`` itself, on the caller and on the
+        helper alike, gets the serial result and does not wait on itself."""
+        helper_ran = threading.Event()
+        ran_on = set()
+        out = {}
+
+        def outer(x):
+            # the caller's items wait until the helper has taken one of its own
+            if threading.current_thread() is caller:
+                assert helper_ran.wait(timeout=30)
+            else:
+                helper_ran.set()
+            ran_on.add(threading.current_thread())
+            return two_thread_map(lambda y: (x, y * y), list(range(6)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=lambda: out.setdefault("result", two_thread_map(outer, list(range(8)))))
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert out["result"] == [[(x, y * y) for y in range(6)] for x in range(8)]
+        assert caller in ran_on and len(ran_on) == 2

@@ -137,6 +137,18 @@ class TestPhantomSpec:
             assert getattr(back, name) == getattr(spec, name)
         np.testing.assert_allclose(back.pose, spec.pose)
 
+    @pytest.mark.parametrize(
+        "text, known",
+        [
+            ('{"sigmamm": 5.0}', "sigma_mm"),
+            ('{"rv": {"center": [0, 0, 0], "semi_axes": [1, 1, 1], "centre": [0, 0, 0]}}', "center, semi_axes"),
+        ],
+    )
+    def test_unknown_names_rejected_with_the_known_ones(self, text, known):
+        with pytest.raises(ValidationError, match="unknown phantom spec") as err:
+            PhantomSpec.from_json(text)
+        assert known in str(err.value)
+
     def test_scaled_shrinks_lengths_only(self):
         spec = _default_spec().scaled(0.5)
         assert spec.lv.semi_axes == (9.0, 9.0, 15.0)

@@ -21,7 +21,7 @@ from rigidda.resampler import (
 from rigidda.rigid import RigidParams, affine_jacobian, euler_to_affine
 from rigidda.volume import GridGeometry, LabelVolume, Volume
 import oracles
-from conftest import central_difference, smooth_field
+from conftest import central_difference, needs_two_cpus, smooth_field
 
 
 def _translation_matrix(t):
@@ -476,19 +476,35 @@ class TestWholeGridWarpMemory:
     # float64 samples is 128 KiB
     m = euler_to_affine(RigidParams.from_vector(np.array([0.1, -0.05, 0.2, 0.02, 0.01, -0.03, 0, 0, 0]))).m
 
-    def test_untaped_warp_peak_stays_slab_sized(self, rng):
-        # the two float64 outputs are 4 MiB; the whole-grid coordinate map
-        # came to 27 MiB on top of them
+    def _untaped_warp_peak(self, rng):
         g = GridGeometry.isotropic((64, 64, 64), 1.5)
         vol = Volume(g, rng.normal(size=g.shape))
-        assert _traced_peak(lambda: transform_volume(vol, self.m, g)) <= 8 * 2**20
+        return _traced_peak(lambda: transform_volume(vol, self.m, g))
 
-    def test_label_warp_peak_holds_one_channel(self, rng):
-        # the int16 output is 0.5 MiB; warping whole one-hot channels through
-        # the whole-grid coordinate map came to 27 MiB
+    def _label_warp_peak(self, rng):
         g = GridGeometry.isotropic((64, 64, 64), 1.5)
         labels = LabelVolume(g, rng.integers(0, 4, size=g.shape))
-        assert _traced_peak(lambda: transform_labels(labels, self.m, g)) <= 8 * 2**20
+        return _traced_peak(lambda: transform_labels(labels, self.m, g))
+
+    def test_untaped_warp_peak_stays_slab_sized(self, rng, one_cpu):
+        # the two float64 outputs are 4 MiB; the whole-grid coordinate map
+        # came to 27 MiB on top of them
+        assert self._untaped_warp_peak(rng) <= 8 * 2**20
+
+    def test_label_warp_peak_holds_one_channel(self, rng, one_cpu):
+        # the int16 output is 0.5 MiB; warping whole one-hot channels through
+        # the whole-grid coordinate map came to 27 MiB
+        assert self._label_warp_peak(rng) <= 8 * 2**20
+
+    # on two threads two slabs are in flight: the outputs plus two slabs'
+    # temporaries, still well below the whole-grid map's 27 MiB
+    @needs_two_cpus
+    def test_two_thread_untaped_warp_peak(self, rng):
+        assert self._untaped_warp_peak(rng) <= 12 * 2**20
+
+    @needs_two_cpus
+    def test_two_thread_label_warp_peak(self, rng):
+        assert self._label_warp_peak(rng) <= 12 * 2**20
 
     def test_apply_task_peak(self):
         # the warped image and its validity are 4 MiB of it; segmenting the

@@ -192,6 +192,18 @@ class TestMatrixJson:
         np.testing.assert_array_equal(m_back, m)
         np.testing.assert_array_equal(m_inv_back, np.linalg.inv(m))
 
+    def test_disagreeing_inverse_rejected(self, tmp_path):
+        path = tmp_path / "t.json"
+        write_transform(path, (np.eye(4), 2.0 * np.eye(4)))
+        with pytest.raises(ValidationError, match="not the inverse"):
+            read_transform(path)
+
+    def test_inverse_written_to_seven_digits_accepted(self, tmp_path):
+        mats = euler_to_affine(RigidParams(0.3, -0.2, 0.1, t=(0.4, -0.5, 0.6)))
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({k: np.round(v, 7).reshape(16).tolist() for k, v in (("m", mats.m), ("m_inv", mats.m_inv))}))
+        read_transform(path)
+
     def test_row_major_layout(self, tmp_path):
         m = np.arange(16, dtype=float).reshape(4, 4)
         path = tmp_path / "t.json"
