@@ -168,7 +168,10 @@ def cmd_losses_check(args) -> int:
     spec = PhantomSpec.from_file(args.spec) if args.spec else PhantomSpec()
     task = AnalyticSegmenter(spec, ax.geometry)
     objective = PairObjective(ax, sax, gt_m, gt_m_inv, task, weights, mode="full")
-    report, _ = objective(params.to_vector())
+    try:
+        report, _ = objective(params.to_vector())
+    finally:
+        objective.close()
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
 

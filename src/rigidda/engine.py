@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import csv
 import logging
+import multiprocessing
+import signal
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError, check_numbers
-from .interp import slab_bounds, two_thread_map
+from .interp import _usable_cpus, slab_bounds
 from .losses import (
     LossReport,
     LossWeights,
@@ -199,6 +203,70 @@ class _Slab:
     task: TaskModule | None
 
 
+_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _worker_can_run() -> bool:
+    """Two usable CPUs, and a process that may fork a worker (a daemonic one may not)."""
+    return _FORK and _usable_cpus() >= 2 and not multiprocessing.current_process().daemon
+
+
+class _SlabWorker:
+    """A forked process that computes the odd slabs of one objective, one step per request.
+
+    It inherits the objective's frozen slabs, volumes and task parts by
+    copy-on-write, so a request is the step's matrices and a reply is the
+    slabs' loss sums, gradient parts and focus terms, a few kilobytes.
+    """
+
+    def __init__(self, objective: "PairObjective"):
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        self.process = ctx.Process(
+            target=_serve, args=(objective, child_end, self.conn), name="rigidda-slabs", daemon=True
+        )
+        self.process.start()
+        child_end.close()
+
+    def ask(self, mats, jac) -> bool:
+        """Send one step's matrices; False if the worker is gone."""
+        try:
+            self.conn.send((mats, jac))
+        except OSError:
+            return False
+        return True
+
+    def answer(self) -> tuple[list, tuple | None] | None:
+        """The worker's ``_share`` of the step asked for, or None if the worker died."""
+        try:
+            return self.conn.recv()
+        except Exception:  # EOF, a reset, or a reply that does not unpickle
+            return None
+
+    def close(self):
+        """Ask the worker to exit and reap it; one that does not exit within 10 s is killed."""
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass
+        self.conn.close()
+        self.process.join(timeout=10)
+        if self.process.exitcode is None:
+            self.process.kill()
+            self.process.join()
+
+
+def _serve(objective: "PairObjective", conn, parent_end):
+    """The worker's loop: its share of each step asked for, until asked to stop or the parent is gone."""
+    parent_end.close()  # the last copy outside the parent: its death now reads as EOF here
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is for the parent, which stops the worker
+    try:
+        while (request := conn.recv()) is not None:
+            conn.send(objective._share(1, *request))
+    except (EOFError, OSError):  # the parent is gone
+        pass
+
+
 class PairObjective:
     """Loss and analytic 9-parameter gradient for one preprocessed pair.
 
@@ -206,9 +274,15 @@ class PairObjective:
     unless baseline, the focus term in ``FOCUS_MODES``. A step runs slab by
     slab over whole target slices along z, the axis the in-plane weight and
     the task module treat slice-wise, so every temporary is slab-sized and
-    the reported terms equal the whole-grid values. The slabs run on two
-    threads (``two_thread_map``); their terms are added in slab order, then
-    branch order, so the bits do not depend on which thread ran which slab.
+    the reported terms equal the whole-grid values.
+
+    With two usable CPUs and ``fork``, the calling thread computes the even
+    slabs while one forked worker process (``_SlabWorker``) computes the odd
+    ones; the terms are added in slab order, then branch order, so the bits
+    are the serial loop's. The worker is forked at the first call that can
+    use it and runs until ``close`` or until the objective is collected. A
+    call that finds the worker busy with another thread's step runs the
+    serial loop.
     """
 
     def __init__(
@@ -251,6 +325,9 @@ class PairObjective:
             )
             for z0, z1 in slab_bounds(target.shape)
         ]
+        self._lock = threading.Lock()  # guards the worker: one step at a time uses it
+        self._worker: _SlabWorker | None = None
+        self._stop_worker = None  # the worker's finalizer: calling it closes the worker once
 
     def _mse_term(self, src: Volume, m: np.ndarray, d_m: np.ndarray, slab: _Slab, fixed, mask):
         """Warp one slab; its sum of squared masked differences and its part of the half-mean gradient."""
@@ -286,6 +363,55 @@ class PairObjective:
         ]
         return cycle, None if slab.task is None else self._focus_term(slab, mats, jac)
 
+    def _share(self, first: int, mats, jac) -> tuple[list, tuple | None]:
+        """The terms of every second slab from ``first`` on, and the index and
+        error of the slab that raised, or None; the slabs after it are not run."""
+        terms = []
+        for k in range(first, len(self.slabs), 2):
+            try:
+                terms.append(self._slab_terms(self.slabs[k], mats, jac))
+            except Exception as exc:
+                return terms, (k, exc)
+        return terms, None
+
+    def _all_terms(self, mats, jac) -> list:
+        """Every slab's terms, in slab order; the odd slabs come from the worker when it can run."""
+        if len(self.slabs) < 2 or not _worker_can_run() or not self._lock.acquire(blocking=False):
+            return [self._slab_terms(slab, mats, jac) for slab in self.slabs]
+        try:
+            if self._worker is None:
+                self._worker = _SlabWorker(self)
+                self._stop_worker = weakref.finalize(self, self._worker.close)
+            sent = self._worker.ask(mats, jac)
+            mine = self._share(0, mats, jac)
+            theirs = self._worker.answer() if sent else None
+            if theirs is None:  # the worker died
+                self._close_worker()
+        except BaseException:  # an interrupt may leave the worker's reply unread
+            self._close_worker()
+            raise
+        finally:
+            self._lock.release()
+        if theirs is None:  # the dead worker's slabs are computed here, to the same bits
+            theirs = self._share(1, mats, jac)
+        # the error the serial loop would raise: the one of the first slab that failed
+        failures = [f for f in (mine[1], theirs[1]) if f is not None]
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        terms = [None] * len(self.slabs)
+        terms[0::2], terms[1::2] = mine[0], theirs[0]
+        return terms
+
+    def _close_worker(self):
+        if self._worker is not None:
+            self._stop_worker()
+            self._worker = None
+
+    def close(self):
+        """Stop the worker process, if one runs; a later call forks a new one."""
+        with self._lock:
+            self._close_worker()
+
     def __call__(self, vec: np.ndarray) -> tuple[LossReport, np.ndarray]:
         params = RigidParams.from_vector(vec)
         mats = euler_to_affine(params)
@@ -296,8 +422,8 @@ class PairObjective:
         above = 0  # foreground entries above r, counted over the whole grid
         smooth = []  # each slab's share of the smooth focus mean
 
-        # the serial sums, in slab order: the bits do not depend on the threads
-        for cycle, focus in two_thread_map(lambda slab: self._slab_terms(slab, mats, jac), self.slabs):
+        # the serial sums, in slab order: the bits do not depend on which process ran a slab
+        for cycle, focus in self._all_terms(mats, jac):
             for k, (sq_k, g_k) in enumerate(cycle):
                 sq[k] += sq_k
                 grad += w.alpha1 * g_k
@@ -335,6 +461,14 @@ def register_pair(
     transform M_t is the registration transform M.
     """
     objective = PairObjective(i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode)
+    try:
+        return _optimize(objective, cfg, mode)
+    finally:
+        objective.close()
+
+
+def _optimize(objective: PairObjective, cfg: OptimConfig, mode: str) -> tuple[RigidParams, RegistrationTrace]:
+    """``register_pair``'s Adam loop on a built objective."""
     rng = np.random.default_rng(cfg.seed)
     vec = RigidParams.random_init(rng).to_vector()
 

@@ -20,9 +20,12 @@ label map, finds the cells once and lerps each field's corners with
 ``lerp_corners``.
 
 ``two_thread_map`` runs a list of independent items, such as those slabs,
-on the calling thread and one helper thread. Every slab walk and every
-per-class loop of the package goes through it; on one usable CPU it is the
-plain loop.
+on the calling thread and one helper thread. The slab walks and per-class
+loops of the untaped warps and of task application go through it, since
+their items write their parts of one output array in place; on one usable
+CPU it is the plain loop. The registration objective splits its slabs
+with a forked worker process instead (``engine.PairObjective``), so that
+its numpy calls do not pass the interpreter lock back and forth.
 """
 
 from __future__ import annotations

@@ -6,9 +6,11 @@ import json
 import importlib.util
 import logging
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -500,7 +502,7 @@ class TestSlabObjective:
 
 
 class TestTwoThreadObjective:
-    """The slabs run on the calling thread plus one helper; the bits are the serial loop's."""
+    """The slabs run on the calling thread plus one forked worker process; the bits are the serial loop's."""
 
     # 64^3 makes 16 slabs, 48^3 seven, 40x40x23 a short last one, 17x13x11 one
     @pytest.mark.parametrize("grid", ((64, 64, 64), (48, 48, 48), (40, 40, 23), (17, 13, 11)))
@@ -542,43 +544,56 @@ class TestTwoThreadObjective:
             _assert_same_bits(PairObjective(*args, task, w, "full")(vec), SerialSlabObjective(*args, task, w, "full")(vec))
 
     @needs_two_cpus
-    def test_error_on_the_helper_thread_is_raised_by_the_caller(self):
+    def test_error_in_the_worker_is_raised_by_the_caller(self):
         pair, task = pair_on((40, 40, 23))
-        helper_failed = threading.Event()
-
-        def fails_here(z0):
-            # the caller's slab waits until the helper has failed on one of its own
-            if threading.current_thread() is threading.main_thread():
-                assert helper_failed.wait(timeout=30)
-                return False
-            helper_failed.set()
-            return True
-
+        caller = os.getpid()
         args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv)
         w = LossWeights(tau=0.1)
-        failing = PairObjective(*args, FailingTask(task, fails_here), w, "full")
-        with pytest.raises(NumericalError, match="slab failed"):
-            failing(np.full(9, 0.05))
-        assert helper_failed.is_set()
+        # the worker computes slab 1 (z0 = 10) of 3; the caller's slabs 0 and 2 do not fail
+        failing = PairObjective(*args, FailingTask(task, lambda z0: os.getpid() != caller), w, "full")
+        for _ in range(2):  # the worker survives its error and fails again
+            with pytest.raises(NumericalError) as raised:
+                failing(np.full(9, 0.05))
+            assert type(raised.value) is NumericalError
+            assert str(raised.value) == "slab failed at z0=10"
+            assert failing._worker.process.is_alive()
+        failing.close()
         vec = np.full(9, -0.03)
         _assert_same_bits(PairObjective(*args, task, w, "full")(vec), SerialSlabObjective(*args, task, w, "full")(vec))
 
-    def test_one_cpu_starts_no_thread(self, one_cpu):
+    @needs_two_cpus
+    @pytest.mark.parametrize("failing_z0, raised_z0", [((0, 10, 20), 0), ((10, 20), 10), ((20,), 20)])
+    def test_the_error_raised_is_the_serial_loops(self, failing_z0, raised_z0):
+        """Both processes stop at their first failing slab; the caller raises the
+        error of the lowest failing slab, as the serial loop would."""
         pair, task = pair_on((40, 40, 23))
-        before = threading.active_count()
-        args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), "full")
-        vec = np.full(9, 0.05)
-        _assert_same_bits(PairObjective(*args)(vec), SerialSlabObjective(*args)(vec))
-        assert threading.active_count() == before
-        assert interp._helper is None
+        failing = PairObjective(
+            pair.i, pair.j, pair.gt_m, pair.gt_m_inv, FailingTask(task, lambda z0: z0 in failing_z0),
+            LossWeights(tau=0.1), "full",
+        )
+        with pytest.raises(NumericalError, match=f"slab failed at z0={raised_z0}$"):
+            failing(np.full(9, 0.05))
+        failing.close()
 
-    def test_many_objectives_share_one_helper(self):
+    def test_one_cpu_forks_no_process(self, one_cpu):
         pair, task = pair_on((40, 40, 23))
-        before = threading.active_count()
+        threads, children = threading.active_count(), _child_pids()
+        args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), "full")
+        obj = PairObjective(*args)
+        vec = np.full(9, 0.05)
+        _assert_same_bits(obj(vec), SerialSlabObjective(*args)(vec))
+        assert obj._worker is None
+        assert threading.active_count() == threads
+        assert _child_pids() == children
+
+    def test_fifty_objectives_leave_no_process(self):
+        pair, task = pair_on((40, 40, 23))
+        before = _child_pids()
         vec = np.full(9, 0.05)
         for _ in range(50):
+            # each objective is dropped unclosed right after its call, and its finalizer reaps its worker
             PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, None, LossWeights(), "baseline")(vec)
-        assert threading.active_count() <= before + 1
+            assert _child_pids() == before
 
     def test_concurrent_callers_get_the_serial_bits(self):
         pair, task = pair_on((40, 40, 23))
@@ -609,7 +624,8 @@ class TestTwoThreadObjective:
                 _assert_same_bits(result, ref)
 
     def test_cli_register_exits_cleanly(self, tmp_path):
-        """A process that ran a two-thread registration exits 0 and does not hang at exit."""
+        """A process that ran a registration with a slab worker exits 0, does not
+        hang at exit, and leaves no process of its session behind."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         spec = tmp_path / "spec.json"
@@ -620,14 +636,130 @@ class TestTwoThreadObjective:
         assert subprocess.run(rigidda + gen, **common).returncode == 0
         config = tmp_path / "config.json"
         config.write_text('{"optim": {"lr0": 0.02, "epoch_steps": 5, "max_steps": 10}}')
-        run = subprocess.run(
-            rigidda
-            + ["register", "--ax", str(tmp_path / "I.nii"), "--sax", str(tmp_path / "J.nii"), "--gt-transform",
-               str(tmp_path / "gtM.json"), "--mode", "full", "--spec", str(spec), "--config", str(config)],
-            **common,
+        register = [
+            "register", "--ax", str(tmp_path / "I.nii"), "--sax", str(tmp_path / "J.nii"), "--gt-transform",
+            str(tmp_path / "gtM.json"), "--mode", "full", "--spec", str(spec), "--config", str(config),
+        ]
+        with subprocess.Popen(
+            rigidda + register, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
+        ) as run:
+            stdout, stderr = run.communicate(timeout=300)
+        assert run.returncode == 0, stderr
+        assert len(json.loads(stdout)["params"]) == 9
+        if Path("/proc").is_dir():
+            left = _session_pids(run.pid)
+            for pid in left:
+                os.kill(pid, signal.SIGKILL)
+            assert left == []
+
+
+class TestSlabWorker:
+    """The objective's worker process never outlives its registration or its parent."""
+
+    pytestmark = [needs_two_cpus, pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")]
+
+    @staticmethod
+    def _args(task=lambda seg: seg):
+        """A pair of three slabs with its segmenter, wrapped by ``task``, and the loss weights."""
+        pair, seg = pair_on((40, 40, 23))
+        return pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task(seg), LossWeights(tau=0.1)
+
+    def test_no_process_remains_after_register_pair(self, monkeypatch):
+        started = []
+
+        class Recorded(engine._SlabWorker):
+            def __init__(self, objective):
+                super().__init__(objective)
+                started.append(self.process.pid)
+
+        monkeypatch.setattr(engine, "_SlabWorker", Recorded)
+        before = _child_pids()
+        cfg = OptimConfig(lr0=0.02, epoch_steps=2, max_steps=4)
+        register_pair(*self._args(), cfg, mode="full")
+        assert len(started) == 1
+        assert _child_pids() == before
+        caller = os.getpid()
+        with pytest.raises(NumericalError, match="slab failed at z0=10$"):
+            register_pair(*self._args(lambda seg: FailingTask(seg, lambda z0: os.getpid() != caller)), cfg, mode="full")
+        assert len(started) == 2
+        assert _child_pids() == before
+
+    def test_an_objective_dropped_unclosed_reaps_its_worker(self):
+        before = _child_pids()
+        obj = PairObjective(*self._args(), "baseline")
+        obj(np.full(9, 0.05))
+        worker = obj._worker.process.pid
+        assert _child_pids() == before | {worker}
+        del obj
+        assert _child_pids() == before
+
+    def test_a_killed_worker_is_replaced_by_the_caller(self):
+        args = (*self._args(), "full")
+        obj, serial = PairObjective(*args), SerialSlabObjective(*args)
+        before = _child_pids()
+        vec = np.full(9, 0.05)
+        obj(vec)
+        worker = obj._worker.process.pid
+        os.kill(worker, signal.SIGKILL)
+        _assert_same_bits(obj(vec), serial(vec))
+        assert worker not in _child_pids()  # reaped, not a zombie
+        assert obj._worker is None
+        vec = np.full(9, -0.02)
+        _assert_same_bits(obj(vec), serial(vec))  # a new worker
+        obj.close()
+        assert _child_pids() == before
+
+    def test_the_worker_exits_when_its_parent_is_killed(self):
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        script = (
+            "import time, numpy as np\n"
+            "from conftest import pair_on\n"
+            "from rigidda.engine import PairObjective\n"
+            "from rigidda.losses import LossWeights\n"
+            "pair, _ = pair_on((40, 40, 23))\n"
+            "obj = PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, None, LossWeights(), 'baseline')\n"
+            "obj(np.zeros(9))\n"
+            "print(obj._worker.process.pid, flush=True)\n"
+            "time.sleep(300)\n"
         )
-        assert run.returncode == 0, run.stderr
-        assert len(json.loads(run.stdout)["params"]) == 9
+        with subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True) as parent:
+            try:
+                worker = int(parent.stdout.readline())
+            finally:
+                parent.kill()
+            parent.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphaned = _running(worker)
+        if orphaned:
+            os.kill(worker, signal.SIGKILL)
+        assert not orphaned
+
+
+def _stat_fields(pid) -> list[str] | None:
+    """The fields of /proc/<pid>/stat after the command name (state, ppid, pgrp, session, ...), or None."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+def _child_pids() -> set[int]:
+    """This process's children, zombies included."""
+    me = str(os.getpid())
+    return {int(e) for e in os.listdir("/proc") if e.isdigit() and (_stat_fields(e) or [None, None])[1] == me}
+
+
+def _session_pids(sid: int) -> list[int]:
+    return [int(e) for e in os.listdir("/proc") if e.isdigit() and (_stat_fields(e) or [None] * 4)[3] == str(sid)]
+
+
+def _running(pid: int) -> bool:
+    """The process exists and is not a zombie."""
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
 
 
 def _load_benchmark_tracer():
