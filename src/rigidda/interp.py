@@ -14,18 +14,21 @@ SLAB_VOXELS samples at a time. ``slab_bounds`` cuts a grid into slabs of
 whole z slices of that size, the one cut that the warps and the
 registration objective share: ``trilinear_with_grad`` is called slab by
 slab, and ``trilinear`` walks any set of samples in chunks of SLAB_VOXELS,
-so no temporary is larger than eight rows of one slab. A caller that samples
-several fields at the same points, such as the one-hot channels of a
-label map, finds the cells once and lerps each field's corners with
-``lerp_corners``.
+so no temporary is larger than eight rows of one slab. ``trilinear_labels``
+samples the one-hot channels of a label map, one chunk of samples at a
+time: it finds the cells and gathers the labels at their corners once for
+all classes, and lerps each class's corners only in the mixed cells. The
+label warp and the label preprocessing share it.
 
 ``two_thread_map`` runs a list of independent items, such as those slabs,
 on the calling thread and one helper thread. The slab walks and per-class
-loops of the untaped warps and of task application go through it, since
-their items write their parts of one output array in place; on one usable
-CPU it is the plain loop. The registration objective splits its slabs
-with a forked worker process instead (``engine.PairObjective``), so that
-its numpy calls do not pass the interpreter lock back and forth.
+loops of the untaped warps and of task application go through it, and so
+do the slab walks of the set-up: the phantom render with the segmenter's
+prior, and the isotropic resampling. Their items write their parts of one
+output array in place; on one usable CPU it is the plain loop. The
+registration objective splits its slabs with a forked worker process
+instead (``engine.PairObjective``), so that its numpy calls do not pass
+the interpreter lock back and forth.
 """
 
 from __future__ import annotations
@@ -195,6 +198,44 @@ def lerp_corners(corners, frac, gfrac, out=None):
     e = _lerp(c[:, 0], c[:, 1], gx, fx)  # (z, y)
     e = _lerp(e[:, 0], e[:, 1], gy, fy)  # (z)
     return _lerp(e[0], e[1], gz, fz, out=out)
+
+
+def argmax_channels(channels) -> np.ndarray:
+    """Index of the largest of ``channels`` per sample, the lower one on a tie, as int16.
+
+    This is ``np.argmax`` over the stacked channels for any values but NaN,
+    with only one channel and the running maximum held at a time.
+    """
+    for c, value in enumerate(channels):
+        if c == 0:
+            best, out = np.array(value, dtype=float), np.zeros(np.shape(value), dtype=np.int16)
+        else:
+            out[value > best] = c
+            np.maximum(best, value, out=best)
+    return out
+
+
+def trilinear_labels(labels: np.ndarray, ix, iy, iz, valid, scale: float, classes: int) -> np.ndarray:
+    """Class of the largest trilinear sample of the one-hot channels of ``labels``, as int16.
+
+    The channels are ``scale`` where ``labels`` holds the class and 0
+    elsewhere, for the classes ``0:classes``; a sample where ``valid`` is
+    False, and every sample when ``scale`` is 0, is class 0. Meant for at
+    most about SLAB_VOXELS samples: the cells are found and the labels at
+    their eight corners gathered once for all classes. A valid sample whose
+    eight corners share one label takes it, since that channel lerps to a
+    positive value and every other one to exactly 0. Only the mixed cells
+    lerp each channel's corners, the class test of their labels, which are
+    the values a whole one-hot channel would give, and ``argmax_channels``
+    picks the class.
+    """
+    corners, frac, gfrac = _corner_block(labels, ix, iy, iz)
+    uniform = valid & (corners[1:] == corners[0]).all(axis=0) & (scale > 0.0)
+    out = np.where(uniform, corners[0], 0).astype(np.int16, copy=False)
+    mixed = np.flatnonzero(valid & ~uniform)
+    corners, frac, gfrac = corners[:, mixed], frac[:, mixed], gfrac[:, mixed]
+    out[mixed] = argmax_channels(lerp_corners((corners == c) * float(scale), frac, gfrac) for c in range(classes))
+    return out
 
 
 def trilinear_with_grad(

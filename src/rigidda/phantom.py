@@ -6,6 +6,14 @@ exact label map. The analytic segmenter stands in for an injected
 pre-trained segmentation network: it is pose-sensitive by construction and
 only produces confident class probabilities where the presented volume
 matches its canonical pose.
+
+A phantom, and the segmenter's template and prior, are rendered slab by
+slab (``interp.slab_bounds``), two slabs at a time (``two_thread_map``).
+Each slab maps its own block of voxel centers into the phantom's frame
+and writes its slices of the outputs, so no whole-grid point array or
+signed-distance field is built. A slab's rows go through the same two
+products as the whole grid's, and every voxel gets the bits of a
+whole-grid render.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ValidationError
+from .interp import slab_bounds, two_thread_map
 from .io import json_numbers, known_names, parse_json
 from .losses import ProbabilityVolume, _sigmoid
 from .rigid import check_rigid, parse_matrix, rotation_matrix
@@ -44,13 +53,26 @@ class Ellipsoid:
     semi_axes: tuple[float, float, float]
 
     def sdf(self, points_mm: np.ndarray) -> np.ndarray:
-        """Approximate signed distance in mm; negative inside."""
+        """Approximate signed distance in mm; negative inside.
+
+        The squared scaled offsets are added one axis at a time, in axis
+        order, which is the sum of ``np.linalg.norm(axis=-1)`` bit for bit.
+        """
         c = np.asarray(self.center, dtype=float)
         a = np.asarray(self.semi_axes, dtype=float)
         if np.any(a <= 0):
             raise ValidationError("ellipsoid semi-axes must be positive")
-        rel = (points_mm - c) / a
-        return (np.linalg.norm(rel, axis=-1) - 1.0) * float(a.min())
+        points_mm = np.asarray(points_mm, dtype=float)
+        total = np.zeros(points_mm.shape[:-1])
+        for k in range(3):
+            rel = points_mm[..., k] - c[k]
+            rel /= a[k]
+            rel *= rel
+            total += rel
+        np.sqrt(total, out=total)
+        total -= 1.0
+        total *= float(a.min())
+        return total
 
 
 _ELLIPSOIDS = ("lv", "myo_outer", "rv")
@@ -161,24 +183,46 @@ def _region_sdfs(spec: PhantomSpec, points_mm: np.ndarray) -> tuple[dict[int, np
     return regions, sdf_outer
 
 
-def _render(spec: PhantomSpec, g: GridGeometry, pose: np.ndarray | None = None):
-    """Noise-free intensity, exact labels and region SDFs of the phantom at ``pose``
-    (default: the spec's), each on ``g``."""
+def _render(spec: PhantomSpec, g: GridGeometry, pose: np.ndarray | None = None, prior: bool = False):
+    """Noise-free intensity of the phantom at ``pose`` (default: the spec's) on
+    ``g``, and its exact labels or, with ``prior``, the segmenter's prior
+    channels, one per foreground class.
+
+    Each slab of ``slab_bounds`` builds its (n, 3) block of voxel centers by
+    broadcasting the axis ranges and maps it into the phantom's canonical
+    frame; its signed distances live only as long as the slab.
+    """
     pose = spec.pose if pose is None else np.asarray(pose, dtype=float)
-    # world voxel centers mapped into the phantom's canonical frame
-    vox = np.stack(np.meshgrid(*[np.arange(n) for n in g.shape], indexing="ij"), axis=-1).reshape(-1, 3)
     inv = np.linalg.inv(pose)
-    regions, sdf_outer = _region_sdfs(spec, g.world_from_voxel(vox) @ inv[:3, :3].T + inv[:3, 3])
-    intensity = np.full(sdf_outer.shape, float(spec.levels["background"]))
-    for sdf, tissue in ((sdf_outer, "MYO"), (regions[LABEL_LV], "LV"), (regions[LABEL_RV], "RV")):
-        w_in = _sigmoid(-sdf / spec.sigma_mm)
-        intensity = intensity * (1.0 - w_in) + spec.levels[tissue] * w_in
-    labels = np.zeros(sdf_outer.shape, dtype=np.int16)
-    # on a shared surface the inner structure wins: RV, then MYO, then LV
-    for c in reversed(FOREGROUND_CLASSES):
-        labels[regions[c] <= 0] = c
-    shape = g.shape
-    return intensity.reshape(shape), labels.reshape(shape), {c: r.reshape(shape) for c, r in regions.items()}
+    w, h, _ = g.shape
+    intensity = np.empty(g.shape)
+    second = np.empty((len(FOREGROUND_CLASSES), *g.shape)) if prior else np.empty(g.shape, dtype=np.int16)
+
+    def slab(bounds):
+        z0, z1 = bounds
+        vox = np.empty((w, h, z1 - z0, 3))
+        vox[..., 0], vox[..., 1], vox[..., 2] = np.arange(w)[:, None, None], np.arange(h)[:, None], np.arange(z0, z1)
+        regions, sdf_outer = _region_sdfs(spec, g.world_from_voxel(vox.reshape(-1, 3)) @ inv[:3, :3].T + inv[:3, 3])
+        part = np.full(sdf_outer.shape, float(spec.levels["background"]))
+        for sdf, tissue in ((sdf_outer, "MYO"), (regions[LABEL_LV], "LV"), (regions[LABEL_RV], "RV")):
+            w_in = _sigmoid(-sdf / spec.sigma_mm)
+            part *= 1.0 - w_in
+            part += spec.levels[tissue] * w_in
+        intensity[..., z0:z1] = part.reshape(w, h, -1)
+        if prior:
+            # small outward bias keeps voxels right at a structure surface confident
+            for row, c in enumerate(FOREGROUND_CLASSES):
+                channel = _sigmoid((spec.prior_bias_mm - regions[c]) / spec.prior_sigma_mm)
+                second[row, ..., z0:z1] = channel.reshape(w, h, -1)
+        else:
+            labels = np.zeros(sdf_outer.shape, dtype=np.int16)
+            # on a shared surface the inner structure wins: RV, then MYO, then LV
+            for c in reversed(FOREGROUND_CLASSES):
+                labels[regions[c] <= 0] = c
+            second[..., z0:z1] = labels.reshape(w, h, -1)
+
+    two_thread_map(slab, slab_bounds(g.shape))
+    return intensity, second
 
 
 def generate_phantom(
@@ -189,12 +233,12 @@ def generate_phantom(
     pose: np.ndarray | None = None,
 ) -> tuple[Volume, LabelVolume]:
     """The rendered intensity volume, plus Gaussian noise, and the exact label map."""
-    intensity, labels, _ = _render(spec, g, pose)
+    intensity, labels = _render(spec, g, pose)
     sigma = spec.noise_sigma if noise_sigma is None else noise_sigma
     if sigma > 0:
         rng = np.random.default_rng(seed)
         span = max(spec.levels.values()) - min(spec.levels.values())
-        intensity = intensity + rng.normal(0.0, sigma * span, size=intensity.shape)
+        intensity += rng.normal(0.0, sigma * span, size=intensity.shape)
     return Volume(g, intensity), LabelVolume(g, labels)
 
 
@@ -236,12 +280,8 @@ class AnalyticSegmenter:
     def __init__(self, spec: PhantomSpec, geometry: GridGeometry, pose: np.ndarray | None = None):
         self.spec = spec
         self.geometry = geometry
-        self._template, _, regions = _render(spec, geometry, pose)
-        # small outward bias keeps voxels right at a structure surface confident
-        # one row per foreground class: the channels q[1:]
-        self._prior = np.stack(
-            [_sigmoid((spec.prior_bias_mm - regions[c]) / spec.prior_sigma_mm) for c in FOREGROUND_CLASSES]
-        )
+        # the prior has one row per foreground class: the channels q[1:]
+        self._template, self._prior = _render(spec, geometry, pose, prior=True)
 
     def restrict(self, z0: int, z1: int) -> "AnalyticSegmenter":
         """This segmenter on the slices ``z0:z1``, with contiguous copies of its fields."""

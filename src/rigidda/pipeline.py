@@ -14,13 +14,13 @@ import numpy as np
 
 from .config import PipelineConfig
 from .engine import RegistrationTrace, register_pair
-from .interp import slab_bounds, two_thread_map
+from .interp import argmax_channels, slab_bounds, two_thread_map
 from .io import read_volume, write_volume
 from .metrics import MetricReport, evaluate_labels, postprocess_labels
 from .phantom import PhantomPair, PhantomSpec, TaskModule
 from .resampler import transform_labels, transform_volume
 from .rigid import RigidParams, euler_to_affine, read_transform, write_transform
-from .volume import LabelVolume, Volume, argmax_channels
+from .volume import LabelVolume, Volume
 
 # the volumes of a pair directory, in PhantomPair's field order, and their kinds
 PAIR_VOLUMES = (("I.nii", Volume), ("J.nii", Volume), ("labels_I.nii", LabelVolume), ("labels_J.nii", LabelVolume))

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .interp import cell_corners, lerp_corners, slab_bounds, trilinear, trilinear_with_grad, two_thread_map
-from .volume import GridGeometry, LabelVolume, Volume, argmax_labels
+from .interp import slab_bounds, trilinear, trilinear_labels, trilinear_with_grad, two_thread_map
+from .volume import NUM_CLASSES, GridGeometry, LabelVolume, Volume
 
 _BOUNDS_EPS = 1e-12
 
@@ -99,37 +99,26 @@ def transform_labels(
     target: GridGeometry,
     scale: float = 100.0,
 ) -> LabelVolume:
-    """Pull-warp a label map: ``argmax_labels`` over the scaled one-hot channels.
+    """Pull-warp a label map: the argmax over the scaled one-hot channels.
 
     Each channel is warped with trilinear interpolation. Out-of-bounds samples
     are zero in every channel, so they are background, and ``scale = 0``
     makes every sample background. A negative, non-finite or subnormal
-    ``scale`` raises ``ValidationError``. Per slab of whole target slices
-    (``slab_bounds``, two at a time through ``two_thread_map``) the cells are
-    found once and the labels at their eight corners gathered once. A valid sample whose eight corners share one label
-    takes it: that channel lerps to a positive value and every other one to
-    exactly 0. Only the mixed cells lerp each channel's corners, the class test of
-    their labels, which are the values a whole one-hot channel would give.
+    ``scale`` raises ``ValidationError``. Each slab of whole target slices
+    (``slab_bounds``, two at a time through ``two_thread_map``) is sampled
+    by ``trilinear_labels``, which finds its cells and gathers their corner
+    labels once for all classes.
     """
     scale = float(scale)
     if not (scale == 0.0 or np.finfo(float).tiny <= scale < np.inf):
         raise ValidationError(f"label scale must be 0 or a positive normal float, got {scale}")
-    labels = src.data.reshape(-1)
     out = np.empty(target.shape, dtype=np.int16)
     w, h, _ = target.shape
 
     def slab(bounds):
         z0, z1 = bounds
         idx, valid = _source_samples(src.geometry.shape, m, target_coords(target, z0, z1))
-        index, frac, gfrac = cell_corners(src.geometry.shape, *idx)
-        corners = labels.take(index)
-        # scale 0 makes every channel 0 and every sample background
-        uniform = valid & (corners[1:] == corners[0]).all(axis=0) & (scale > 0.0)
-        part = np.where(uniform, corners[0], 0)
-        mixed = np.flatnonzero(valid & ~uniform)
-        frac, gfrac = frac[:, mixed], gfrac[:, mixed]
-        part[mixed] = argmax_labels(corners[:, mixed], lambda channel: lerp_corners(channel, frac, gfrac), scale)
-        out[..., z0:z1] = part.reshape(w, h, -1)
+        out[..., z0:z1] = trilinear_labels(src.data, *idx, valid, scale, NUM_CLASSES).reshape(w, h, -1)
 
     two_thread_map(slab, slab_bounds(target.shape))
     return LabelVolume(target, out)

@@ -4,6 +4,10 @@ Axis order is x (width) fastest, then y, then z; all shapes are written
 (W, H, D). Arrays are indexed ``data[x, y, z]``. Normalized coordinates are
 align-corners style: the centers of the two extreme voxels along each axis
 map to -1 and +1.
+
+Preprocessing resamples onto an isotropic grid slab by slab, intensities
+through ``trilinear`` and label maps through ``trilinear_labels``, with no
+whole-grid index map or one-hot channel.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .interp import trilinear
+from .interp import slab_bounds, trilinear, trilinear_labels, two_thread_map
 
 LABEL_BACKGROUND = 0
 LABEL_LV = 1
@@ -167,43 +171,36 @@ def _raise_unknown_ids(raw: np.ndarray):
     raise ValidationError(f"unknown class id(s) {bad.tolist()}")
 
 
-def argmax_channels(channels) -> np.ndarray:
-    """Index of the largest of ``channels`` per sample, the lower one on a tie, as int16.
+def _resample_isotropic(g: GridGeometry, iso: float, sample, dtype) -> tuple[GridGeometry, np.ndarray] | None:
+    """The grid of spacing ``iso`` over ``g``'s voxel-center extent and the
+    values ``sample`` gives at its voxels, or None when ``g`` already has
+    spacing ``iso`` on every axis.
 
-    This is ``np.argmax`` over the stacked channels for any values but NaN,
-    with only one channel and the running maximum held at a time.
+    ``sample`` maps the (3, n) index coordinates in ``g`` of one slab's
+    voxels to their n values. The slabs (``slab_bounds``) run two at a time
+    through ``two_thread_map``, each from its own index block and writing its
+    own slices, so no whole-grid index map is built.
     """
-    for c, value in enumerate(channels):
-        if c == 0:
-            best, out = np.array(value, dtype=float), np.zeros(np.shape(value), dtype=np.int16)
-        else:
-            out[value > best] = c
-            np.maximum(best, value, out=best)
-    return out
-
-
-def argmax_labels(labels: np.ndarray, sample, scale: float) -> np.ndarray:
-    """Class map of the interpolated one-hot channels of ``labels``, as int16.
-
-    ``sample`` maps one channel, ``scale`` where the class is and 0 elsewhere,
-    to its values at the target samples; ``argmax_channels`` picks the class.
-    """
-    return argmax_channels(sample((labels == c) * float(scale)) for c in range(NUM_CLASSES))
-
-
-def _isotropic_grid(g: GridGeometry, iso: float) -> tuple[GridGeometry, list[np.ndarray]] | None:
-    """The grid of spacing ``iso`` over ``g``'s voxel-center extent and its index
-    axes in ``g``, or None when ``g`` already has spacing ``iso`` on every axis."""
     if not iso > 0:
         raise ValidationError("isotropic spacing must be positive")
     if any(n < 2 for n in g.shape):
         raise ValidationError("resampling needs >= 2 voxels per axis")
     if np.all(g.spacing == iso):
         return None
-    new_shape = tuple(max(2, int(round((n - 1) * sp / iso)) + 1) for n, sp in zip(g.shape, g.spacing))
+    shape = tuple(max(2, int(round((n - 1) * sp / iso)) + 1) for n, sp in zip(g.shape, g.spacing))
     # voxel-center extent preserved: index k of the new grid sits at k*iso mm
-    axes = [np.arange(n) * iso / sp for n, sp in zip(new_shape, g.spacing)]
-    return GridGeometry(new_shape, np.full(3, float(iso)), g.origin, g.direction), axes
+    ax, ay, az = (np.arange(n) * iso / sp for n, sp in zip(shape, g.spacing))
+    out = np.empty(shape, dtype=dtype)
+    w, h, _ = shape
+
+    def slab(bounds):
+        z0, z1 = bounds
+        idx = np.empty((3, w, h, z1 - z0))
+        idx[0], idx[1], idx[2] = ax[:, None, None], ay[:, None], az[z0:z1]
+        out[..., z0:z1] = sample(*idx.reshape(3, -1)).reshape(w, h, -1)
+
+    two_thread_map(slab, slab_bounds(shape))
+    return GridGeometry(shape, np.full(3, float(iso)), g.origin, g.direction), out
 
 
 def resample_isotropic(v: Volume, iso: float) -> Volume:
@@ -211,11 +208,8 @@ def resample_isotropic(v: Volume, iso: float) -> Volume:
 
     A volume that already has spacing ``iso`` on every axis is returned as is.
     """
-    grid = _isotropic_grid(v.geometry, iso)
-    if grid is None:
-        return v
-    geom, axes = grid
-    return Volume(geom, trilinear(v.data, *np.meshgrid(*axes, indexing="ij")))
+    out = _resample_isotropic(v.geometry, iso, lambda *idx: trilinear(v.data, *idx), np.float64)
+    return v if out is None else Volume(*out)
 
 
 def pad_to_grid(v: Volume | LabelVolume, target: tuple[int, int, int]) -> Volume | LabelVolume:
@@ -252,12 +246,11 @@ def pad_to_grid(v: Volume | LabelVolume, target: tuple[int, int, int]) -> Volume
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
-    """Nearest-rank quantile on the sorted voxel multiset."""
+    """Nearest-rank quantile of the voxel multiset: its k-th smallest value, by a partial sort."""
     if not 0 < q <= 1:
         raise ValidationError("quantile must be in (0, 1]")
-    flat = np.sort(values, axis=None)
-    k = int(np.ceil(q * flat.size))
-    return float(flat[max(k - 1, 0)])
+    k = max(int(np.ceil(q * np.size(values))), 1)
+    return float(np.partition(values, k - 1, axis=None)[k - 1])
 
 
 def clip_and_normalize(v: Volume, q: float = 0.999) -> Volume:
@@ -278,13 +271,15 @@ def preprocess_labels(
     iso: float = 1.5,
     grid: tuple[int, int, int] = (224, 224, 96),
 ) -> LabelVolume:
-    """Label preprocessing: resample to spacing ``iso`` by ``argmax_labels``
-    over trilinearly interpolated one-hot channels, then pad/crop to ``grid``.
+    """Label preprocessing: resample to spacing ``iso`` by the argmax of the
+    trilinearly interpolated one-hot channels (``trilinear_labels``), then
+    pad/crop to ``grid``.
 
     Labels that already have spacing ``iso`` on every axis skip the resampling.
     """
     if np.any(lv.geometry.spacing != iso):
-        geom, axes = _isotropic_grid(lv.geometry, iso)
-        idx = np.meshgrid(*axes, indexing="ij")
-        lv = LabelVolume(geom, argmax_labels(lv.data, lambda channel: trilinear(channel, *idx), 1.0))
+        geom, out = _resample_isotropic(
+            lv.geometry, iso, lambda *idx: trilinear_labels(lv.data, *idx, True, 1.0, NUM_CLASSES), np.int16
+        )
+        lv = LabelVolume(geom, out)
     return pad_to_grid(lv, grid)

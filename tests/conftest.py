@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +35,37 @@ def force_one_cpu(mp: pytest.MonkeyPatch):
 def one_cpu(monkeypatch):
     """The test runs as on a one-CPU machine."""
     force_one_cpu(monkeypatch)
+
+
+@pytest.fixture(params=["one CPU", "two threads"])
+def threads(request, monkeypatch):
+    """The test runs as on a one-CPU machine, or on two threads with the
+    interpreter switching between them as often as it can."""
+    if request.param == "one CPU":
+        force_one_cpu(monkeypatch)
+        yield
+        return
+    if interp._usable_cpus() < 2:
+        pytest.skip("needs two usable CPUs")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def traced_peak(fn) -> int:
+    """Bytes ``fn()`` allocates at its peak above what was live before, after one warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1,14 +1,15 @@
 """Reference implementations of the set-up path, the warps, the task
 application and the metrics.
 
-These are the straightforward forms the program replaced with one phantom
-render, one per-class label argmax, chunked warps, a separable closing and
-bounding-box metrics: the phantom rendered twice for the segmenter, whole
-stacks of one-hot channels, ``np.argmax`` over them, a float round trip
-through the padding, warps that map the whole grid's coordinates at once,
-a closing that works slice by slice, a task applied to the whole grid at
-once, and morphology, surfaces and Hausdorff trees over the whole grid. The
-tests hold the program to the same bytes.
+These are the straightforward forms the program replaced with one slab-by-
+slab phantom render, one per-class label argmax, chunked warps, a separable
+closing and bounding-box metrics: the phantom rendered twice for the
+segmenter from whole-grid point arrays, whole stacks of one-hot channels,
+``np.argmax`` over them, a float round trip through the padding, warps that
+map the whole grid's coordinates at once, a closing that works slice by
+slice, a task applied to the whole grid at once, and morphology, surfaces
+and Hausdorff trees over the whole grid. The tests hold the program to the
+same bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from rigidda.interp import trilinear
+from rigidda.interp import argmax_channels, trilinear
 from rigidda.losses import _sigmoid
 from rigidda.metrics import ClassMetrics, MetricReport, dice3d
 from rigidda.resampler import SampleResult, _source_samples, target_coords
@@ -28,9 +29,18 @@ from rigidda.volume import (
     GridGeometry,
     LabelVolume,
     Volume,
-    argmax_labels,
     pad_to_grid,
 )
+
+
+def argmax_labels(labels: np.ndarray, sample, scale: float) -> np.ndarray:
+    """Class map of the interpolated one-hot channels of ``labels``, as int16.
+
+    ``sample`` maps one whole channel, ``scale`` where the class is and 0
+    elsewhere, to its values at the target samples; ``argmax_channels``
+    picks the class.
+    """
+    return argmax_channels(sample((labels == c) * float(scale)) for c in range(NUM_CLASSES))
 
 
 def one_hot(labels: np.ndarray) -> np.ndarray:
@@ -171,14 +181,20 @@ def _phantom_points(g: GridGeometry, pose: np.ndarray) -> np.ndarray:
     return g.world_from_voxel(vox) @ inv[:3, :3].T + inv[:3, 3]
 
 
+def ellipsoid_sdf(e, pts: np.ndarray) -> np.ndarray:
+    """The ellipsoid's signed distance through ``np.linalg.norm`` of the scaled offsets."""
+    a = np.asarray(e.semi_axes, dtype=float)
+    return (np.linalg.norm((pts - np.asarray(e.center, dtype=float)) / a, axis=-1) - 1.0) * float(a.min())
+
+
 def generate_phantom(spec, g, noise_sigma=None, seed=0, pose=None) -> tuple[np.ndarray, np.ndarray]:
     """Intensity and labels, each tissue region's rule written out inline."""
     pose = spec.pose if pose is None else np.asarray(pose, dtype=float)
     pts = _phantom_points(g, pose)
     levels = spec.levels
-    sdf_lv = spec.lv.sdf(pts)
-    sdf_outer = spec.myo_outer.sdf(pts)
-    sdf_rv_region = np.maximum(spec.rv.sdf(pts), -sdf_outer)
+    sdf_lv = ellipsoid_sdf(spec.lv, pts)
+    sdf_outer = ellipsoid_sdf(spec.myo_outer, pts)
+    sdf_rv_region = np.maximum(ellipsoid_sdf(spec.rv, pts), -sdf_outer)
     intensity = np.full(pts.shape[0], float(levels["background"]))
     for sdf, level in ((sdf_outer, levels["MYO"]), (sdf_lv, levels["LV"]), (sdf_rv_region, levels["RV"])):
         w_in = _sigmoid(-sdf / spec.sigma_mm)
@@ -199,9 +215,9 @@ def segmenter_fields(spec, g, pose=None) -> tuple[np.ndarray, np.ndarray]:
     """The segmenter's prior and template from two separate renders."""
     pose = spec.pose if pose is None else np.asarray(pose, dtype=float)
     pts = _phantom_points(g, pose)
-    sdf_lv = spec.lv.sdf(pts)
-    sdf_outer = spec.myo_outer.sdf(pts)
-    sdfs = (sdf_lv, np.maximum(sdf_outer, -sdf_lv), np.maximum(spec.rv.sdf(pts), -sdf_outer))
+    sdf_lv = ellipsoid_sdf(spec.lv, pts)
+    sdf_outer = ellipsoid_sdf(spec.myo_outer, pts)
+    sdfs = (sdf_lv, np.maximum(sdf_outer, -sdf_lv), np.maximum(ellipsoid_sdf(spec.rv, pts), -sdf_outer))
     prior = np.stack([_sigmoid((spec.prior_bias_mm - s) / spec.prior_sigma_mm).reshape(g.shape) for s in sdfs])
     template, _ = generate_phantom(spec, g, noise_sigma=0.0, pose=pose)
     return prior, template

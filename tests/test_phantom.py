@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidda.errors import ValidationError
+from rigidda.interp import SLAB_VOXELS, slab_bounds
 from rigidda.losses import ProbabilityVolume, focus_exact
 from rigidda.phantom import (
     AnalyticSegmenter,
@@ -25,9 +26,10 @@ from rigidda.volume import (
     Volume,
     clip_and_normalize,
     pad_to_grid,
+    preprocess_labels,
 )
 import oracles
-from conftest import gentle_task_spec
+from conftest import gentle_task_spec, traced_peak
 
 # [DERIVED] closed-form ellipsoid volumes (4/3 pi abc) for the default
 # geometry; the shell volume is the outer ellipsoid minus the inner cavity,
@@ -385,18 +387,28 @@ class TestOneRender:
         assert lab.data.tobytes() == oracles.generate_phantom(spec, g)[1].tobytes()
 
     def test_segmenter_init_evaluates_each_ellipsoid_once(self, monkeypatch):
+        """Each ellipsoid is evaluated once at every voxel center: once per slab,
+        on points that no other slab sees."""
         calls = []
         sdf = Ellipsoid.sdf
 
         def counted(self, points_mm):
-            calls.append(self)
+            calls.append((self, points_mm.copy()))
             return sdf(self, points_mm)
 
         monkeypatch.setattr(Ellipsoid, "sdf", counted)
         spec = _default_spec()
-        AnalyticSegmenter(spec, GridGeometry.isotropic((8, 8, 8), 6.0))
-        assert len(calls) == 3
-        assert {id(e) for e in calls} == {id(spec.lv), id(spec.myo_outer), id(spec.rv)}
+        g = GridGeometry.isotropic((40, 40, 23), 2.0)
+        AnalyticSegmenter(spec, g)
+        n_slabs = len(slab_bounds(g.shape))
+        assert n_slabs == 3
+        assert len(calls) == 3 * n_slabs
+        assert {id(e) for e, _ in calls} == {id(spec.lv), id(spec.myo_outer), id(spec.rv)}
+        for ellipsoid in (spec.lv, spec.myo_outer, spec.rv):
+            points = [p for e, p in calls if e is ellipsoid]
+            assert len(points) == n_slabs
+            points = np.concatenate(points)
+            assert len(np.unique(points, axis=0)) == len(points) == g.num_voxels
 
     @pytest.mark.parametrize("ax_spacing", [None, (3.0, 3.0, 7.5), (2.0, 4.0, 3.0)])
     def test_make_pair_matches_oracle(self, ax_spacing):
@@ -424,3 +436,98 @@ class TestOneRender:
             assert vol.data.tobytes() == ref.data.tobytes()
             ref_labels, _ = oracles.preprocess_labels(LabelVolume(g, labels), iso, grid)
             assert lab.data.tobytes() == ref_labels.tobytes()
+
+
+# 64 x 64 x 9 makes three slabs, the last one slice deep; 40 x 40 x 23 three
+# with a short last one; a 150 x 150 slice is more than SLAB_VOXELS, so
+# 150 x 150 x 3 makes three one-slice slabs
+MULTI_SLAB = ((64, 64, 9), (40, 40, 23), (150, 150, 3))
+
+
+def _acquisition(grid, iso, spacing) -> GridGeometry:
+    """``make_pair``'s acquisition grid of ``spacing`` over the extent of ``grid`` at ``iso``."""
+    sp = np.asarray(spacing, dtype=float)
+    n = tuple(max(2, int(round(e / s)) + 1) for e, s in zip(np.asarray(grid) * iso, sp))
+    return GridGeometry(n, sp, -sp * (np.asarray(n) - 1.0) / 2.0, np.eye(3))
+
+
+class TestMultiSlabRender:
+    """The slab-by-slab set-up gives the bytes of the whole-grid oracle on grids
+    of several slabs and of slabs larger than SLAB_VOXELS, on one CPU and on two threads."""
+
+    spec = PhantomSpec(noise_sigma=0.05)
+    pose = world_rigid((0.2, -0.3, 0.1), (3.0, -2.0, 5.0))
+
+    def test_grids_cut_into_several_slabs(self):
+        for grid in MULTI_SLAB:
+            assert len(slab_bounds(grid)) == 3
+        assert 150 * 150 > SLAB_VOXELS
+
+    @pytest.mark.parametrize("grid", MULTI_SLAB)
+    def test_phantom_and_segmenter_fields(self, grid, threads):
+        g = GridGeometry.isotropic(grid, 2.0)
+        vol, lab = generate_phantom(self.spec, g, seed=7, pose=self.pose)
+        ref_vol, ref_lab = oracles.generate_phantom(self.spec, g, seed=7, pose=self.pose)
+        assert vol.data.tobytes() == ref_vol.tobytes()
+        assert lab.data.tobytes() == ref_lab.tobytes()
+        seg = AnalyticSegmenter(self.spec, g, self.pose)
+        prior, template = oracles.segmenter_fields(self.spec, g, self.pose)
+        assert seg._prior.tobytes() == prior.tobytes()
+        assert seg._template.tobytes() == template.tobytes()
+
+    @pytest.mark.parametrize("grid", MULTI_SLAB)
+    def test_preprocess_labels(self, grid, threads, rng):
+        # 3 x 3 x 4 mm voxels resampled to 2 mm: samples fall between the
+        # labels on every axis, and on exact half voxels along z; a third of
+        # the phantom's labels are replaced at random, so most cells are mixed
+        g = _acquisition(grid, 2.0, (3.0, 3.0, 4.0))
+        _, lab = generate_phantom(self.spec, g, pose=self.pose)
+        data = np.where(rng.random(g.shape) < 0.3, rng.integers(0, 4, size=g.shape), lab.data)
+        lab = LabelVolume(g, data)
+        out = preprocess_labels(lab, 2.0, grid)
+        ref, geom = oracles.preprocess_labels(lab, 2.0, grid)
+        assert out.data.tobytes() == ref.tobytes()
+        assert out.geometry.origin.tobytes() == geom.origin.tobytes()
+
+    @pytest.mark.parametrize("grid", MULTI_SLAB)
+    def test_make_pair(self, grid, threads):
+        rel, iso, seed, ax_spacing = world_rigid((0.1, -0.2, 0.15), (3.0, -2.0, -4.0)), 2.0, 5, (3.0, 3.0, 4.0)
+        pair = make_pair(self.spec, rel, grid=grid, iso=iso, ax_spacing=ax_spacing, seed=seed)
+        views = (
+            (pair.i, pair.labels_i, _acquisition(grid, iso, ax_spacing), seed, rel @ self.spec.pose),
+            (pair.j, pair.labels_j, GridGeometry.isotropic(grid, iso), seed + 1, self.spec.pose),
+        )
+        for vol, lab, g, view_seed, pose in views:
+            intensity, labels = oracles.generate_phantom(self.spec, g, seed=view_seed, pose=pose)
+            g_iso = g
+            if np.any(g.spacing != iso):
+                intensity, g_iso = oracles.resample_isotropic(intensity, g, iso)
+            ref = clip_and_normalize(pad_to_grid(Volume(g_iso, intensity), grid))
+            assert vol.data.tobytes() == ref.data.tobytes()
+            ref_labels, _ = oracles.preprocess_labels(LabelVolume(g, labels), iso, grid)
+            assert lab.data.tobytes() == ref_labels.tobytes()
+
+
+class TestSetUpMemory:
+    """Set-up at 64^3 holds slab-sized temporaries beside its outputs: one
+    float64 array over the grid is 2 MiB, and two slabs are in flight on two threads."""
+
+    g = GridGeometry.isotropic((64, 64, 64), 1.5)
+    spec = PhantomSpec()
+    rel = world_rigid((0.3, -0.2, 0.25), (6.0, -4.0, 3.0))
+
+    def test_generate_phantom_peak(self):
+        # intensity, labels and the noise draw are 4.5 MiB of it; the
+        # whole-grid point arrays and region SDFs made it 34.0 MiB
+        assert traced_peak(lambda: generate_phantom(self.spec, self.g, seed=3, pose=self.rel)) <= 8 * 2**20
+
+    def test_segmenter_init_peak(self):
+        # the template and the three prior channels are 8 MiB of it; the
+        # whole-grid render and the stacked prior made it 34.0 MiB
+        assert traced_peak(lambda: AnalyticSegmenter(self.spec, self.g)) <= 13 * 2**20
+
+    def test_make_pair_peak(self):
+        # the two preprocessed views and their labels are 5 MiB of it, the
+        # intensity normalization holds three grids at once; 36.5 MiB with
+        # whole-grid renders
+        assert traced_peak(lambda: make_pair(self.spec, self.rel, grid=(64, 64, 64), iso=1.5, seed=4)) <= 16 * 2**20

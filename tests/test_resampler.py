@@ -1,7 +1,5 @@
 """Pull-warp resampler tests: exact identities, oracles, validity, VJP."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +19,7 @@ from rigidda.resampler import (
 from rigidda.rigid import RigidParams, affine_jacobian, euler_to_affine
 from rigidda.volume import GridGeometry, LabelVolume, Volume
 import oracles
-from conftest import central_difference, needs_two_cpus, smooth_field
+from conftest import central_difference, needs_two_cpus, smooth_field, traced_peak
 
 
 def _translation_matrix(t):
@@ -458,19 +456,6 @@ class TestChunkedWarpsAgainstWholeGrid:
             transform_labels(LabelVolume(g, rng.integers(0, 4, size=g.shape)), np.eye(4), flat)
 
 
-def _traced_peak(fn) -> int:
-    """Bytes ``fn()`` allocates at its peak above what was live before, after one warm-up call."""
-    fn()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestWholeGridWarpMemory:
     # one float64 array over the 64^3 grid is 2 MiB; a chunk of SLAB_VOXELS
     # float64 samples is 128 KiB
@@ -479,12 +464,12 @@ class TestWholeGridWarpMemory:
     def _untaped_warp_peak(self, rng):
         g = GridGeometry.isotropic((64, 64, 64), 1.5)
         vol = Volume(g, rng.normal(size=g.shape))
-        return _traced_peak(lambda: transform_volume(vol, self.m, g))
+        return traced_peak(lambda: transform_volume(vol, self.m, g))
 
     def _label_warp_peak(self, rng):
         g = GridGeometry.isotropic((64, 64, 64), 1.5)
         labels = LabelVolume(g, rng.integers(0, 4, size=g.shape))
-        return _traced_peak(lambda: transform_labels(labels, self.m, g))
+        return traced_peak(lambda: transform_labels(labels, self.m, g))
 
     def test_untaped_warp_peak_stays_slab_sized(self, rng, one_cpu):
         # the two float64 outputs are 4 MiB; the whole-grid coordinate map
@@ -514,4 +499,4 @@ class TestWholeGridWarpMemory:
         pair = make_pair(spec, world_rigid((0.3, -0.2, 0.25), (6.0, -4.0, 3.0)), grid=(64, 64, 64), iso=1.5, seed=4)
         task = AnalyticSegmenter(spec, pair.i.geometry)
         params = RigidParams.from_vector(np.full(9, 0.05))
-        assert _traced_peak(lambda: apply_task(pair.i, params, task)) <= 14 * 2**20
+        assert traced_peak(lambda: apply_task(pair.i, params, task)) <= 14 * 2**20

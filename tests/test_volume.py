@@ -6,13 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rigidda.errors import ValidationError
-from rigidda.interp import trilinear
+from rigidda.interp import argmax_channels, trilinear
 from rigidda.volume import (
     GridGeometry,
     LabelVolume,
     Volume,
-    argmax_channels,
-    argmax_labels,
     clip_and_normalize,
     nearest_rank_quantile,
     pad_to_grid,
@@ -249,6 +247,22 @@ class TestIntensityNormalization:
             k = int(np.ceil(q * flat.size))
             assert nearest_rank_quantile(values, q) == flat[k - 1]
 
+    @pytest.mark.parametrize("kind", ["random", "constant", "tied"])
+    def test_nearest_rank_quantile_equals_the_sorted_rank(self, rng, kind):
+        """The partial sort picks the value a full sort puts at the nearest rank, and leaves the input as it was."""
+        shape = (9, 8, 7)
+        values = {
+            "random": rng.normal(size=shape),
+            "constant": np.full(shape, 3.7),
+            "tied": rng.integers(-2, 3, size=shape) * 0.5,
+        }[kind]
+        before = values.copy()
+        flat = np.sort(values, axis=None)
+        for q in (1e-9, 0.1, 0.5, 0.9, 0.999, 1.0):
+            k = int(np.ceil(q * flat.size))
+            assert nearest_rank_quantile(values, q) == flat[max(k - 1, 0)]
+        assert values.tobytes() == before.tobytes()
+
     def test_clip_and_normalize_range(self, rng, small_geometry):
         vol = Volume(small_geometry, rng.normal(2.0, 5.0, size=small_geometry.shape))
         out = clip_and_normalize(vol, 0.99)
@@ -276,24 +290,26 @@ class TestPreprocess:
 
 
 class TestArgmaxLabels:
+    """The oracles' whole-channel argmax, the reference for the label warp and the label resampling."""
+
     def test_exact_samples_give_the_labels_back(self, rng, small_geometry):
         labels = rng.integers(0, 4, size=small_geometry.shape).astype(np.int16)
         for scale in (1.0, 100.0):
-            out = argmax_labels(labels, lambda channel: channel.copy(), scale)
+            out = oracles.argmax_labels(labels, lambda channel: channel.copy(), scale)
             assert out.dtype == np.int16
             np.testing.assert_array_equal(out, labels)
 
     def test_tie_goes_to_lower_id(self):
         labels = np.array([[[3, 1, 2, 0]]], dtype=np.int16)
         # every channel averages to the same value
-        out = argmax_labels(labels, lambda channel: np.full(2, channel.mean()), 1.0)
+        out = oracles.argmax_labels(labels, lambda channel: np.full(2, channel.mean()), 1.0)
         np.testing.assert_array_equal(out, [0, 0])
-        out = argmax_labels(labels[..., :3], lambda channel: np.full(2, channel.mean()), 1.0)
+        out = oracles.argmax_labels(labels[..., :3], lambda channel: np.full(2, channel.mean()), 1.0)
         np.testing.assert_array_equal(out, [1, 1])
 
     def test_zero_scale_is_all_background(self, rng, small_geometry):
         labels = rng.integers(0, 4, size=small_geometry.shape).astype(np.int16)
-        out = argmax_labels(labels, lambda channel: channel.copy(), 0.0)
+        out = oracles.argmax_labels(labels, lambda channel: channel.copy(), 0.0)
         assert not out.any()
 
 
