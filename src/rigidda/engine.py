@@ -212,11 +212,11 @@ def _worker_can_run() -> bool:
 
 
 class _SlabWorker:
-    """A forked process that computes the odd slabs of one objective, one step per request.
+    """A forked process that computes the odd terms of one objective, one step per request.
 
-    It inherits the objective's frozen slabs, volumes and task parts by
-    copy-on-write, so a request is the step's matrices and a reply is the
-    slabs' loss sums, gradient parts and focus terms, a few kilobytes.
+    It inherits the objective's frozen slabs, terms, volumes and task parts
+    by copy-on-write, so a request is the step's matrices and a reply is the
+    terms' loss sums, gradient parts and focus counts, a few kilobytes.
     """
 
     def __init__(self, objective: "PairObjective"):
@@ -276,13 +276,21 @@ class PairObjective:
     the task module treat slice-wise, so every temporary is slab-sized and
     the reported terms equal the whole-grid values.
 
-    With two usable CPUs and ``fork``, the calling thread computes the even
-    slabs while one forked worker process (``_SlabWorker``) computes the odd
-    ones; the terms are added in slab order, then branch order, so the bits
-    are the serial loop's. The worker is forked at the first call that can
-    use it and runs until ``close`` or until the objective is collected. A
-    call that finds the worker busy with another thread's step runs the
-    serial loop.
+    ``terms`` lists the step's work in the serial loop's order: each slab's
+    forward and backward cycle terms, then its focus term. A cycle term
+    whose slab of the fixed mask is all zero is left off: it would add +0.0
+    to its sum of squares and ±0.0 to each gradient entry, which changes no
+    bit of a sum that starts at +0.0, and the finite data of every ``Volume``
+    rules out a NaN that the zero mask would have carried. ``outside``
+    counts those slabs per cycle branch.
+
+    With two slabs or more, two usable CPUs and ``fork``, the calling thread
+    computes the even terms while one forked worker process
+    (``_SlabWorker``) computes the odd ones, so the focus terms fall to both
+    in turn; every term is added in list order, so the bits are the serial
+    loop's. The worker is forked at the first call that can use it and runs
+    until ``close`` or until the objective is collected. A call that finds
+    the worker busy with another thread's step runs the serial loop.
     """
 
     def __init__(
@@ -325,6 +333,17 @@ class PairObjective:
             )
             for z0, z1 in slab_bounds(target.shape)
         ]
+        # (slab, cycle branch index, or None for the focus term)
+        self.terms = []
+        self.outside = [0] * len(self.branches)
+        for slab in self.slabs:
+            for b, (_, mask) in enumerate(slab.cycle):
+                if np.any(mask):
+                    self.terms.append((slab, b))
+                else:
+                    self.outside[b] += 1
+            if slab.task is not None:
+                self.terms.append((slab, None))
         self._lock = threading.Lock()  # guards the worker: one step at a time uses it
         self._worker: _SlabWorker | None = None
         self._stop_worker = None  # the worker's finalizer: calling it closes the worker once
@@ -355,29 +374,29 @@ class PairObjective:
         up_q *= share
         return above, smooth, tape.vjp(jac.d_m_t, slab.task.gradient(image, up_q, q))
 
-    def _slab_terms(self, slab: _Slab, mats, jac) -> tuple[list, tuple | None]:
-        """One slab's ``(sum of squares, gradient)`` per cycle branch, and its focus term or None."""
-        cycle = [
-            self._mse_term(vol, getattr(mats, name), getattr(jac, "d_" + name), slab, fixed, mask)
-            for (vol, _, name), (fixed, mask) in zip(self.branches, slab.cycle)
-        ]
-        return cycle, None if slab.task is None else self._focus_term(slab, mats, jac)
+    def _term(self, term, mats, jac) -> tuple:
+        """A cycle term's ``(sum of squares, gradient)``, or a focus term's ``(count, smooth share, gradient)``."""
+        slab, b = term
+        if b is None:
+            return self._focus_term(slab, mats, jac)
+        vol, _, name = self.branches[b]
+        return self._mse_term(vol, getattr(mats, name), getattr(jac, "d_" + name), slab, *slab.cycle[b])
 
     def _share(self, first: int, mats, jac) -> tuple[list, tuple | None]:
-        """The terms of every second slab from ``first`` on, and the index and
-        error of the slab that raised, or None; the slabs after it are not run."""
-        terms = []
-        for k in range(first, len(self.slabs), 2):
+        """The results of every second term from ``first`` on, and the index and
+        error of the term that raised, or None; the terms after it are not run."""
+        results = []
+        for k in range(first, len(self.terms), 2):
             try:
-                terms.append(self._slab_terms(self.slabs[k], mats, jac))
+                results.append(self._term(self.terms[k], mats, jac))
             except Exception as exc:
-                return terms, (k, exc)
-        return terms, None
+                return results, (k, exc)
+        return results, None
 
     def _all_terms(self, mats, jac) -> list:
-        """Every slab's terms, in slab order; the odd slabs come from the worker when it can run."""
+        """Every term's result, in list order; the odd terms come from the worker when it can run."""
         if len(self.slabs) < 2 or not _worker_can_run() or not self._lock.acquire(blocking=False):
-            return [self._slab_terms(slab, mats, jac) for slab in self.slabs]
+            return [self._term(term, mats, jac) for term in self.terms]
         try:
             if self._worker is None:
                 self._worker = _SlabWorker(self)
@@ -392,15 +411,15 @@ class PairObjective:
             raise
         finally:
             self._lock.release()
-        if theirs is None:  # the dead worker's slabs are computed here, to the same bits
+        if theirs is None:  # the dead worker's terms are computed here, to the same bits
             theirs = self._share(1, mats, jac)
-        # the error the serial loop would raise: the one of the first slab that failed
+        # the error the serial loop would raise: the one of the first term that failed
         failures = [f for f in (mine[1], theirs[1]) if f is not None]
         if failures:
             raise min(failures, key=lambda f: f[0])[1]
-        terms = [None] * len(self.slabs)
-        terms[0::2], terms[1::2] = mine[0], theirs[0]
-        return terms
+        results = [None] * len(self.terms)
+        results[0::2], results[1::2] = mine[0], theirs[0]
+        return results
 
     def _close_worker(self):
         if self._worker is not None:
@@ -422,16 +441,17 @@ class PairObjective:
         above = 0  # foreground entries above r, counted over the whole grid
         smooth = []  # each slab's share of the smooth focus mean
 
-        # the serial sums, in slab order: the bits do not depend on which process ran a slab
-        for cycle, focus in self._all_terms(mats, jac):
-            for k, (sq_k, g_k) in enumerate(cycle):
-                sq[k] += sq_k
-                grad += w.alpha1 * g_k
-            if focus is not None:
-                above_k, smooth_k, g_t = focus
+        # the serial sums, in term order: the bits do not depend on which process ran a term
+        for (_, b), result in zip(self.terms, self._all_terms(mats, jac)):
+            if b is None:
+                above_k, smooth_k, g_t = result
                 above += above_k
                 smooth.append(smooth_k)
                 grad += w.alpha2 * g_t
+            else:
+                sq_k, g_k = result
+                sq[b] += sq_k
+                grad += w.alpha1 * g_k
 
         report = LossReport(
             cycle_fwd=0.5 * sq[0] / self.n, cycle_bwd=0.5 * sq[1] / self.n, alpha1=w.alpha1, alpha2=0.0
@@ -461,6 +481,9 @@ def register_pair(
     transform M_t is the registration transform M.
     """
     objective = PairObjective(i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode)
+    n_slabs = len(objective.slabs)
+    outside = ", ".join(f"{name} {k}/{n_slabs}" for name, k in zip(("forward", "backward"), objective.outside))
+    log.info("%s objective: %s slabs outside the fixed view", mode, outside)
     try:
         return _optimize(objective, cfg, mode)
     finally:

@@ -188,9 +188,11 @@ def _render(spec: PhantomSpec, g: GridGeometry, pose: np.ndarray | None = None, 
     ``g``, and its exact labels or, with ``prior``, the segmenter's prior
     channels, one per foreground class.
 
-    Each slab of ``slab_bounds`` builds its (n, 3) block of voxel centers by
+    Each slab of ``slab_bounds`` builds its (3, n) block of voxel centers by
     broadcasting the axis ranges and maps it into the phantom's canonical
-    frame; its signed distances live only as long as the slab.
+    frame by two (3, 3) @ (3, n) products, which give the bits of the
+    (n, 3) @ (3, 3) ones in less time; its signed distances live only as
+    long as the slab.
     """
     pose = spec.pose if pose is None else np.asarray(pose, dtype=float)
     inv = np.linalg.inv(pose)
@@ -200,9 +202,15 @@ def _render(spec: PhantomSpec, g: GridGeometry, pose: np.ndarray | None = None, 
 
     def slab(bounds):
         z0, z1 = bounds
-        vox = np.empty((w, h, z1 - z0, 3))
-        vox[..., 0], vox[..., 1], vox[..., 2] = np.arange(w)[:, None, None], np.arange(h)[:, None], np.arange(z0, z1)
-        regions, sdf_outer = _region_sdfs(spec, g.world_from_voxel(vox.reshape(-1, 3)) @ inv[:3, :3].T + inv[:3, 3])
+        vox = np.empty((3, w, h, z1 - z0))
+        vox[0], vox[1], vox[2] = np.arange(w)[:, None, None], np.arange(h)[:, None], np.arange(z0, z1)
+        vox = vox.reshape(3, -1)
+        vox *= g.spacing[:, None]
+        points = g.direction @ vox
+        points += g.origin[:, None]
+        points = inv[:3, :3] @ points
+        points += inv[:3, 3:]
+        regions, sdf_outer = _region_sdfs(spec, points.T)
         part = np.full(sdf_outer.shape, float(spec.levels["background"]))
         for sdf, tissue in ((sdf_outer, "MYO"), (regions[LABEL_LV], "LV"), (regions[LABEL_RV], "RV")):
             w_in = _sigmoid(-sdf / spec.sigma_mm)

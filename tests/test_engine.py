@@ -35,6 +35,7 @@ from rigidda.engine import (
     slab_bounds,
 )
 from rigidda.errors import NumericalError, ValidationError
+from rigidda.experiments import ABLATION_MODES, apex_case
 from rigidda.losses import (
     LossReport,
     LossWeights,
@@ -49,7 +50,15 @@ from rigidda.resampler import target_coords, transform_volume, transform_volume_
 from rigidda.rigid import N_PARAMS, RigidParams, affine_jacobian, euler_to_affine
 from rigidda import engine, interp, pipeline
 from rigidda.volume import FOREGROUND_CLASSES, Volume
-from conftest import FailingTask, central_difference, gentle_task_spec, gradient_scale_error, needs_two_cpus, pair_on
+from conftest import (
+    FailingTask,
+    central_difference,
+    force_one_cpu,
+    gentle_task_spec,
+    gradient_scale_error,
+    needs_two_cpus,
+    pair_on,
+)
 
 
 def _small_pair(seed=0):
@@ -575,6 +584,25 @@ class TestTwoThreadObjective:
             failing(np.full(9, 0.05))
         failing.close()
 
+    @needs_two_cpus
+    def test_the_workers_earlier_error_wins_over_the_callers_later_one(self):
+        """Terms 0-8 are each slab's forward, backward and focus terms; the worker
+        owns the odd ones, among them slab 1's focus term (5), and the caller
+        slab 2's (8). Each fails only in the process that owns it."""
+        pair, task = pair_on((40, 40, 23))
+        caller = os.getpid()
+
+        def fails_here(z0):
+            return z0 == 10 and os.getpid() != caller or z0 == 20 and os.getpid() == caller
+
+        failing = PairObjective(
+            pair.i, pair.j, pair.gt_m, pair.gt_m_inv, FailingTask(task, fails_here), LossWeights(tau=0.1), "full"
+        )
+        with pytest.raises(NumericalError, match="slab failed at z0=10$"):
+            failing(np.full(9, 0.05))
+        assert failing._worker.process.is_alive()
+        failing.close()
+
     def test_one_cpu_forks_no_process(self, one_cpu):
         pair, task = pair_on((40, 40, 23))
         threads, children = threading.active_count(), _child_pids()
@@ -651,6 +679,72 @@ class TestTwoThreadObjective:
             for pid in left:
                 os.kill(pid, signal.SIGKILL)
             assert left == []
+
+
+@functools.cache
+def _apex_pair():
+    """Criterion 5's apex draw 0: 48^3 in seven slabs, a first view of 12 mm slices;
+    the forward fixed mask is zero on slabs 0-1, the backward one on slabs 5-6."""
+    pair, _, task = apex_case(0)
+    return pair, task
+
+
+class TestTermsOutsideTheFixedView:
+    """Cycle terms whose slab of the fixed mask is all zero are not computed,
+    and the loss and gradient keep every bit of the loop over every term."""
+
+    @pytest.mark.parametrize("worker", [False, pytest.param(True, marks=needs_two_cpus)], ids=["one CPU", "worker"])
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_bits_equal_the_loop_over_every_term(self, mode, worker, monkeypatch):
+        if not worker:
+            force_one_cpu(monkeypatch)
+        pair, task = _apex_pair()
+        args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), mode)
+        obj, serial = PairObjective(*args), SerialSlabObjective(*args)
+        assert len(obj.slabs) == 7
+        assert obj.outside == [2, 2][: len(obj.branches)]
+        rng = np.random.default_rng(3)
+        vecs = [np.zeros(9)] + [np.concatenate([rng.uniform(-0.2, 0.2, 3), rng.uniform(-0.1, 0.1, 6)]) for _ in range(2)]
+        try:
+            for vec in vecs:
+                _assert_same_bits(obj(vec), serial(vec))
+            assert (obj._worker is not None) == worker
+        finally:
+            obj.close()
+
+    @pytest.mark.parametrize("mode, warps", [("baseline", 5), ("cycle", 10), ("full", 17)])
+    def test_warps_per_step(self, mode, warps, one_cpu, monkeypatch):
+        """5 forward and 5 backward warps of 7 slabs, plus 7 focus warps in full mode."""
+        pair, task = _apex_pair()
+        calls = Counter()
+
+        def counted(src, m, *rest):
+            calls[id(m)] += 1  # one key each for M, M^-1 and M_t
+            return transform_volume_with_tape(src, m, *rest)
+
+        monkeypatch.setattr(engine, "transform_volume_with_tape", counted)
+        obj = PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), mode)
+        for vec in (np.zeros(9), np.full(9, 0.05)):
+            calls.clear()
+            obj(vec)
+            assert sum(calls.values()) == warps
+            assert sorted(calls.values()) == sorted([5] * len(obj.branches) + [7] * (mode == "full"))
+
+    @pytest.mark.parametrize(
+        "mode, line",
+        [
+            ("baseline", "baseline objective: forward 2/7 slabs outside the fixed view"),
+            ("full", "full objective: forward 2/7, backward 2/7 slabs outside the fixed view"),
+        ],
+        ids=["baseline", "full"],
+    )
+    def test_register_pair_logs_the_skipped_slabs_once(self, mode, line, caplog):
+        pair, task = _apex_pair()
+        cfg = OptimConfig(lr0=0.02, epoch_steps=2, max_steps=4)
+        with caplog.at_level(logging.INFO, logger="rigidda"):
+            register_pair(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), cfg, mode=mode)
+        lines = [r.getMessage() for r in caplog.records if r.name == "rigidda.engine"]
+        assert [x for x in lines if "outside the fixed view" in x] == [line]
 
 
 class TestSlabWorker:
@@ -865,9 +959,10 @@ class TestProgressLog:
             _, trace = register_pair(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, None, LossWeights(), cfg, mode="cycle")
         lines = [r.getMessage() for r in caplog.records if r.name == "rigidda.engine"]
         assert len(trace.rows) == 15
-        assert [line.split(":")[0] for line in lines[:-1]] == ["epoch 1", "epoch 2", "epoch 3"]
+        assert lines[0] == "cycle objective: forward 0/1, backward 0/1 slabs outside the fixed view"
+        assert [line.split(":")[0] for line in lines[1:-1]] == ["epoch 1", "epoch 2", "epoch 3"]
         first = np.mean([r.report.total for r in trace.rows[:5]])
-        assert lines[0] == f"epoch 1: mean loss {first:.6g}, lr {0.02:.3g}"
+        assert lines[1] == f"epoch 1: mean loss {first:.6g}, lr {0.02:.3g}"
         best = min(r.report.total for r in trace.rows)
         assert lines[-1] == f"cycle registration: 15 steps, stopped by max_steps, best loss {best:.6g}"
 
