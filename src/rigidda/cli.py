@@ -167,11 +167,7 @@ def cmd_losses_check(args) -> int:
     params = _parse_params(args.params)
     spec = PhantomSpec.from_file(args.spec) if args.spec else PhantomSpec()
     task = AnalyticSegmenter(spec, ax.geometry)
-    objective = PairObjective(ax, sax, gt_m, gt_m_inv, task, weights, mode="full")
-    try:
-        report, _ = objective(params.to_vector())
-    finally:
-        objective.close()
+    report, _ = PairObjective(ax, sax, gt_m, gt_m_inv, task, weights, mode="full")(params.to_vector())
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
 

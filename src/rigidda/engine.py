@@ -9,12 +9,11 @@ the cycle path (through M and M^-1) and the focus path (through M_t).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import multiprocessing
 import signal
-import threading
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,7 +215,10 @@ class _SlabWorker:
 
     It inherits the objective's frozen slabs, terms, volumes and task parts
     by copy-on-write, so a request is the step's matrices and a reply is the
-    terms' loss sums, gradient parts and focus counts, a few kilobytes.
+    terms' loss sums, gradient parts and focus counts, a few kilobytes. It
+    lives for one ``with`` block: leaving the block, by return or raise,
+    stops and reaps it. A worker that died is reaped at once, and the caller
+    computes its terms for the rest of the block.
     """
 
     def __init__(self, objective: "PairObjective"):
@@ -228,19 +230,27 @@ class _SlabWorker:
         self.process.start()
         child_end.close()
 
+    def __enter__(self) -> "_SlabWorker":
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
     def ask(self, mats, jac) -> bool:
-        """Send one step's matrices; False if the worker is gone."""
+        """Send one step's matrices; False if the worker is closed or gone, which is then reaped."""
         try:
             self.conn.send((mats, jac))
         except OSError:
+            self.close()
             return False
         return True
 
     def answer(self) -> tuple[list, tuple | None] | None:
-        """The worker's ``_share`` of the step asked for, or None if the worker died."""
+        """The worker's ``_share`` of the step asked for, or None if the worker died, which is then reaped."""
         try:
             return self.conn.recv()
         except Exception:  # EOF, a reset, or a reply that does not unpickle
+            self.close()
             return None
 
     def close(self):
@@ -254,6 +264,14 @@ class _SlabWorker:
         if self.process.exitcode is None:
             self.process.kill()
             self.process.join()
+
+
+def _worker_for(objective: "PairObjective"):
+    """A ``_SlabWorker`` for ``objective``, or a context that gives None where one
+    cannot help: one slab, one usable CPU, no ``fork`` or a daemonic process."""
+    if len(objective.slabs) >= 2 and _worker_can_run():
+        return _SlabWorker(objective)
+    return contextlib.nullcontext()
 
 
 def _serve(objective: "PairObjective", conn, parent_end):
@@ -284,13 +302,12 @@ class PairObjective:
     rules out a NaN that the zero mask would have carried. ``outside``
     counts those slabs per cycle branch.
 
-    With two slabs or more, two usable CPUs and ``fork``, the calling thread
-    computes the even terms while one forked worker process
-    (``_SlabWorker``) computes the odd ones, so the focus terms fall to both
-    in turn; every term is added in list order, so the bits are the serial
-    loop's. The worker is forked at the first call that can use it and runs
-    until ``close`` or until the objective is collected. A call that finds
-    the worker busy with another thread's step runs the serial loop.
+    A call given a ``_SlabWorker`` computes the even terms on the calling
+    thread while the worker process computes the odd ones, so the focus
+    terms fall to both in turn; every term is added in list order, so the
+    bits are the serial loop's, which a call without a worker runs.
+    ``_worker_for`` gives a worker where one can help, for the ``with``
+    block of a run of calls; one worker serves one thread's calls.
     """
 
     def __init__(
@@ -344,9 +361,6 @@ class PairObjective:
                     self.outside[b] += 1
             if slab.task is not None:
                 self.terms.append((slab, None))
-        self._lock = threading.Lock()  # guards the worker: one step at a time uses it
-        self._worker: _SlabWorker | None = None
-        self._stop_worker = None  # the worker's finalizer: calling it closes the worker once
 
     def _mse_term(self, src: Volume, m: np.ndarray, d_m: np.ndarray, slab: _Slab, fixed, mask):
         """Warp one slab; its sum of squared masked differences and its part of the half-mean gradient."""
@@ -393,25 +407,18 @@ class PairObjective:
                 return results, (k, exc)
         return results, None
 
-    def _all_terms(self, mats, jac) -> list:
-        """Every term's result, in list order; the odd terms come from the worker when it can run."""
-        if len(self.slabs) < 2 or not _worker_can_run() or not self._lock.acquire(blocking=False):
+    def _all_terms(self, mats, jac, worker: _SlabWorker | None) -> list:
+        """Every term's result, in list order; the odd terms come from ``worker`` while it runs."""
+        if worker is None:
             return [self._term(term, mats, jac) for term in self.terms]
         try:
-            if self._worker is None:
-                self._worker = _SlabWorker(self)
-                self._stop_worker = weakref.finalize(self, self._worker.close)
-            sent = self._worker.ask(mats, jac)
+            sent = worker.ask(mats, jac)
             mine = self._share(0, mats, jac)
-            theirs = self._worker.answer() if sent else None
-            if theirs is None:  # the worker died
-                self._close_worker()
-        except BaseException:  # an interrupt may leave the worker's reply unread
-            self._close_worker()
+            theirs = worker.answer() if sent else None
+        except BaseException:  # an interrupt may leave the worker's reply unread: no later call may read it
+            worker.close()
             raise
-        finally:
-            self._lock.release()
-        if theirs is None:  # the dead worker's terms are computed here, to the same bits
+        if theirs is None:  # the worker is gone: its terms are computed here, to the same bits
             theirs = self._share(1, mats, jac)
         # the error the serial loop would raise: the one of the first term that failed
         failures = [f for f in (mine[1], theirs[1]) if f is not None]
@@ -421,17 +428,7 @@ class PairObjective:
         results[0::2], results[1::2] = mine[0], theirs[0]
         return results
 
-    def _close_worker(self):
-        if self._worker is not None:
-            self._stop_worker()
-            self._worker = None
-
-    def close(self):
-        """Stop the worker process, if one runs; a later call forks a new one."""
-        with self._lock:
-            self._close_worker()
-
-    def __call__(self, vec: np.ndarray) -> tuple[LossReport, np.ndarray]:
+    def __call__(self, vec: np.ndarray, worker: _SlabWorker | None = None) -> tuple[LossReport, np.ndarray]:
         params = RigidParams.from_vector(vec)
         mats = euler_to_affine(params)
         jac = affine_jacobian(params)
@@ -442,7 +439,7 @@ class PairObjective:
         smooth = []  # each slab's share of the smooth focus mean
 
         # the serial sums, in term order: the bits do not depend on which process ran a term
-        for (_, b), result in zip(self.terms, self._all_terms(mats, jac)):
+        for (_, b), result in zip(self.terms, self._all_terms(mats, jac, worker)):
             if b is None:
                 above_k, smooth_k, g_t = result
                 above += above_k
@@ -484,14 +481,14 @@ def register_pair(
     n_slabs = len(objective.slabs)
     outside = ", ".join(f"{name} {k}/{n_slabs}" for name, k in zip(("forward", "backward"), objective.outside))
     log.info("%s objective: %s slabs outside the fixed view", mode, outside)
-    try:
-        return _optimize(objective, cfg, mode)
-    finally:
-        objective.close()
+    with _worker_for(objective) as worker:
+        return _optimize(objective, worker, cfg, mode)
 
 
-def _optimize(objective: PairObjective, cfg: OptimConfig, mode: str) -> tuple[RigidParams, RegistrationTrace]:
-    """``register_pair``'s Adam loop on a built objective."""
+def _optimize(
+    objective: PairObjective, worker: _SlabWorker | None, cfg: OptimConfig, mode: str
+) -> tuple[RigidParams, RegistrationTrace]:
+    """``register_pair``'s Adam loop on a built objective, stepped with ``worker`` if one is given."""
     rng = np.random.default_rng(cfg.seed)
     vec = RigidParams.random_init(rng).to_vector()
 
@@ -506,10 +503,9 @@ def _optimize(objective: PairObjective, cfg: OptimConfig, mode: str) -> tuple[Ri
     stop = "max_steps"
 
     for step in range(cfg.max_steps):
-        report, grad = objective(vec)
+        report, grad = objective(vec, worker)
         total = report.total
         if not np.isfinite(total):
-            trace.append(TraceRow(step, lr, report, vec.copy()))
             raise NumericalError(f"loss diverged at step {step}")
         trace.append(TraceRow(step, lr, report, vec.copy()))
         if total < best_loss:

@@ -21,14 +21,14 @@ all classes, and lerps each class's corners only in the mixed cells. The
 label warp and the label preprocessing share it.
 
 ``two_thread_map`` runs a list of independent items, such as those slabs,
-on the calling thread and one helper thread. The slab walks and per-class
-loops of the untaped warps and of task application go through it, and so
-do the slab walks of the set-up: the phantom render with the segmenter's
-prior, and the isotropic resampling. Their items write their parts of one
-output array in place; on one usable CPU it is the plain loop. The
-registration objective splits its slabs with a forked worker process
-instead (``engine.PairObjective``), so that its numpy calls do not pass
-the interpreter lock back and forth.
+on the calling thread and one helper thread that lives for the call. The
+slab walks and per-class loops of the untaped warps and of task
+application go through it, and so do the slab walks of the set-up: the
+phantom render with the segmenter's prior, and the isotropic resampling.
+Their items write their parts of one output array in place; on one usable
+CPU it is the plain loop. The registration objective splits its terms
+with a forked worker process instead (``engine.PairObjective``), so that
+its numpy calls do not pass the interpreter lock back and forth.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -57,21 +56,6 @@ def slab_bounds(shape: tuple[int, int, int]) -> list[tuple[int, int]]:
     return [(z0, min(z0 + depth, d)) for z0 in range(0, d, depth)]
 
 
-_helper: ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
-
-
-def _reset_helper():
-    # a forked child has the executor object but not its thread
-    global _helper, _helper_lock
-    _helper = None
-    _helper_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_helper)
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -83,21 +67,19 @@ def two_thread_map(fn, items: Sequence) -> list:
 
     Both threads take the next item from one shared iterator, so an odd item
     count still balances; numpy and scipy release the interpreter lock inside
-    their kernels, so the two overlap. The helper is one thread for the whole
-    process, started by the first call that can use it: never with one item
-    or one usable CPU. The call returns or raises only once no item is
-    running, and an error on either thread stops both from taking more.
-    A call made from inside an item, on either thread, runs its items on
-    that thread alone unless the helper comes free, so nesting cannot wait
-    on itself. Every caller has each item write a disjoint part of its
-    output or return its own value, so the bytes do not depend on which
-    thread ran which item.
+    their kernels, so the two overlap. Each call starts its own helper, never
+    with one item or one usable CPU, and joins it before it returns or
+    raises, so no helper outlives its call and a call made from inside an
+    item has a helper of its own. An error on either thread stops both from
+    taking more items; the caller's is raised before the helper's. Every
+    caller has each item write a disjoint part of its output or return its
+    own value, so the bytes do not depend on which thread ran which item.
     """
-    global _helper
     if len(items) < 2 or _usable_cpus() < 2:
         return [fn(x) for x in items]
     results = [None] * len(items)
     todo = iter(range(len(items)))  # next() on it is one C call, atomic under the GIL
+    helper_error = []
 
     def work():
         try:
@@ -108,17 +90,20 @@ def two_thread_map(fn, items: Sequence) -> list:
                 pass
             raise
 
-    with _helper_lock:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rigidda-slab")
-        future = _helper.submit(work)
+    def helper_work():
+        try:
+            work()
+        except BaseException as exc:
+            helper_error.append(exc)
+
+    helper = threading.Thread(target=helper_work, name="rigidda-slab")
+    helper.start()
     try:
         work()
     finally:
-        if not future.cancel():
-            wait([future])
-    if not future.cancelled():
-        future.result()
+        helper.join()
+    if helper_error:
+        raise helper_error[0]
     return results
 
 

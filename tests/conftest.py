@@ -26,9 +26,8 @@ needs_two_cpus = pytest.mark.skipif(interp._usable_cpus() < 2, reason="needs two
 
 def force_one_cpu(mp: pytest.MonkeyPatch):
     """Under the monkeypatch ``mp``, ``two_thread_map`` sees one usable CPU and
-    runs the plain loop; the process's helper thread is put aside meanwhile."""
+    runs the plain loop, and no slab worker is forked."""
     mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    mp.setattr(interp, "_helper", None)
 
 
 @pytest.fixture

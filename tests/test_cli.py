@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rigidda
+from rigidda import engine
 from rigidda.cli import _parse_floats, _parse_weights_arg, main
 from rigidda.config import PipelineConfig
 from rigidda.engine import MODES, OptimConfig
@@ -279,6 +280,35 @@ class TestLossesCheck:
         report = json.loads(capsys.readouterr().out)
         assert {"cycle_fwd", "cycle_bwd", "focus_exact", "focus_smooth", "total"} <= set(report)
         assert report["total"] > 0.0
+
+    def test_forks_no_worker(self, tmp_path, monkeypatch, capsys):
+        """One evaluation of an objective of three slabs runs the serial loop."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(PhantomSpec().scaled(40 / 64).to_json())
+        gen = ["phantom-gen", "--spec", str(spec), "--grid", "40", "40", "23", "--iso", "1.5", "--out-dir", str(tmp_path)]
+        assert main(gen) == 0
+        started = []
+
+        class Recorded(engine._SlabWorker):
+            def __init__(self, objective):
+                started.append(objective)
+                super().__init__(objective)
+
+        monkeypatch.setattr(engine, "_SlabWorker", Recorded)
+        capsys.readouterr()
+        code = main(
+            [
+                "losses-check",
+                "--ax", str(tmp_path / "I.nii"),
+                "--sax", str(tmp_path / "J.nii"),
+                "--gt-transform", str(tmp_path / "gtM.json"),
+                "--params", "0.05,0,0,0,0,0,0,0,0",
+                "--spec", str(spec),
+            ]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["total"] > 0.0
+        assert started == []
 
     def test_bad_weights_string(self, pair_dir, spec_path):
         code = main(

@@ -39,6 +39,7 @@ from rigidda.experiments import ABLATION_MODES, apex_case
 from rigidda.losses import (
     LossReport,
     LossWeights,
+    ProbabilityVolume,
     focus_exact,
     focus_smooth,
     focus_smooth_upstream,
@@ -143,7 +144,7 @@ class WholeGridObjective:
 class SerialSlabObjective(PairObjective):
     """Reference objective: the slabs one after another on the calling thread."""
 
-    def __call__(self, vec):
+    def __call__(self, vec, worker=None):
         params = RigidParams.from_vector(vec)
         mats = euler_to_affine(params)
         jac = affine_jacobian(params)
@@ -202,6 +203,12 @@ def _assert_same_bits(result, reference):
     for name in REPORT_FIELDS:
         assert getattr(rep, name) == getattr(ref, name), name
     assert np.array_equal(grad, ref_grad)
+
+
+def _with_worker(obj, vec):
+    """``obj(vec)`` stepped with a slab worker where one can run."""
+    with engine._worker_for(obj) as worker:
+        return obj(vec, worker)
 
 
 @functools.cache
@@ -421,6 +428,26 @@ class TestRegisterPair:
         np.testing.assert_array_equal(params.to_vector(), result.params.to_vector())
         np.testing.assert_array_equal(apply_task(pair.i, params, task).data, result.pred_labels.data)
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_a_nan_loss_stops_the_run(self):
+        """A task that gives NaN probabilities on one of three slabs makes the
+        first loss NaN: the run raises and leaves no process behind."""
+        pair, seg = pair_on((40, 40, 23))
+
+        class NanOnSlab1:
+            def restrict(self, z0, z1):
+                part = seg.restrict(z0, z1)
+                if z0 == 10:
+                    evaluate = part.evaluate
+                    part.evaluate = lambda vol: ProbabilityVolume.trusted(vol.geometry, evaluate(vol).q * np.nan)
+                return part
+
+        before = _child_pids()
+        cfg = OptimConfig(lr0=0.02, epoch_steps=2, max_steps=4)
+        with pytest.raises(NumericalError, match="^loss diverged at step 0$"):
+            register_pair(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, NanOnSlab1(), LossWeights(tau=0.1), cfg)
+        assert _child_pids() == before
+
     def test_trace_csv_layout(self, tmp_path):
         _, trace = self._run("cycle", max_steps=15)
         path = tmp_path / "trace.csv"
@@ -524,8 +551,9 @@ class TestTwoThreadObjective:
         for mode in MODES:
             args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, w, mode)
             threaded, serial = PairObjective(*args), SerialSlabObjective(*args)
-            for vec in vecs:
-                _assert_same_bits(threaded(vec), serial(vec))
+            with engine._worker_for(threaded) as worker:
+                for vec in vecs:
+                    _assert_same_bits(threaded(vec, worker), serial(vec))
 
     def test_register_pair_trace_equals_the_serial_loop(self, monkeypatch):
         pair, task = pair_on((40, 40, 23))
@@ -546,11 +574,12 @@ class TestTwoThreadObjective:
         w = LossWeights(tau=0.1)
         vec = np.full(9, 0.05)
         args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv)
+        ok_args = (*args, task, w, "full")
         for bad in (0, 1, 2):
             failing = PairObjective(*args, FailingTask(task, lambda z0, bad=bad: z0 == 10 * bad), w, "full")
-            with pytest.raises(NumericalError, match="slab failed"):
-                failing(vec)
-            _assert_same_bits(PairObjective(*args, task, w, "full")(vec), SerialSlabObjective(*args, task, w, "full")(vec))
+            with engine._worker_for(failing) as worker, pytest.raises(NumericalError, match="slab failed"):
+                failing(vec, worker)
+            _assert_same_bits(_with_worker(PairObjective(*ok_args), vec), SerialSlabObjective(*ok_args)(vec))
 
     @needs_two_cpus
     def test_error_in_the_worker_is_raised_by_the_caller(self):
@@ -560,15 +589,16 @@ class TestTwoThreadObjective:
         w = LossWeights(tau=0.1)
         # the worker computes slab 1 (z0 = 10) of 3; the caller's slabs 0 and 2 do not fail
         failing = PairObjective(*args, FailingTask(task, lambda z0: os.getpid() != caller), w, "full")
-        for _ in range(2):  # the worker survives its error and fails again
-            with pytest.raises(NumericalError) as raised:
-                failing(np.full(9, 0.05))
-            assert type(raised.value) is NumericalError
-            assert str(raised.value) == "slab failed at z0=10"
-            assert failing._worker.process.is_alive()
-        failing.close()
+        with engine._SlabWorker(failing) as worker:
+            for _ in range(2):  # the worker survives its error and fails again
+                with pytest.raises(NumericalError) as raised:
+                    failing(np.full(9, 0.05), worker)
+                assert type(raised.value) is NumericalError
+                assert str(raised.value) == "slab failed at z0=10"
+                assert worker.process.is_alive()
         vec = np.full(9, -0.03)
-        _assert_same_bits(PairObjective(*args, task, w, "full")(vec), SerialSlabObjective(*args, task, w, "full")(vec))
+        args = (*args, task, w, "full")
+        _assert_same_bits(_with_worker(PairObjective(*args), vec), SerialSlabObjective(*args)(vec))
 
     @needs_two_cpus
     @pytest.mark.parametrize("failing_z0, raised_z0", [((0, 10, 20), 0), ((10, 20), 10), ((20,), 20)])
@@ -580,9 +610,8 @@ class TestTwoThreadObjective:
             pair.i, pair.j, pair.gt_m, pair.gt_m_inv, FailingTask(task, lambda z0: z0 in failing_z0),
             LossWeights(tau=0.1), "full",
         )
-        with pytest.raises(NumericalError, match=f"slab failed at z0={raised_z0}$"):
-            failing(np.full(9, 0.05))
-        failing.close()
+        with engine._SlabWorker(failing) as worker, pytest.raises(NumericalError, match=f"slab failed at z0={raised_z0}$"):
+            failing(np.full(9, 0.05), worker)
 
     @needs_two_cpus
     def test_the_workers_earlier_error_wins_over_the_callers_later_one(self):
@@ -598,10 +627,10 @@ class TestTwoThreadObjective:
         failing = PairObjective(
             pair.i, pair.j, pair.gt_m, pair.gt_m_inv, FailingTask(task, fails_here), LossWeights(tau=0.1), "full"
         )
-        with pytest.raises(NumericalError, match="slab failed at z0=10$"):
-            failing(np.full(9, 0.05))
-        assert failing._worker.process.is_alive()
-        failing.close()
+        with engine._SlabWorker(failing) as worker:
+            with pytest.raises(NumericalError, match="slab failed at z0=10$"):
+                failing(np.full(9, 0.05), worker)
+            assert worker.process.is_alive()
 
     def test_one_cpu_forks_no_process(self, one_cpu):
         pair, task = pair_on((40, 40, 23))
@@ -609,8 +638,9 @@ class TestTwoThreadObjective:
         args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), "full")
         obj = PairObjective(*args)
         vec = np.full(9, 0.05)
-        _assert_same_bits(obj(vec), SerialSlabObjective(*args)(vec))
-        assert obj._worker is None
+        with engine._worker_for(obj) as worker:
+            _assert_same_bits(obj(vec, worker), SerialSlabObjective(*args)(vec))
+        assert worker is None
         assert threading.active_count() == threads
         assert _child_pids() == children
 
@@ -619,11 +649,12 @@ class TestTwoThreadObjective:
         before = _child_pids()
         vec = np.full(9, 0.05)
         for _ in range(50):
-            # each objective is dropped unclosed right after its call, and its finalizer reaps its worker
-            PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, None, LossWeights(), "baseline")(vec)
+            # each worker is reaped when its block is left
+            _with_worker(PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, None, LossWeights(), "baseline"), vec)
             assert _child_pids() == before
 
     def test_concurrent_callers_get_the_serial_bits(self):
+        """Four threads call one objective at once; the first steps with a worker."""
         pair, task = pair_on((40, 40, 23))
         args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), "full")
         obj = PairObjective(*args)
@@ -631,18 +662,19 @@ class TestTwoThreadObjective:
         expected = [SerialSlabObjective(*args)(v) for v in vecs]
         results = {}
 
-        def call(k):
+        def call(k, worker):
             for _ in range(3):
-                results.setdefault(k, []).append(obj(vecs[k]))
+                results.setdefault(k, []).append(obj(vecs[k], worker))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=120)
+            with engine._worker_for(obj) as worker:
+                callers = [threading.Thread(target=call, args=(k, worker if k == 0 else None)) for k in range(4)]
+                for t in callers:
+                    t.start()
+                for t in callers:
+                    t.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
@@ -705,12 +737,10 @@ class TestTermsOutsideTheFixedView:
         assert obj.outside == [2, 2][: len(obj.branches)]
         rng = np.random.default_rng(3)
         vecs = [np.zeros(9)] + [np.concatenate([rng.uniform(-0.2, 0.2, 3), rng.uniform(-0.1, 0.1, 6)]) for _ in range(2)]
-        try:
+        with engine._worker_for(obj) as slab_worker:
             for vec in vecs:
-                _assert_same_bits(obj(vec), serial(vec))
-            assert (obj._worker is not None) == worker
-        finally:
-            obj.close()
+                _assert_same_bits(obj(vec, slab_worker), serial(vec))
+        assert (slab_worker is not None) == worker
 
     @pytest.mark.parametrize("mode, warps", [("baseline", 5), ("cycle", 10), ("full", 17)])
     def test_warps_per_step(self, mode, warps, one_cpu, monkeypatch):
@@ -748,7 +778,7 @@ class TestTermsOutsideTheFixedView:
 
 
 class TestSlabWorker:
-    """The objective's worker process never outlives its registration or its parent."""
+    """The objective's worker process never outlives its block or its parent."""
 
     pytestmark = [needs_two_cpus, pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")]
 
@@ -778,13 +808,50 @@ class TestSlabWorker:
         assert len(started) == 2
         assert _child_pids() == before
 
-    def test_an_objective_dropped_unclosed_reaps_its_worker(self):
+    def test_no_thread_of_the_package_runs_when_register_pair_forks(self, monkeypatch):
+        threads_at_fork = []
+
+        class Recorded(engine._SlabWorker):
+            def __init__(self, objective):
+                threads_at_fork.append([t.name for t in threading.enumerate() if t.name.startswith("rigidda-slab")])
+                super().__init__(objective)
+
+        monkeypatch.setattr(engine, "_SlabWorker", Recorded)
+        register_pair(*self._args(), OptimConfig(lr0=0.02, epoch_steps=2, max_steps=4), mode="full")
+        assert threads_at_fork == [[]]
+
+    def test_a_block_left_by_keyboard_interrupt_reaps_its_worker(self):
+        args = (*self._args(), "full")
+        obj, serial = PairObjective(*args), SerialSlabObjective(*args)
         before = _child_pids()
-        obj = PairObjective(*self._args(), "baseline")
-        obj(np.full(9, 0.05))
-        worker = obj._worker.process.pid
-        assert _child_pids() == before | {worker}
-        del obj
+        vec = np.full(9, 0.05)
+        with pytest.raises(KeyboardInterrupt), engine._SlabWorker(obj) as worker:
+            obj(vec, worker)
+            assert _child_pids() == before | {worker.process.pid}
+            raise KeyboardInterrupt
+        assert _child_pids() == before
+        _assert_same_bits(obj(vec, worker), serial(vec))  # a closed worker leaves the step to the caller
+
+    def test_an_interrupt_in_the_callers_share_closes_the_worker(self, monkeypatch):
+        """A later call with the worker never reads the reply that the interrupted call left unread."""
+        args = (*self._args(), "full")
+        obj, serial = PairObjective(*args), SerialSlabObjective(*args)
+        before = _child_pids()
+        share = obj._share
+
+        def interrupted(first, mats, jac):
+            if first == 0:
+                raise KeyboardInterrupt
+            return share(first, mats, jac)
+
+        with engine._SlabWorker(obj) as worker:
+            monkeypatch.setattr(obj, "_share", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                obj(np.full(9, 0.05), worker)
+            assert not worker.process.is_alive()
+            monkeypatch.undo()
+            vec = np.full(9, -0.02)
+            _assert_same_bits(obj(vec, worker), serial(vec))
         assert _child_pids() == before
 
     def test_a_killed_worker_is_replaced_by_the_caller(self):
@@ -792,15 +859,15 @@ class TestSlabWorker:
         obj, serial = PairObjective(*args), SerialSlabObjective(*args)
         before = _child_pids()
         vec = np.full(9, 0.05)
-        obj(vec)
-        worker = obj._worker.process.pid
-        os.kill(worker, signal.SIGKILL)
-        _assert_same_bits(obj(vec), serial(vec))
-        assert worker not in _child_pids()  # reaped, not a zombie
-        assert obj._worker is None
-        vec = np.full(9, -0.02)
-        _assert_same_bits(obj(vec), serial(vec))  # a new worker
-        obj.close()
+        with engine._SlabWorker(obj) as worker:
+            obj(vec, worker)
+            os.kill(worker.process.pid, signal.SIGKILL)
+            _assert_same_bits(obj(vec, worker), serial(vec))
+            assert _child_pids() == before  # reaped, not a zombie
+            assert not worker.process.is_alive()
+            vec = np.full(9, -0.02)
+            _assert_same_bits(obj(vec, worker), serial(vec))  # the caller again: no new worker
+            assert _child_pids() == before
         assert _child_pids() == before
 
     def test_the_worker_exits_when_its_parent_is_killed(self):
@@ -809,13 +876,14 @@ class TestSlabWorker:
         script = (
             "import time, numpy as np\n"
             "from conftest import pair_on\n"
-            "from rigidda.engine import PairObjective\n"
+            "from rigidda.engine import PairObjective, _SlabWorker\n"
             "from rigidda.losses import LossWeights\n"
             "pair, _ = pair_on((40, 40, 23))\n"
             "obj = PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, None, LossWeights(), 'baseline')\n"
-            "obj(np.zeros(9))\n"
-            "print(obj._worker.process.pid, flush=True)\n"
-            "time.sleep(300)\n"
+            "with _SlabWorker(obj) as worker:\n"
+            "    obj(np.zeros(9), worker)\n"
+            "    print(worker.process.pid, flush=True)\n"
+            "    time.sleep(300)\n"
         )
         with subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True) as parent:
             try:

@@ -177,6 +177,26 @@ class TestTwoThreadMap:
     def test_results_in_item_order(self, n):
         assert two_thread_map(lambda x: x * x, list(range(n))) == [x * x for x in range(n)]
 
+    @needs_two_cpus
+    def test_no_thread_outlives_a_call(self):
+        def helpers():
+            return [t.name for t in threading.enumerate() if t.name.startswith("rigidda-slab")]
+
+        threads = threading.active_count()
+        assert two_thread_map(lambda x: x * x, list(range(8))) == [x * x for x in range(8)]
+        assert threading.active_count() == threads
+        assert helpers() == []
+
+        def fails_on_3(x):
+            if x == 3:
+                raise ValueError("item 3")
+            return x
+
+        with pytest.raises(ValueError, match="item 3"):
+            two_thread_map(fails_on_3, list(range(8)))
+        assert threading.active_count() == threads
+        assert helpers() == []
+
     def test_one_cpu_runs_the_plain_loop_on_the_caller(self, one_cpu):
         threads = two_thread_map(lambda x: threading.current_thread(), list(range(5)))
         assert threads == [threading.current_thread()] * 5
