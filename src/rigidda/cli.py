@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: phantom-gen, register, resample, eval, losses-check, apply,
-end2end. Exit codes: 0 success, 2 validation error, 3 numerical failure,
-4 I/O error. Set RIGIDDA_LOG=debug|info|warning for verbosity.
+end2end. Exit codes: 0 success, 2 validation error, 3 numerical failure
+(a numpy overflow, division by zero or invalid value among them), 4 I/O
+error. Set RIGIDDA_LOG=debug|info|warning for verbosity.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .config import PipelineConfig, replace_settings
 from .engine import FOCUS_MODES, MODES, PairObjective, register_pair
-from .errors import RigiddaError, ValidationError
+from .errors import NumericalError, RigiddaError, ValidationError
 from .io import read_volume, write_volume
 from .losses import LossWeights
 from .metrics import evaluate_labels, postprocess_labels
@@ -60,8 +61,12 @@ def _parse_params(text: str) -> RigidParams:
 
 
 def _parse_transform_arg(text: str) -> np.ndarray:
-    """Either a path to a transform JSON or 9 comma-separated parameters."""
-    if Path(text).exists():
+    """Either a path to a transform JSON, 9 comma-separated parameters or 16 matrix entries."""
+    try:
+        is_path = Path(text).exists()
+    except OSError:  # a name too long for a path, as 16 entries written out in full are
+        is_path = False
+    if is_path:
         return read_transform(text)[0]
     values = _parse_floats(text, "--transform entry")
     if len(values) == 9:
@@ -94,8 +99,13 @@ def _load_config(path: str | None, mode: str | None, weights: str | None = None)
     return config
 
 
+def _load_spec(path: str | None) -> PhantomSpec:
+    """The phantom spec of ``--spec``, or the default spec without one."""
+    return PhantomSpec.from_file(path) if path else PhantomSpec()
+
+
 def cmd_phantom_gen(args) -> int:
-    spec = PhantomSpec.from_file(args.spec) if args.spec else PhantomSpec()
+    spec = _load_spec(args.spec)
     rel = check_rigid(read_transform(args.rel_transform)[0], "--rel-transform") if args.rel_transform else np.eye(4)
     pair = make_pair(spec, rel, grid=tuple(args.grid), iso=args.iso, seed=args.seed)
     save_pair_dir(pair, spec, args.out_dir)
@@ -112,8 +122,7 @@ def cmd_register(args) -> int:
     if config.mode in FOCUS_MODES:
         if not args.spec:
             raise ValidationError("focus modes need --spec for the task module")
-        spec = PhantomSpec.from_file(args.spec)
-        task = AnalyticSegmenter(spec, ax.geometry)
+        task = AnalyticSegmenter(_load_spec(args.spec), ax.geometry)
     params, trace = register_pair(ax, sax, gt_m, gt_m_inv, task, config.weights, config.optim, mode=config.mode)
     if args.trace:
         trace.write_csv(args.trace)
@@ -165,8 +174,7 @@ def cmd_losses_check(args) -> int:
     gt_m, gt_m_inv = read_transform(args.gt_transform)
     weights = _parse_weights_arg(args.weights)
     params = _parse_params(args.params)
-    spec = PhantomSpec.from_file(args.spec) if args.spec else PhantomSpec()
-    task = AnalyticSegmenter(spec, ax.geometry)
+    task = AnalyticSegmenter(_load_spec(args.spec), ax.geometry)
     report, _ = PairObjective(ax, sax, gt_m, gt_m_inv, task, weights, mode="full")(params.to_vector())
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
@@ -175,8 +183,7 @@ def cmd_losses_check(args) -> int:
 def cmd_apply(args) -> int:
     ax = read_volume(args.ax, Volume)
     params = _parse_params(args.params)
-    spec = PhantomSpec.from_file(args.spec) if args.spec else PhantomSpec()
-    task = AnalyticSegmenter(spec, ax.geometry)
+    task = AnalyticSegmenter(_load_spec(args.spec), ax.geometry)
     labels = apply_task(ax, params, task, post=not args.no_post)
     write_volume(labels, args.output)
     return 0
@@ -278,11 +285,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except RigiddaError as exc:
+        # a numpy overflow, division by zero or invalid value ends the run, not a warning and a wrong result
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (RigiddaError, FloatingPointError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return exc.exit_code if isinstance(exc, RigiddaError) else NumericalError.exit_code
     except OSError as exc:  # a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 4

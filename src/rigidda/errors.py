@@ -22,8 +22,10 @@ class ValidationError(RigiddaError):
 
 def check_numbers(settings, section: str):
     """Each field of the dataclass ``settings`` annotated ``int`` holds an integer
-    and every other field an integer or a float; a bool is neither."""
+    and each one annotated ``float`` an integer or a float; a bool is neither."""
     for f in dataclasses.fields(settings):
+        if f.type not in ("int", int, "float", float):
+            continue
         value = getattr(settings, f.name)
         integer = f.type in ("int", int)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):

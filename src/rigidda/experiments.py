@@ -105,7 +105,8 @@ def recover(seed: int, max_steps: int = 350, **draw) -> Recovery:
 
 
 class Ablation(NamedTuple):
-    """One mode's LV/MYO/RV Dice (0.0 for None), exact focus loss of ``pair.i`` warped by M_t, steps."""
+    """One mode's LV/MYO/RV Dice (0.0 for None), exact focus loss of ``pair.i`` warped by M_t
+    at the preset's threshold r, steps."""
     dice: np.ndarray
     focus: float
     steps: int
@@ -116,8 +117,9 @@ def ablate(seed: int, max_steps: int = 100, **draw) -> dict[str, Ablation]:
     pair, _, task = apex_case(seed, **draw)
     out = {}
     for mode in ABLATION_MODES:
-        result = run_end2end(pair, task, fast_config(mode, seed, max_steps))
+        config = fast_config(mode, seed, max_steps)
+        result = run_end2end(pair, task, config)
         dice = np.array([result.report.per_class[c].dice or 0.0 for c in FOREGROUND_CLASSES])
         warped = transform_volume(pair.i, euler_to_affine(result.params).m_t, pair.i.geometry)
-        out[mode] = Ablation(dice, focus_exact(task.evaluate(warped.image)), len(result.trace.rows))
+        out[mode] = Ablation(dice, focus_exact(task.evaluate(warped.image), config.weights.r), len(result.trace.rows))
     return out

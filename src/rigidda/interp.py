@@ -33,6 +33,7 @@ its numpy calls do not pass the interpreter lock back and forth.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from collections.abc import Sequence
@@ -96,7 +97,8 @@ def two_thread_map(fn, items: Sequence) -> list:
         except BaseException as exc:
             helper_error.append(exc)
 
-    helper = threading.Thread(target=helper_work, name="rigidda-slab")
+    # the helper runs in a copy of the caller's context, which holds numpy's error state
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(helper_work,), name="rigidda-slab")
     helper.start()
     try:
         work()

@@ -111,6 +111,14 @@ def _geometry_from_sform(shape, sform: np.ndarray) -> GridGeometry:
     return GridGeometry(shape, spacing, sform[:, 3], direction)
 
 
+def _intensity(geometry: GridGeometry, data: np.ndarray) -> Volume:
+    """The Volume of a file's float32 voxels. They are checked before the cast to
+    float64, which would warn on a signalling NaN; ``isfinite`` does not."""
+    if not np.all(np.isfinite(data)):
+        raise ValidationError("volume contains non-finite values")
+    return Volume(geometry, data.astype(np.float64))
+
+
 def write_nifti(vol: Volume | LabelVolume, path: str | Path):
     path = Path(path)
     is_label = isinstance(vol, LabelVolume)
@@ -186,7 +194,7 @@ def read_nifti(path: str | Path) -> Volume | LabelVolume:
         if np.any((data < 0) | (data >= NUM_CLASSES)):
             raise VolumeIOError("unknown-class-id", "label file contains ids outside 0..3")
         return LabelVolume(geometry, data)
-    return Volume(geometry, data.astype(np.float64))
+    return _intensity(geometry, data)
 
 
 def write_sidecar(vol: Volume | LabelVolume, path: str | Path):
@@ -241,7 +249,7 @@ def read_sidecar(path: str | Path) -> Volume | LabelVolume:
         if np.any(data >= NUM_CLASSES):
             raise VolumeIOError("unknown-class-id", "label file contains ids outside 0..3")
         return LabelVolume(geometry, data)
-    return Volume(geometry, data.astype(np.float64))
+    return _intensity(geometry, data)
 
 
 def read_volume(path: str | Path, kind: type | None = None) -> Volume | LabelVolume:

@@ -129,14 +129,14 @@ def in_plane_weight(g: GridGeometry) -> np.ndarray:
     return (1.0 - np.abs(nx)) * (1.0 - np.abs(ny))
 
 
-def focus_exact(q: ProbabilityVolume, r: float = 0.9) -> float:
+def focus_exact(q: ProbabilityVolume, r: float) -> float:
     """1 minus the fraction of foreground entries strictly above threshold r."""
     fg = q.foreground()
     count = float(np.count_nonzero(fg > r))
     return 1.0 - count / fg.size
 
 
-def focus_smooth(q: ProbabilityVolume, r: float = 0.9, tau: float = 0.02) -> float:
+def focus_smooth(q: ProbabilityVolume, r: float, tau: float) -> float:
     """Sigmoid surrogate of the indicator count; converges to exact as tau -> 0."""
     return 1.0 - float(np.mean(_foreground_sigmoid(q, r, tau)))
 

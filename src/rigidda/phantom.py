@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Protocol
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_numbers
 from .interp import slab_bounds, two_thread_map
 from .io import json_numbers, known_names, parse_json
 from .losses import ProbabilityVolume, _sigmoid
@@ -49,8 +50,15 @@ from .volume import (
 
 @dataclass(frozen=True)
 class Ellipsoid:
+    """Center and semi-axes in mm: three finite numbers each, the semi-axes positive."""
+
     center: tuple[float, float, float]
     semi_axes: tuple[float, float, float]
+
+    def __post_init__(self):
+        c, a = np.asarray(self.center, dtype=float), np.asarray(self.semi_axes, dtype=float)
+        if c.shape != (3,) or a.shape != (3,) or not np.all(np.isfinite(c) & (a > 0) & (a < np.inf)):
+            raise ValidationError(f"ellipsoid needs 3 finite center coordinates and finite positive semi-axes: {self}")
 
     def sdf(self, points_mm: np.ndarray) -> np.ndarray:
         """Approximate signed distance in mm; negative inside.
@@ -60,8 +68,6 @@ class Ellipsoid:
         """
         c = np.asarray(self.center, dtype=float)
         a = np.asarray(self.semi_axes, dtype=float)
-        if np.any(a <= 0):
-            raise ValidationError("ellipsoid semi-axes must be positive")
         points_mm = np.asarray(points_mm, dtype=float)
         total = np.zeros(points_mm.shape[:-1])
         for k in range(3):
@@ -75,22 +81,18 @@ class Ellipsoid:
         return total
 
 
-_ELLIPSOIDS = ("lv", "myo_outer", "rv")
 _TISSUES = ("background", "LV", "MYO", "RV")
-_SPEC_SCALARS = ("sigma_mm", "noise_sigma", "logit_scale", "prior_sigma_mm", "prior_bias_mm", "intensity_sigma")
-_ELLIPSOID_KEYS = ("center", "semi_axes")
 
 
 @dataclass
 class PhantomSpec:
-    """Nested-ellipsoid phantom description, all lengths in mm."""
+    """Nested-ellipsoid phantom description, all lengths in mm. The fields are
+    the layout of its JSON, and ``__post_init__`` checks each of them."""
 
     lv: Ellipsoid = field(default_factory=lambda: Ellipsoid((0.0, 0.0, 0.0), (18.0, 18.0, 30.0)))
     myo_outer: Ellipsoid = field(default_factory=lambda: Ellipsoid((0.0, 0.0, 0.0), (26.0, 26.0, 38.0)))
     rv: Ellipsoid = field(default_factory=lambda: Ellipsoid((-24.0, 0.0, 0.0), (16.0, 20.0, 26.0)))
-    levels: dict = field(
-        default_factory=lambda: {"background": 0.0, "LV": 1.0, "MYO": 0.55, "RV": 0.75}
-    )
+    levels: dict = field(default_factory=lambda: {"background": 0.0, "LV": 1.0, "MYO": 0.55, "RV": 0.75})
     sigma_mm: float = 1.0
     noise_sigma: float = 0.01
     logit_scale: float = 40.0
@@ -100,69 +102,62 @@ class PhantomSpec:
     pose: np.ndarray = field(default_factory=lambda: np.eye(4))
 
     def __post_init__(self):
-        self.pose = np.asarray(self.pose, dtype=float)
-        if self.pose.shape != (4, 4):
-            raise ValidationError("pose must be a 4x4 homogeneous matrix")
-        if self.sigma_mm <= 0:
-            raise ValidationError("smoothness width must be positive")
+        check_numbers(self, "phantom spec")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "Ellipsoid" and not isinstance(value, Ellipsoid):
+                raise ValidationError(f"phantom spec {f.name} must be an Ellipsoid, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValidationError(f"phantom spec {f.name} must be finite, got {value}")
+        for name in ("sigma_mm", "logit_scale", "prior_sigma_mm", "intensity_sigma"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"phantom spec {name} must be above 0, got {getattr(self, name)}")
+        if self.noise_sigma < 0:
+            raise ValidationError(f"phantom spec noise_sigma must be at least 0, got {self.noise_sigma}")
+        if not isinstance(self.levels, dict) or sorted(self.levels, key=str) != sorted(_TISSUES):
+            raise ValidationError(f"phantom spec levels must give exactly {', '.join(_TISSUES)}")
+        json_numbers(list(self.levels.values()), ((4,),), "phantom spec levels")
+        self.levels = dict(self.levels)
+        self.pose = check_rigid(np.array(self.pose, dtype=float), "phantom spec pose")
 
     def scaled(self, factor: float) -> "PhantomSpec":
-        """Geometrically scaled copy (centers, semi-axes, smoothing width)."""
+        """Geometrically scaled copy: centers, semi-axes and the three lengths."""
 
-        def scale_ell(e: Ellipsoid) -> Ellipsoid:
-            return Ellipsoid(
-                tuple(c * factor for c in e.center),
-                tuple(a * factor for a in e.semi_axes),
-            )
+        def scale(e: Ellipsoid) -> Ellipsoid:
+            return Ellipsoid(tuple(c * factor for c in e.center), tuple(a * factor for a in e.semi_axes))
 
-        return PhantomSpec(
-            lv=scale_ell(self.lv),
-            myo_outer=scale_ell(self.myo_outer),
-            rv=scale_ell(self.rv),
-            levels=dict(self.levels),
-            sigma_mm=self.sigma_mm * factor,
-            noise_sigma=self.noise_sigma,
-            logit_scale=self.logit_scale,
-            prior_sigma_mm=self.prior_sigma_mm * factor,
-            prior_bias_mm=self.prior_bias_mm * factor,
-            intensity_sigma=self.intensity_sigma,
-            pose=self.pose.copy(),
-        )
+        lengths = {name: getattr(self, name) * factor for name in ("sigma_mm", "prior_sigma_mm", "prior_bias_mm")}
+        return replace(self, lv=scale(self.lv), myo_outer=scale(self.myo_outer), rv=scale(self.rv), **lengths)
 
     def to_json(self) -> str:
-        ellipsoids = {name: asdict(getattr(self, name)) for name in _ELLIPSOIDS}
-        scalars = {name: getattr(self, name) for name in _SPEC_SCALARS}
-        pose = np.asarray(self.pose).reshape(16).tolist()
-        return json.dumps({**ellipsoids, "levels": self.levels, **scalars, "pose": pose}, indent=2)
+        return json.dumps({**asdict(self), "pose": self.pose.reshape(16).tolist()}, indent=2)
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "PhantomSpec":
-        """Parse the ``to_json`` layout; absent entries keep their defaults.
-
-        Every entry is checked here, so a malformed spec, or one with a name
-        that is not in the layout, raises ValidationError.
-        """
+        """Parse the ``to_json`` layout; absent entries keep their defaults. A name that
+        is not a field, or a value not in its field's JSON form, raises ValidationError."""
         raw = parse_json(text, "phantom spec")
         if not isinstance(raw, dict):
             raise ValidationError("phantom spec must be a JSON object")
-        known_names(raw, (*_ELLIPSOIDS, "levels", *_SPEC_SCALARS, "pose"), "phantom spec entry")
+        known_names(raw, [f.name for f in fields(cls)], "phantom spec entry")
         kwargs = {}
-        for name in _ELLIPSOIDS:
-            if name in raw:
-                ell = raw[name] if isinstance(raw[name], dict) else {}
-                known_names(ell, _ELLIPSOID_KEYS, f"phantom spec {name} entry")
-                axes = (json_numbers(ell.get(k), ((3,),), f"phantom spec {name}.{k}") for k in _ELLIPSOID_KEYS)
-                kwargs[name] = Ellipsoid(*(tuple(a.tolist()) for a in axes))
-        if "levels" in raw:
-            levels = raw["levels"]
-            if not isinstance(levels, dict) or sorted(levels) != sorted(_TISSUES):
-                raise ValidationError(f"phantom spec levels must give exactly {', '.join(_TISSUES)}")
-            kwargs["levels"] = {k: float(json_numbers(v, ((),), f"phantom spec levels.{k}")) for k, v in levels.items()}
-        for name in _SPEC_SCALARS:
-            if name in raw:
-                kwargs[name] = float(json_numbers(raw[name], ((),), f"phantom spec {name}"))
-        if "pose" in raw:
-            kwargs["pose"] = check_rigid(parse_matrix(raw["pose"], "phantom spec pose"), "phantom spec pose")
+        for f in fields(cls):
+            if f.name not in raw:
+                continue
+            value, what = raw[f.name], f"phantom spec {f.name}"
+            if f.type == "Ellipsoid":
+                value = value if isinstance(value, dict) else {}
+                keys = [k.name for k in fields(Ellipsoid)]
+                known_names(value, keys, f"{what} entry")
+                value = Ellipsoid(*(tuple(json_numbers(value.get(k), ((3,),), f"{what}.{k}").tolist()) for k in keys))
+            elif f.type == "dict":
+                if isinstance(value, dict):
+                    value = {k: float(json_numbers(v, ((),), f"{what}.{k}")) for k, v in value.items()}
+            elif f.type == "np.ndarray":
+                value = parse_matrix(value, what)
+            else:
+                value = float(json_numbers(value, ((),), what))
+            kwargs[f.name] = value
         return cls(**kwargs)
 
     @classmethod
@@ -234,19 +229,14 @@ def _render(spec: PhantomSpec, g: GridGeometry, pose: np.ndarray | None = None, 
 
 
 def generate_phantom(
-    spec: PhantomSpec,
-    g: GridGeometry,
-    noise_sigma: float | None = None,
-    seed: int = 0,
-    pose: np.ndarray | None = None,
+    spec: PhantomSpec, g: GridGeometry, seed: int = 0, pose: np.ndarray | None = None
 ) -> tuple[Volume, LabelVolume]:
-    """The rendered intensity volume, plus Gaussian noise, and the exact label map."""
+    """The rendered intensity volume, plus the spec's Gaussian noise, and the exact label map."""
     intensity, labels = _render(spec, g, pose)
-    sigma = spec.noise_sigma if noise_sigma is None else noise_sigma
-    if sigma > 0:
+    if spec.noise_sigma > 0:
         rng = np.random.default_rng(seed)
         span = max(spec.levels.values()) - min(spec.levels.values())
-        intensity += rng.normal(0.0, sigma * span, size=intensity.shape)
+        intensity += rng.normal(0.0, spec.noise_sigma * span, size=intensity.shape)
     return Volume(g, intensity), LabelVolume(g, labels)
 
 
@@ -285,11 +275,11 @@ class AnalyticSegmenter:
     independent across slices.
     """
 
-    def __init__(self, spec: PhantomSpec, geometry: GridGeometry, pose: np.ndarray | None = None):
+    def __init__(self, spec: PhantomSpec, geometry: GridGeometry):
         self.spec = spec
         self.geometry = geometry
         # the prior has one row per foreground class: the channels q[1:]
-        self._template, self._prior = _render(spec, geometry, pose, prior=True)
+        self._template, self._prior = _render(spec, geometry, prior=True)
 
     def restrict(self, z0: int, z1: int) -> "AnalyticSegmenter":
         """This segmenter on the slices ``z0:z1``, with contiguous copies of its fields."""
@@ -386,7 +376,6 @@ def make_pair(
     ax_spacing: tuple[float, float, float] | None = None,
     sax_spacing: tuple[float, float, float] | None = None,
     seed: int = 0,
-    noise_sigma: float | None = None,
 ) -> PhantomPair:
     """Render two views of one phantom related by the world rigid map ``rel``.
 
@@ -418,10 +407,8 @@ def make_pair(
     g_ax = acquisition_geometry(ax_spacing)
     g_sax = acquisition_geometry(sax_spacing)
 
-    vol_i, lab_i = generate_phantom(
-        spec, g_ax, noise_sigma=noise_sigma, seed=seed, pose=rel @ spec.pose
-    )
-    vol_j, lab_j = generate_phantom(spec, g_sax, noise_sigma=noise_sigma, seed=seed + 1, pose=spec.pose)
+    vol_i, lab_i = generate_phantom(spec, g_ax, seed=seed, pose=rel @ spec.pose)
+    vol_j, lab_j = generate_phantom(spec, g_sax, seed=seed + 1, pose=spec.pose)
 
     def preprocess(vol):
         out = resample_isotropic(vol, iso)

@@ -208,9 +208,11 @@ def parse_matrix(value, what: str) -> np.ndarray:
 
 
 def check_rigid(m: np.ndarray, what: str) -> np.ndarray:
-    """``m`` itself if it is a homogeneous rigid map: bottom row 0, 0, 0, 1 and a
-    rotation block that is orthonormal with determinant +1, each to 1e-6, so a
-    rotation written out to 7 digits passes."""
+    """``m`` itself if it is a 4x4 homogeneous rigid map of finite numbers: bottom
+    row 0, 0, 0, 1 and a rotation block that is orthonormal with determinant +1,
+    each to 1e-6, so a rotation written out to 7 digits passes."""
+    if m.shape != (4, 4) or not np.all(np.isfinite(m)):
+        raise ValidationError(f"{what} must be a 4x4 matrix of finite numbers")
     r = m[:3, :3]
     bottom_ok = np.abs(m[3] - [0.0, 0.0, 0.0, 1.0]).max() <= 1e-6
     if not (bottom_ok and np.abs(r.T @ r - np.eye(3)).max() <= 1e-6 and np.linalg.det(r) > 0.0):

@@ -106,6 +106,10 @@ def compact_spec() -> PhantomSpec:
     return PhantomSpec(noise_sigma=0.0).scaled(0.6)
 
 
+# one phantom spec value out of range per field, each of which the spec once took
+BAD_SPEC_VALUES = {"intensity_sigma": 0.0, "noise_sigma": -1.0, "logit_scale": 0.0, "prior_sigma_mm": 0.0}
+
+
 def gentle_task_spec() -> PhantomSpec:
     """Compact, smooth phantom with soft, wide-basin segmenter probabilities.
 

@@ -14,6 +14,8 @@ same bytes.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
@@ -187,7 +189,7 @@ def ellipsoid_sdf(e, pts: np.ndarray) -> np.ndarray:
     return (np.linalg.norm((pts - np.asarray(e.center, dtype=float)) / a, axis=-1) - 1.0) * float(a.min())
 
 
-def generate_phantom(spec, g, noise_sigma=None, seed=0, pose=None) -> tuple[np.ndarray, np.ndarray]:
+def generate_phantom(spec, g, seed=0, pose=None) -> tuple[np.ndarray, np.ndarray]:
     """Intensity and labels, each tissue region's rule written out inline."""
     pose = spec.pose if pose is None else np.asarray(pose, dtype=float)
     pts = _phantom_points(g, pose)
@@ -199,11 +201,10 @@ def generate_phantom(spec, g, noise_sigma=None, seed=0, pose=None) -> tuple[np.n
     for sdf, level in ((sdf_outer, levels["MYO"]), (sdf_lv, levels["LV"]), (sdf_rv_region, levels["RV"])):
         w_in = _sigmoid(-sdf / spec.sigma_mm)
         intensity = intensity * (1.0 - w_in) + level * w_in
-    sigma = spec.noise_sigma if noise_sigma is None else noise_sigma
-    if sigma > 0:
+    if spec.noise_sigma > 0:
         rng = np.random.default_rng(seed)
         span = max(levels.values()) - min(levels.values())
-        intensity = intensity + rng.normal(0.0, sigma * span, size=intensity.shape)
+        intensity = intensity + rng.normal(0.0, spec.noise_sigma * span, size=intensity.shape)
     labels = np.zeros(pts.shape[0], dtype=np.int16)
     labels[sdf_rv_region <= 0] = 3
     labels[np.maximum(sdf_outer, -sdf_lv) <= 0] = 2
@@ -211,13 +212,12 @@ def generate_phantom(spec, g, noise_sigma=None, seed=0, pose=None) -> tuple[np.n
     return intensity.reshape(g.shape), labels.reshape(g.shape)
 
 
-def segmenter_fields(spec, g, pose=None) -> tuple[np.ndarray, np.ndarray]:
-    """The segmenter's prior and template from two separate renders."""
-    pose = spec.pose if pose is None else np.asarray(pose, dtype=float)
-    pts = _phantom_points(g, pose)
+def segmenter_fields(spec, g) -> tuple[np.ndarray, np.ndarray]:
+    """The segmenter's prior and template from two separate renders at the spec's pose."""
+    pts = _phantom_points(g, spec.pose)
     sdf_lv = ellipsoid_sdf(spec.lv, pts)
     sdf_outer = ellipsoid_sdf(spec.myo_outer, pts)
     sdfs = (sdf_lv, np.maximum(sdf_outer, -sdf_lv), np.maximum(ellipsoid_sdf(spec.rv, pts), -sdf_outer))
     prior = np.stack([_sigmoid((spec.prior_bias_mm - s) / spec.prior_sigma_mm).reshape(g.shape) for s in sdfs])
-    template, _ = generate_phantom(spec, g, noise_sigma=0.0, pose=pose)
+    template, _ = generate_phantom(dataclasses.replace(spec, noise_sigma=0.0), g)
     return prior, template

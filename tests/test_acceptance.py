@@ -90,7 +90,7 @@ def test_criterion_2_gradient_correctness():
     start = time.perf_counter()
     spec = gentle_task_spec()
     rel = world_rigid((0.15, -0.1, 0.2), (3.0, -2.0, 1.5))
-    pair = make_pair(spec, rel, grid=(32, 32, 32), iso=1.5, seed=0, noise_sigma=0.0)
+    pair = make_pair(spec, rel, grid=(32, 32, 32), iso=1.5, seed=0)
     g = pair.i.geometry
     task = AnalyticSegmenter(spec, g)
     coords = target_coords(g)

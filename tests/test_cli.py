@@ -27,7 +27,7 @@ from rigidda.io import read_volume, write_volume
 from rigidda.losses import LossWeights
 from rigidda.phantom import PhantomSpec, world_rigid
 from rigidda.volume import GridGeometry, LabelVolume, Volume
-from conftest import gentle_task_spec
+from conftest import BAD_SPEC_VALUES, gentle_task_spec
 
 GRID = ["16", "16", "16"]
 ISO = "3.0"
@@ -758,6 +758,28 @@ class TestMalformedNumbers:
         assert main(args) == 2
 
     @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("apply", "0,0,0,0,0,0,0,0,1e308"),
+            ("losses-check", "0,0,0,0,0,0,0,0,5e307"),
+            ("resample", "0,0,0,1e308,0,0,0,0,0"),
+        ],
+    )
+    def test_overflowing_numbers_exit_3(self, pair_dir, spec_path, tmp_path, capsys, command, params):
+        """Finite numbers so large that the warp overflows end the run with exit 3, not a warning."""
+        out = ["--output", str(tmp_path / "o.nii")]
+        args = {
+            "apply": ["--ax", str(pair_dir / "I.nii"), "--params", params, "--spec", str(spec_path), *out],
+            "losses-check": ["--ax", str(pair_dir / "I.nii"), "--sax", str(pair_dir / "J.nii"), "--params", params,
+                             "--gt-transform", str(pair_dir / "gtM.json"), "--spec", str(spec_path)],
+            "resample": ["--input", str(pair_dir / "I.nii"), "--transform", params, *out],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *args]) == 3
+        assert "overflow" in capsys.readouterr().err
+        assert not (tmp_path / "o.nii").exists()
+
+    @pytest.mark.parametrize(
         "transform",
         [
             "0,0,0,abc,0,0,0,0,0",
@@ -821,6 +843,13 @@ class TestMalformedNumbers:
     def test_unreadable_transform_path_exit_4(self, pair_dir, tmp_path):
         args = ["resample", "--input", str(pair_dir / "I.nii"), "--transform", str(tmp_path)]
         assert main(args + ["--output", str(tmp_path / "x.nii")]) == 4
+
+    def test_matrix_entries_longer_than_a_file_name(self, pair_dir, tmp_path):
+        """16 entries written out in full make a string too long to be a path, not an I/O error."""
+        text = ",".join(f"{v:.17e}" for v in world_rigid((0.1, -0.2, 0.3), (0.01, 0.02, -0.03)).reshape(16))
+        assert len(text) > 255
+        args = ["resample", "--input", str(pair_dir / "I.nii"), f"--transform={text}"]
+        assert main(args + ["--output", str(tmp_path / "x.nii")]) == 0
 
     def test_nested_matrix_still_accepted(self, pair_dir, tmp_path):
         good = tmp_path / "nested.json"
@@ -888,3 +917,94 @@ class TestMalformedSpec:
         out = tmp_path / "run"
         assert main(["end2end", "--pair-dir", str(pair_dir), "--config", str(fast_config), "--out-dir", str(out)]) == 2
         assert not out.exists()
+
+
+_SPEC_COMMANDS = ["phantom-gen", "register", "apply", "losses-check", "end2end"]
+
+
+class TestSpecValuesExit2:
+    """A spec value out of range exits 2 from every subcommand that reads a spec."""
+
+    @pytest.mark.parametrize("command", _SPEC_COMMANDS)
+    @pytest.mark.parametrize("name, value", BAD_SPEC_VALUES.items(), ids=BAD_SPEC_VALUES)
+    def test_exit_2(self, pair_dir, fast_config, tmp_path, capsys, command, name, value):
+        bad = tmp_path / "bad_spec.json"
+        bad.write_text(json.dumps({name: value}))
+        ax, out = ["--ax", str(pair_dir / "I.nii")], tmp_path / "out"
+        views = [*ax, "--sax", str(pair_dir / "J.nii"), "--gt-transform", str(pair_dir / "gtM.json")]
+        args = {
+            "phantom-gen": ["--grid", "8", "8", "8", "--iso", "4.0", "--out-dir", str(out), "--spec", str(bad)],
+            "register": [*views, "--mode", "full", "--spec", str(bad)],
+            "apply": [*ax, "--params", "0,0,0,0,0,0,0,0,0", "--output", str(out), "--spec", str(bad)],
+            "losses-check": [*views, "--params", "0,0,0,0,0,0,0,0,0", "--spec", str(bad)],
+            "end2end": ["--pair-dir", str(pair_dir), "--config", str(fast_config), "--out-dir", str(out)],
+        }[command]
+        if command == "end2end":
+            (pair_dir / "spec.json").write_bytes(bad.read_bytes())
+        capsys.readouterr()
+        assert main([command, *args]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+
+_FLOAT_TEXT = st.one_of(
+    st.floats(-2.0, 2.0).map(repr),
+    st.floats().map(repr),
+    st.integers(-(10**400), 10**400).map(str),
+    st.sampled_from(["", "-", "nan", "inf", "1e400", "0x10", "1_0", " 1", "True"]),
+    st.text(max_size=4),
+)
+_WEIGHT_ITEM = st.one_of(
+    st.tuples(st.sampled_from(["alpha1", "alpha2", "r", "tau", "alpha", ""]), _FLOAT_TEXT).map("=".join),
+    _FLOAT_TEXT,
+)
+
+
+def _joined(items, min_size=0, max_size=10):
+    return st.lists(items, min_size=min_size, max_size=max_size).map(",".join)
+
+
+def _numbers(n, bound=None):
+    """``n`` comma-separated finite numbers, all within ``bound`` if given."""
+    floats = st.floats(-bound, bound) if bound else st.floats(allow_nan=False, allow_infinity=False)
+    return _joined(floats.map(repr), n, n)
+
+
+class TestArgumentStringFuzz:
+    """Any --weights, --params or --transform string ends in an exit code, never an exception."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.one_of(st.just(""), _joined(_WEIGHT_ITEM, max_size=5), st.text(max_size=12)),
+        params=st.one_of(
+            _numbers(9, 2.0), _numbers(9), _joined(_FLOAT_TEXT, 9, 9), _joined(_FLOAT_TEXT), st.text(max_size=12)
+        ),
+    )
+    def test_losses_check(self, fuzz_pair, weights, params):
+        pair_dir, spec_path = fuzz_pair
+        views = ["--ax", str(pair_dir / "I.nii"), "--sax", str(pair_dir / "J.nii")]
+        args = ["losses-check", *views, "--gt-transform", str(pair_dir / "gtM.json"), "--spec", str(spec_path)]
+        assert main(args + [f"--weights={weights}", f"--params={params}"]) in (0, 2, 3, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        transform=st.one_of(
+            _numbers(9, 2.0), _numbers(9), _numbers(16, 2.0), _numbers(16),
+            _joined(_FLOAT_TEXT, 9, 9), _joined(_FLOAT_TEXT), st.text(),
+        )
+    )
+    def test_resample(self, fuzz_pair, transform):
+        pair_dir, _ = fuzz_pair
+        args = ["resample", "--input", str(pair_dir / "I.nii"), f"--transform={transform}"]
+        assert main(args + ["--output", str(pair_dir / "fuzz_out.nii")]) in (0, 2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def fuzz_pair(tmp_path_factory):
+    """An 8^3 phantom pair directory and its spec file, shared by the fuzz examples."""
+    root = tmp_path_factory.mktemp("fuzz_pair")
+    spec_path = root / "spec.json"
+    spec_path.write_text(gentle_task_spec().to_json())
+    args = ["phantom-gen", "--spec", str(spec_path), "--grid", "8", "8", "8", "--iso", "6.0"]
+    assert main(args + ["--out-dir", str(root / "pair")]) == 0
+    return root / "pair", spec_path

@@ -65,7 +65,7 @@ from conftest import (
 def _small_pair(seed=0):
     spec = gentle_task_spec()
     rel = world_rigid((0.1, -0.05, 0.08), (2.0, -1.0, 1.5))
-    return spec, make_pair(spec, rel, grid=(16, 16, 16), iso=3.0, seed=seed, noise_sigma=0.0)
+    return spec, make_pair(spec, rel, grid=(16, 16, 16), iso=3.0, seed=seed)
 
 
 class WholeGridObjective:

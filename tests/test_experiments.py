@@ -86,5 +86,5 @@ def test_ablate_is_the_inline_mode_loop():
         dice = [result.report.per_class[c].dice or 0.0 for c in (1, 2, 3)]
         warped = transform_volume(pair.i, euler_to_affine(result.params).m_t, pair.i.geometry)
         assert run.dice.tolist() == dice
-        assert run.focus == focus_exact(task.evaluate(warped.image))
+        assert run.focus == focus_exact(task.evaluate(warped.image), config.weights.r)
         assert run.steps == len(result.trace.rows) == 2

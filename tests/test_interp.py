@@ -197,6 +197,29 @@ class TestTwoThreadMap:
         assert threading.active_count() == threads
         assert helpers() == []
 
+    @needs_two_cpus
+    def test_helper_runs_under_the_callers_numpy_error_state(self):
+        """An item on the helper thread sees the caller's ``np.errstate``, so an
+        overflow there raises as it would on the caller."""
+        both = threading.Barrier(2, timeout=30)  # each thread holds one of the two items
+
+        caller = threading.current_thread()
+
+        def state(x):
+            both.wait()
+            return threading.current_thread(), np.geterr()["over"]
+
+        def overflow_on_the_helper(x):
+            both.wait()
+            return np.array([1e308]) * (1.0 if threading.current_thread() is caller else 10.0)
+
+        with np.errstate(over="raise"):
+            states = two_thread_map(state, [0, 1])
+            with pytest.raises(FloatingPointError):
+                two_thread_map(overflow_on_the_helper, [0, 1])
+        assert [over for _, over in states] == ["raise", "raise"]
+        assert len({thread for thread, _ in states}) == 2
+
     def test_one_cpu_runs_the_plain_loop_on_the_caller(self, one_cpu):
         threads = two_thread_map(lambda x: threading.current_thread(), list(range(5)))
         assert threads == [threading.current_thread()] * 5

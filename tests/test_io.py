@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,49 @@ class TestDispatch:
 
 
 # what a mutation puts in place of one number of a valid file
+class TestSignallingNan:
+    """A signalling-NaN voxel (float32 bits 0x7fa00000) is rejected before the float64
+    cast, which would warn "invalid value encountered in cast" on it."""
+
+    @pytest.mark.parametrize("suffix", [".nii", ".raw"])
+    def test_read_raises_validation_error_without_a_warning(self, tmp_path, intensity, suffix):
+        path = tmp_path / f"snan{suffix}"
+        write_volume(intensity, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 352 if suffix == ".nii" else 0, 0x7FA00000)
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite"):
+                read_volume(path)
+
+
+# the first byte of each header field the NIfTI reader reads: sizeof_hdr, dim[0..3],
+# datatype, bitpix, vox_offset, sform_code, the three sform rows and the magic
+_READ_FIELDS = [0, 40, 42, 44, 46, 70, 72, 108, 254, 280, 284, 292, 296, 308, 312, 324, 344]
+
+
+class TestNiftiHeaderFuzz:
+    """A .nii whose header bytes 0-351 are mutated is read as a volume or rejected
+    with VolumeIOError or ValidationError, never anything else."""
+
+    @settings(max_examples=200)
+    @given(data=st.data(), labels=st.booleans())
+    def test_mutated_header(self, fuzz_dir, intensity_and_labels, data, labels):
+        path = fuzz_dir / "mutated.nii"
+        write_nifti(intensity_and_labels[labels], path)
+        blob = bytearray(path.read_bytes())
+        near_field = st.sampled_from(_READ_FIELDS).flatmap(lambda start: st.integers(start, start + 3))
+        for _ in range(data.draw(st.integers(1, 4))):
+            blob[data.draw(st.one_of(st.integers(0, 351), near_field))] = data.draw(st.integers(0, 255))
+        path.write_bytes(bytes(blob))
+        try:
+            vol = read_volume(path)
+        except (VolumeIOError, ValidationError):
+            return
+        assert isinstance(vol, (Volume, LabelVolume)) and vol.data.shape == vol.geometry.shape
+
+
 _SWAPS = ["1" + "0" * 400, "-1" + "0" * 400, "true", "false", '"1"', "NaN", "-Infinity", "1e400", "null"]
 _NUMBER = re.compile(r"-?\d+(\.\d+)?([eE][-+]?\d+)?")
 

@@ -1,5 +1,8 @@
 """Phantom rendering, pair synthesis, and analytic-segmenter behaviour."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from rigidda.errors import ValidationError
 from rigidda.interp import SLAB_VOXELS, slab_bounds
-from rigidda.losses import ProbabilityVolume, focus_exact
+from rigidda.losses import LossWeights, ProbabilityVolume, focus_exact
 from rigidda.phantom import (
     AnalyticSegmenter,
     Ellipsoid,
@@ -29,7 +32,7 @@ from rigidda.volume import (
     preprocess_labels,
 )
 import oracles
-from conftest import gentle_task_spec, traced_peak
+from conftest import BAD_SPEC_VALUES, gentle_task_spec, traced_peak
 
 # [DERIVED] closed-form ellipsoid volumes (4/3 pi abc) for the default
 # geometry; the shell volume is the outer ellipsoid minus the inner cavity,
@@ -167,7 +170,79 @@ class TestPhantomSpec:
         with pytest.raises(ValidationError):
             PhantomSpec.from_json("not json {")
         with pytest.raises(ValidationError):
-            Ellipsoid((0, 0, 0), (1.0, -1.0, 1.0)).sdf(np.zeros((1, 3)))
+            Ellipsoid((0, 0, 0), (1.0, -1.0, 1.0))
+
+
+class TestSpecValues:
+    """PhantomSpec and Ellipsoid check every field when built, in Python and from JSON alike."""
+
+    @pytest.mark.parametrize("name, value", BAD_SPEC_VALUES.items(), ids=BAD_SPEC_VALUES)
+    def test_out_of_range_value_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            PhantomSpec(**{name: value})
+        with pytest.raises(ValidationError, match=name):
+            PhantomSpec.from_json(json.dumps({name: value}))
+        with pytest.raises(ValidationError, match=name):
+            replace(PhantomSpec(), **{name: value})
+
+    @given(
+        name=st.sampled_from(
+            ["sigma_mm", "noise_sigma", "logit_scale", "prior_sigma_mm", "prior_bias_mm", "intensity_sigma"]
+        ),
+        value=st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324])),
+    )
+    @settings(max_examples=60)
+    def test_number_rule(self, name, value):
+        """Finite everywhere; above 0 for the widths and the logit scale, at least 0 for the noise."""
+        valid = np.isfinite(value) and (name == "prior_bias_mm" or value > 0 or (name == "noise_sigma" and value == 0))
+        for build in (lambda: PhantomSpec(**{name: value}), lambda: PhantomSpec.from_json(json.dumps({name: value}))):
+            if valid:
+                assert getattr(build(), name) == value
+            else:
+                with pytest.raises(ValidationError):
+                    build()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sigma_mm": True},
+            {"logit_scale": "40"},
+            {"lv": ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))},
+            {"levels": {"background": 0.0, "LV": 1.0, "MYO": 0.5}},
+            {"levels": {"background": 0.0, "LV": 1.0, "MYO": 0.5, "RV": float("nan")}},
+            {"levels": {"background": 0.0, "LV": 1.0, "MYO": 0.5, "RV": 0.7, 1: 0.0}},
+            {"levels": [0.0, 1.0, 0.5, 0.7]},
+            {"pose": np.diag([2.0, 1.0, 1.0, 1.0])},
+            {"pose": world_rigid((0.1, 0.2, 0.3), (np.inf, 0.0, 0.0))},
+        ],
+        ids=["bool", "string", "tuple-ellipsoid", "three-levels", "nan-level", "fifth-level", "list-levels",
+             "scaling-pose", "infinite-translation"],
+    )
+    def test_malformed_field_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            PhantomSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "center, semi_axes",
+        [((0, 0, 0), (1, 0, 1)), ((0, 0, 0), (1, np.inf, 1)), ((np.nan, 0, 0), (1, 1, 1)), ((0, 0), (1, 1, 1))],
+        ids=["zero-axis", "infinite-axis", "nan-center", "short-center"],
+    )
+    def test_ellipsoid_checked_when_built(self, center, semi_axes):
+        with pytest.raises(ValidationError, match="ellipsoid"):
+            Ellipsoid(center, semi_axes)
+
+    def test_ellipsoid_read_from_json_is_checked(self):
+        with pytest.raises(ValidationError, match="ellipsoid"):
+            PhantomSpec.from_json('{"rv": {"center": [0, 0, 0], "semi_axes": [1, 0, 1]}}')
+
+    def test_scaled_copy_shares_no_mutable_field(self):
+        spec = PhantomSpec()
+        copy = spec.scaled(0.5)
+        copy.levels["LV"] = 0.3
+        copy.pose[0, 3] = 1.0
+        assert spec.levels["LV"] == 1.0 and spec.pose[0, 3] == 0.0
+        with pytest.raises(ValidationError, match="ellipsoid"):
+            spec.scaled(0.0)
 
 
 class TestMakePair:
@@ -225,7 +300,7 @@ class TestMakePair:
 
 class TestAnalyticSegmenter:
     def _calibration(self, spec, g, pose=None):
-        vol, lab = generate_phantom(spec, g, noise_sigma=0.0, pose=pose)
+        vol, lab = generate_phantom(spec, g, pose=pose)
         seg = AnalyticSegmenter(spec, g)
         q = seg.evaluate(vol)
         confident = 0
@@ -255,10 +330,8 @@ class TestAnalyticSegmenter:
         seg = AnalyticSegmenter(spec, g)
         vals = []
         for ang in np.linspace(-0.6, 0.6, 21):
-            vol, _ = generate_phantom(
-                spec, g, noise_sigma=0.0, pose=world_rigid((ang, 0.0, 0.0), (0.0, 0.0, 0.0))
-            )
-            vals.append(focus_exact(seg.evaluate(vol)))
+            vol, _ = generate_phantom(spec, g, pose=world_rigid((ang, 0.0, 0.0), (0.0, 0.0, 0.0)))
+            vals.append(focus_exact(seg.evaluate(vol), LossWeights().r))
         assert int(np.argmin(vals)) == 10
         assert all(vals[i] >= vals[i + 1] for i in range(10))
         assert all(vals[i] <= vals[i + 1] for i in range(10, 20))
@@ -267,7 +340,7 @@ class TestAnalyticSegmenter:
         g = GridGeometry.isotropic((16, 16, 16), 3.0)
         spec = gentle_task_spec()
         seg = AnalyticSegmenter(spec, g)
-        vol, _ = generate_phantom(spec, g, noise_sigma=0.05, seed=5)
+        vol, _ = generate_phantom(replace(spec, noise_sigma=0.05), g, seed=5)
         q = seg.evaluate(vol)
         np.testing.assert_allclose(q.q.sum(axis=0), 1.0, atol=1e-12)
         assert q.q.min() >= 0.0
@@ -276,7 +349,7 @@ class TestAnalyticSegmenter:
         """evaluate wraps its softmax unchecked; the checking constructor accepts it as it is."""
         g = GridGeometry.isotropic((16, 16, 16), 3.0)
         spec = gentle_task_spec()
-        vol, _ = generate_phantom(spec, g, noise_sigma=0.05, seed=5)
+        vol, _ = generate_phantom(replace(spec, noise_sigma=0.05), g, seed=5)
         q = AnalyticSegmenter(spec, g).evaluate(vol)
         assert not q.q.flags.writeable
         np.testing.assert_array_equal(ProbabilityVolume(g, q.q).q, q.q)
@@ -287,7 +360,7 @@ class TestAnalyticSegmenter:
         g = GridGeometry.isotropic((10, 9, 8), 3.0)
         spec = gentle_task_spec()
         seg = AnalyticSegmenter(spec, g)
-        base, _ = generate_phantom(spec, g, noise_sigma=0.0)
+        base, _ = generate_phantom(spec, g)
         data = base.data + rng.normal(0.0, 0.05, size=g.shape)
         upstream = rng.normal(size=(4, *g.shape))
         analytic = seg.gradient(Volume(g, data), upstream)
@@ -311,7 +384,7 @@ class TestAnalyticSegmenter:
 
         g = GridGeometry.isotropic((10, 9, 8), 3.0)
         seg = AnalyticSegmenter(spec, g)
-        base, _ = generate_phantom(spec, g, noise_sigma=0.0)
+        base, _ = generate_phantom(spec, g)
         vol = Volume(g, base.data + rng.normal(0.0, 0.05, size=g.shape))
         return seg, vol, rng.normal(size=(4, *g.shape))
 
@@ -358,21 +431,20 @@ class TestOneRender:
         spacing=st.tuples(*[st.sampled_from([2.0, 4.0, 6.0, 9.0])] * 3),
         angles=st.tuples(*[st.floats(-0.6, 0.6)] * 3),
         shift=st.tuples(*[st.floats(-12.0, 12.0)] * 3),
-        noise=st.sampled_from([None, 0.0, 0.05]),
+        noise=st.sampled_from([0.01, 0.0, 0.05]),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=40)
     def test_phantom_and_segmenter_match_oracle(self, shape, spacing, angles, shift, noise, seed):
         spacing = np.asarray(spacing)
         g = GridGeometry(shape, spacing, -spacing * (np.asarray(shape) - 1.0) / 2.0, np.eye(3))
-        spec = PhantomSpec()
-        pose = world_rigid(angles, shift)
-        vol, lab = generate_phantom(spec, g, noise_sigma=noise, seed=seed, pose=pose)
-        ref_vol, ref_lab = oracles.generate_phantom(spec, g, noise_sigma=noise, seed=seed, pose=pose)
+        spec = PhantomSpec(noise_sigma=noise, pose=world_rigid(angles, shift))
+        vol, lab = generate_phantom(spec, g, seed=seed)
+        ref_vol, ref_lab = oracles.generate_phantom(spec, g, seed=seed)
         assert vol.data.tobytes() == ref_vol.tobytes()
         assert lab.data.tobytes() == ref_lab.tobytes()
-        seg = AnalyticSegmenter(spec, g, pose)
-        prior, template = oracles.segmenter_fields(spec, g, pose)
+        seg = AnalyticSegmenter(spec, g)
+        prior, template = oracles.segmenter_fields(spec, g)
         assert seg._prior.tobytes() == prior.tobytes()
         assert seg._template.tobytes() == template.tobytes()
 
@@ -470,8 +542,9 @@ class TestMultiSlabRender:
         ref_vol, ref_lab = oracles.generate_phantom(self.spec, g, seed=7, pose=self.pose)
         assert vol.data.tobytes() == ref_vol.tobytes()
         assert lab.data.tobytes() == ref_lab.tobytes()
-        seg = AnalyticSegmenter(self.spec, g, self.pose)
-        prior, template = oracles.segmenter_fields(self.spec, g, self.pose)
+        posed = replace(self.spec, pose=self.pose)
+        seg = AnalyticSegmenter(posed, g)
+        prior, template = oracles.segmenter_fields(posed, g)
         assert seg._prior.tobytes() == prior.tobytes()
         assert seg._template.tobytes() == template.tobytes()
 
