@@ -12,9 +12,11 @@ One routine, ``cell_corners``, finds the cells for every kernel, and
 ``_corner_block`` adds the gather of their corners. Both work on about
 SLAB_VOXELS samples at a time. ``slab_bounds`` cuts a grid into slabs of
 whole z slices of that size, the one cut that the warps and the
-registration objective share: ``trilinear_with_grad`` is called slab by
-slab, and ``trilinear`` walks any set of samples in chunks of SLAB_VOXELS,
-so no temporary is larger than eight rows of one slab. ``trilinear_labels``
+registration objective share, and ``slab_windows`` pairs its slabs with
+in-plane windows where only part of each slab is worked on:
+``trilinear_with_grad`` is called slab by slab, and ``trilinear`` walks
+any set of samples in chunks of SLAB_VOXELS, so no temporary is larger
+than eight rows of one slab. ``trilinear_labels``
 samples the one-hot channels of a label map, one chunk of samples at a
 time: it finds the cells and gathers the labels at their corners once for
 all classes, and lerps each class's corners only in the mixed cells. The
@@ -55,6 +57,16 @@ def slab_bounds(shape: tuple[int, int, int]) -> list[tuple[int, int]]:
     w, h, d = shape
     depth = max(1, SLAB_VOXELS // (w * h))
     return [(z0, min(z0 + depth, d)) for z0 in range(0, d, depth)]
+
+
+def slab_windows(shape: tuple[int, int, int], windows=None) -> list:
+    """``((z0, z1), (x0, x1, y0, y1))`` for each slab of ``slab_bounds`` whose entry in
+    ``windows``, one in-plane window or None per slab, is a window; by default every
+    slab, whole."""
+    bounds = slab_bounds(shape)
+    if windows is None:
+        windows = [(0, shape[0], 0, shape[1])] * len(bounds)
+    return [(b, window) for b, window in zip(bounds, windows) if window is not None]
 
 
 def _usable_cpus() -> int:

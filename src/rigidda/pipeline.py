@@ -2,7 +2,9 @@
 
 Applying the task runs on two threads where two CPUs are usable: both warps,
 the slab-wise segmentation, the post-processing and the evaluation each hand
-their slabs or classes to ``interp.two_thread_map``.
+their slabs or classes to ``interp.two_thread_map``. The warps and the
+segmentation work only inside the windows where the task's labels can be
+foreground.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import numpy as np
 
 from .config import PipelineConfig
 from .engine import RegistrationTrace, register_pair
-from .interp import argmax_channels, slab_bounds, two_thread_map
+from .errors import ValidationError
+from .interp import argmax_channels, slab_bounds, slab_windows, two_thread_map
 from .io import read_volume, write_volume
 from .metrics import MetricReport, evaluate_labels, postprocess_labels
 from .phantom import PhantomPair, PhantomSpec, TaskModule
@@ -34,23 +37,32 @@ def apply_task(
 ) -> LabelVolume:
     """Segment in the task frame and bring the labels back to the axial grid.
 
-    The axial volume is transformed with M_t, the task module produces class
-    probabilities slab by slab (``slab_bounds``, through ``task.restrict``, as
-    the registration objective does, two slabs at a time), hard labels are
-    taken per voxel, back-transformed with M_t^-1 and post-processed.
+    Each slab of ``slab_bounds`` is worked on only inside the task's
+    ``support`` window, outside which its labels are class 0: the axial
+    volume is transformed there with M_t, the task module gives class
+    probabilities there (through ``task.restrict``, two slabs at a time)
+    and hard labels are taken per voxel, every other voxel being class 0.
+    The labels are back-transformed with M_t^-1, which samples only where
+    they can reach (``transform_labels``), and post-processed.
     """
+    g = ax.geometry
+    if task.geometry.shape != g.shape:
+        raise ValidationError(f"task module built for grid {task.geometry.shape}, got {g.shape}")
     mats = euler_to_affine(params)
-    i_t = transform_volume(ax, mats.m_t, ax.geometry).image.data
-    hard = np.empty(ax.geometry.shape, dtype=np.int16)
+    bounds = slab_bounds(g.shape)
+    windows = [task.support(z0, z1) for z0, z1 in bounds]
+    i_t = transform_volume(ax, mats.m_t, g, windows).image.data
+    hard = np.zeros(g.shape, dtype=np.int16)
 
-    def segment(bounds):
-        z0, z1 = bounds
-        part = task.restrict(z0, z1)
-        q = part.evaluate(Volume.trusted(part.geometry, np.ascontiguousarray(i_t[..., z0:z1])))
-        hard[..., z0:z1] = argmax_channels(q.q)
+    def segment(item):
+        (z0, z1), window = item
+        x0, x1, y0, y1 = window
+        part = task.restrict(z0, z1, window)
+        q = part.evaluate(Volume.trusted(part.geometry, np.ascontiguousarray(i_t[x0:x1, y0:y1, z0:z1])))
+        hard[x0:x1, y0:y1, z0:z1] = argmax_channels(q.q)
 
-    two_thread_map(segment, slab_bounds(ax.geometry.shape))
-    back = transform_labels(LabelVolume(ax.geometry, hard), mats.m_t_inv, ax.geometry)
+    two_thread_map(segment, slab_windows(g.shape, windows))
+    back = transform_labels(LabelVolume(g, hard), mats.m_t_inv, g)
     return postprocess_labels(back) if post else back
 
 

@@ -96,12 +96,15 @@ class GridGeometry:
         """Normalized coordinates of every voxel center, three (W,H,D) arrays."""
         return np.meshgrid(*self.normalized_axes(), indexing="ij")
 
-    def z_slab(self, z0: int, z1: int) -> "GridGeometry":
-        """The sub-grid of whole slices ``z0:z1``, at their world positions."""
-        if not 0 <= z0 < z1 <= self.shape[2]:
-            raise ValidationError(f"slices {z0}:{z1} outside a grid of depth {self.shape[2]}")
-        origin = self.origin + self.direction @ np.array([0.0, 0.0, z0 * self.spacing[2]])
-        return GridGeometry((self.shape[0], self.shape[1], z1 - z0), self.spacing, origin, self.direction)
+    def z_slab(self, z0: int, z1: int, window: tuple[int, int, int, int] | None = None) -> "GridGeometry":
+        """The sub-grid of whole slices ``z0:z1``, or of their in-plane window
+        ``(x0, x1, y0, y1)``, at its world position."""
+        w, h, d = self.shape
+        x0, x1, y0, y1 = (0, w, 0, h) if window is None else window
+        if not (0 <= z0 < z1 <= d and 0 <= x0 < x1 <= w and 0 <= y0 < y1 <= h):
+            raise ValidationError(f"box {x0}:{x1}, {y0}:{y1}, {z0}:{z1} outside a grid of shape {self.shape}")
+        origin = self.origin + self.direction @ (np.array([x0, y0, z0], dtype=float) * self.spacing)
+        return GridGeometry((x1 - x0, y1 - y0, z1 - z0), self.spacing, origin, self.direction)
 
 
 @dataclass(frozen=True)

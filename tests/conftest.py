@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 import tracemalloc
@@ -120,12 +121,9 @@ def gentle_task_spec() -> PhantomSpec:
     segmenter is far from saturation (the focus surrogate actually moves).
     """
     spec = PhantomSpec(noise_sigma=0.0).scaled(0.45)
-    spec.sigma_mm = 1.5
-    spec.prior_sigma_mm = 1.5
-    spec.prior_bias_mm = 0.0
-    spec.intensity_sigma = 0.3
-    spec.logit_scale = 8.0
-    return spec
+    return dataclasses.replace(
+        spec, sigma_mm=1.5, prior_sigma_mm=1.5, prior_bias_mm=0.0, intensity_sigma=0.3, logit_scale=8.0
+    )
 
 
 def central_difference(fn, vec: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -160,10 +158,14 @@ class FailingTask:
 
     def __init__(self, task, fails_here):
         self.task = task
+        self.geometry = task.geometry
         self.fails_here = fails_here
 
-    def restrict(self, z0, z1):
-        part = self.task.restrict(z0, z1)
+    def support(self, z0, z1):
+        return self.task.support(z0, z1)
+
+    def restrict(self, z0, z1, window=None):
+        part = self.task.restrict(z0, z1, window)
         fails_here = self.fails_here
 
         class Part:

@@ -263,6 +263,15 @@ class TestLogLevel:
         assert "Traceback" not in run.stderr
 
 
+def test_package_runs_as_a_module():
+    """``python -m rigidda`` is the ``rigidda`` command."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "rigidda", "--help"], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: rigidda")
+
+
 class TestLossesCheck:
     def test_itemized_report(self, pair_dir, spec_path, capsys):
         code = main(

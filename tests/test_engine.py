@@ -501,6 +501,10 @@ class TestSlabObjective:
         np.testing.assert_array_equal(g_part, g[..., 3:8])
         with pytest.raises(ValidationError):
             task.restrict(5, 12)
+        with pytest.raises(ValidationError):
+            task.support(5, 12)
+        with pytest.raises(ValidationError):
+            task.restrict(3, 8, (0, 18, 0, 13))
 
     def test_set_up_builds_no_whole_grid_coordinate_map(self):
         """Each slab's coordinates come from its own slices: a full-mode set-up
@@ -983,8 +987,18 @@ class TestTracedLookupSites:
 
     @staticmethod
     def _traced_apply_task():
+        """The tracer after one apply_task at 40 x 40 x 23, and the samples the
+        intensity warp draws per slab: the area of the task's window times the
+        slab's depth, for the slabs that have a window."""
         tracer = _load_benchmark_tracer().Tracer()
         pair, task = pair_on((40, 40, 23))
+        samples = []
+        # slices 0:10, 10:20 and 20:23 of 40 x 40
+        for z0, z1 in slab_bounds(pair.i.geometry.shape):
+            window = task.support(z0, z1)
+            if window is not None:
+                x0, x1, y0, y1 = window
+                samples.append((x1 - x0) * (y1 - y0) * (z1 - z0))
         tracer.install()
         try:
             tracer.unit = ("unit", "probe")
@@ -992,31 +1006,31 @@ class TestTracedLookupSites:
         finally:
             tracer.unit = None
             tracer.remove()
-        return tracer
+        return tracer, samples
 
     def test_label_warp_samples_through_the_traced_kernel(self, one_cpu):
-        """The intensity warp samples each slab through the traced kernel; the
-        label warp walks its cells itself, once per slab for all channels."""
-        tracer = self._traced_apply_task()
+        """The intensity warp samples each slab's window through the traced kernel;
+        the label warp walks its cells itself, once per slab for all channels."""
+        tracer, samples = self._traced_apply_task()
         calls = Counter(tracer.names)
         assert calls["resampler.transform_volume"] == calls["resampler.transform_labels"] == 1
         warp = tracer.names.index("resampler.transform_volume")
         kernel = [k for k, name in enumerate(tracer.names) if name == "interp.trilinear"]
-        # one call per slab of slab_bounds: slices 0:10, 10:20 and 20:23 of 40 x 40
+        # one call per slab of slab_bounds that has a window
         assert all(tracer.parents[k] == warp for k in kernel)
-        assert [tracer.counts[k][0] for k in kernel] == [16000, 16000, 4800]
+        assert [tracer.counts[k][0] for k in kernel] == samples
 
     def test_two_thread_apply_task_records_every_span(self):
         """On two threads the spans are the same, in any order. The tracer keeps
         one span stack for all threads, so parents and order are not checked."""
-        tracer = self._traced_apply_task()
+        tracer, samples = self._traced_apply_task()
         calls = Counter(tracer.names)
         for name in ("pipeline.apply_task", "resampler.transform_volume", "resampler.transform_labels",
                      "metrics.postprocess_labels", "rigid.euler_to_affine"):
             assert calls[name] == 1, name
-        assert calls["phantom.AnalyticSegmenter.evaluate"] == 3
+        assert calls["phantom.AnalyticSegmenter.evaluate"] == len(samples)
         kernel = [k for k, name in enumerate(tracer.names) if name == "interp.trilinear"]
-        assert sorted(tracer.counts[k][0] for k in kernel) == [4800, 16000, 16000]
+        assert sorted(tracer.counts[k][0] for k in kernel) == sorted(samples)
 
 
 class TestProgressLog:

@@ -4,6 +4,7 @@ import json
 import re
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -418,8 +419,7 @@ def intensity_and_labels():
 
 
 def _spec_texts():
-    posed = PhantomSpec().scaled(0.7)
-    posed.pose = world_rigid((0.1, -0.2, 0.3), (1.0, 2.0, -3.0))
+    posed = replace(PhantomSpec().scaled(0.7), pose=world_rigid((0.1, -0.2, 0.3), (1.0, 2.0, -3.0)))
     return [PhantomSpec().to_json(), posed.to_json()]
 
 
@@ -502,7 +502,7 @@ class TestJsonRoundTrip:
     @given(st.one_of(st.none(), st.floats(0.1, 3.0)), st.lists(_ANGLES, min_size=3, max_size=3))
     def test_spec(self, fuzz_dir, factor, angles):
         spec = PhantomSpec() if factor is None else PhantomSpec().scaled(factor)
-        spec.pose = world_rigid(tuple(angles), (1.0, -2.0, 0.5))
+        spec = replace(spec, pose=world_rigid(tuple(angles), (1.0, -2.0, 0.5)))
         path = fuzz_dir / "round_trip_spec.json"
         path.write_text(spec.to_json())
         back = PhantomSpec.from_file(path)

@@ -1,7 +1,7 @@
 """Phantom rendering, pair synthesis, and analytic-segmenter behaviour."""
 
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidda.errors import ValidationError
-from rigidda.interp import SLAB_VOXELS, slab_bounds
+from rigidda.interp import SLAB_VOXELS, argmax_channels, slab_bounds
 from rigidda.losses import LossWeights, ProbabilityVolume, focus_exact
 from rigidda.phantom import (
     AnalyticSegmenter,
@@ -124,8 +124,7 @@ class TestGeneratePhantom:
 
 class TestPhantomSpec:
     def test_json_round_trip(self):
-        spec = _default_spec().scaled(0.7)
-        spec.pose = world_rigid((0.1, -0.2, 0.3), (1.0, 2.0, -3.0))
+        spec = replace(_default_spec().scaled(0.7), pose=world_rigid((0.1, -0.2, 0.3), (1.0, 2.0, -3.0)))
         back = PhantomSpec.from_json(spec.to_json())
         assert back.lv == spec.lv
         assert back.myo_outer == spec.myo_outer
@@ -185,6 +184,17 @@ class TestSpecValues:
         with pytest.raises(ValidationError, match=name):
             replace(PhantomSpec(), **{name: value})
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(PhantomSpec)])
+    def test_fields_cannot_change_after_the_checks(self, name):
+        """Assigning a field raises, so no value skips ``__post_init__``: an
+        ``intensity_sigma`` of 0 set that way once made the segmenter divide by zero."""
+        spec = PhantomSpec()
+        with pytest.raises(FrozenInstanceError):
+            setattr(spec, name, BAD_SPEC_VALUES.get(name, getattr(spec, name)))
+        with pytest.raises(ValueError, match="read-only"):
+            spec.pose[0, 3] = 1.0
+        assert spec.to_json() == PhantomSpec().to_json()
+
     @given(
         name=st.sampled_from(
             ["sigma_mm", "noise_sigma", "logit_scale", "prior_sigma_mm", "prior_bias_mm", "intensity_sigma"]
@@ -239,8 +249,8 @@ class TestSpecValues:
         spec = PhantomSpec()
         copy = spec.scaled(0.5)
         copy.levels["LV"] = 0.3
-        copy.pose[0, 3] = 1.0
-        assert spec.levels["LV"] == 1.0 and spec.pose[0, 3] == 0.0
+        assert spec.levels["LV"] == 1.0
+        assert not copy.pose.flags.writeable and not np.shares_memory(copy.pose, spec.pose)
         with pytest.raises(ValidationError, match="ellipsoid"):
             spec.scaled(0.0)
 
@@ -420,6 +430,79 @@ class TestAnalyticSegmenter:
             seg.evaluate(Volume(other, np.zeros(other.shape)))
         with pytest.raises(ValidationError):
             seg.gradient(Volume(g, np.zeros(g.shape)), np.zeros((2, 8, 8, 8)))
+
+
+def _support_spec(kind: str) -> PhantomSpec:
+    posed = PhantomSpec(noise_sigma=0.0, pose=world_rigid((0.3, -0.2, 0.4), (4.0, -3.0, 6.0)))
+    return {
+        "default": _default_spec(),
+        "scaled": _default_spec().scaled(0.5),
+        "posed": posed.scaled(0.6),
+        "gentle": gentle_task_spec(),
+        # every prior rounds to exactly 1/2, so each foreground logit can only tie k / 2
+        "flat prior": replace(_default_spec(), prior_sigma_mm=1e18),
+    }[kind]
+
+
+class TestSupport:
+    """Outside the in-plane window ``support`` reports for a range of slices the
+    segmenter labels every voxel class 0, whatever the input; the window is the
+    bounding box of the voxels where some ``k * prior_c`` exceeds ``k / 2``."""
+
+    @given(
+        kind=st.sampled_from(["default", "scaled", "posed", "gentle", "flat prior"]),
+        shape=st.sampled_from([(17, 13, 11), (40, 40, 23), (24, 20, 9), (12, 30, 16)]),
+        spacing=st.sampled_from([1.0, 1.5, 3.0]),
+        # up to 30 mm off centre, which crops the phantom as the apex draws do
+        shift=st.tuples(*[st.floats(-30.0, 30.0)] * 3),
+        intensity=st.sampled_from(["template", "random", "near template"]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60)
+    def test_labels_outside_the_window_are_background(self, kind, shape, spacing, shift, intensity, seed):
+        spec = _support_spec(kind)
+        sp = np.full(3, spacing)
+        g = GridGeometry(shape, sp, -sp * (np.asarray(shape) - 1.0) / 2.0 + np.asarray(shift), np.eye(3))
+        seg = AnalyticSegmenter(spec, g)
+        rng = np.random.default_rng(seed)
+        # the template itself makes the affinity exactly 1, the largest each logit can get
+        data = {
+            "template": seg._template,
+            "random": rng.uniform(-0.5, 1.5, g.shape),
+            "near template": seg._template + rng.normal(0.0, 0.05, g.shape),
+        }[intensity]
+        labels = argmax_channels(seg.evaluate(Volume(g, data)).q)
+        k = spec.logit_scale
+        live = (seg._prior * k > k / 2).any(axis=0)
+        z = int(rng.integers(shape[2]))
+        for z0, z1 in slab_bounds(shape) + [(0, shape[2]), (z, z + 1)]:
+            window = seg.support(z0, z1)
+            outside = np.ones(shape[:2] + (z1 - z0,), dtype=bool)
+            if window is not None:
+                x0, x1, y0, y1 = window
+                outside[x0:x1, y0:y1] = False
+            assert not labels[..., z0:z1][outside].any()
+            points = np.argwhere(live[..., z0:z1])
+            if points.size == 0:
+                assert window is None
+            else:
+                (x0, y0, _), (x1, y1, _) = points.min(axis=0), points.max(axis=0) + 1
+                assert window == (x0, x1, y0, y1)
+
+    def test_restricted_window_bounds_its_own_labels(self):
+        """A windowed segmenter gives the whole segmenter's values there, and its
+        own support, in its own coordinates, still bounds its labels."""
+        g = GridGeometry.isotropic((24, 20, 9), 1.5)
+        seg = AnalyticSegmenter(_default_spec().scaled(0.4), g)
+        box = (3, 17, 5, 20)
+        part = seg.restrict(2, 7, box)
+        data = seg._template[3:17, 5:20, 2:7]
+        q = part.evaluate(Volume(part.geometry, data)).q
+        np.testing.assert_array_equal(q, seg.evaluate(Volume(g, seg._template)).q[:, 3:17, 5:20, 2:7])
+        x0, x1, y0, y1 = part.support(0, 5)
+        labels = argmax_channels(q)
+        labels[x0:x1, y0:y1] = 0
+        assert not labels.any()
 
 
 class TestOneRender:

@@ -7,15 +7,19 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rigidda.errors import NumericalError
+from rigidda.errors import NumericalError, ValidationError
 from rigidda.experiments import apex_case, recovery_case
 from rigidda.metrics import evaluate_labels, postprocess_labels
+from rigidda.phantom import AnalyticSegmenter, PhantomSpec, generate_phantom, make_pair, world_rigid
 from rigidda.pipeline import apply_task, load_pair_dir, save_pair_dir
 from rigidda.resampler import transform_labels, transform_volume
 from rigidda.rigid import RigidParams, euler_from_rotation, euler_to_affine
+from rigidda.volume import GridGeometry
 import oracles
-from conftest import FailingTask, force_one_cpu, needs_two_cpus, pair_on
+from conftest import FailingTask, force_one_cpu, gentle_task_spec, needs_two_cpus, pair_on
 
 _DRAWS = {"criterion-4 draw 0": recovery_case, "apex draw 0": apex_case}
 
@@ -42,6 +46,63 @@ def test_apply_task_and_metrics_equal_the_whole_grid_pipeline(name, transform, p
     ref = oracles.apply_task(pair.i, params, task, post=post)
     assert got.data.tobytes() == ref.data.tobytes()
     assert evaluate_labels(got, pair.labels_i).to_json() == oracles.evaluate_labels(ref, pair.labels_i).to_json()
+
+
+@functools.cache
+def _windowed_case(name):
+    """A pair on ``pair_on``'s grids, or a gentle-spec pair, and its segmenter."""
+    if name == "gentle":
+        spec = gentle_task_spec()
+        pair = make_pair(spec, world_rigid((0.1, -0.05, 0.08), (2.0, -1.0, 1.5)), grid=(16, 16, 16), iso=3.0, seed=2)
+        return pair, AnalyticSegmenter(spec, pair.i.geometry)
+    return pair_on(name)
+
+
+class WholeSlices:
+    """A task module that cannot bound its labels, as a per-slice network: its support is every slice whole."""
+
+    def __init__(self, task):
+        self.geometry = task.geometry
+        self.evaluate, self.gradient, self.restrict = task.evaluate, task.gradient, task.restrict
+
+    def support(self, z0, z1):
+        w, h, _ = self.geometry.shape
+        return 0, w, 0, h
+
+
+class TestWindowedTaskApplication:
+    """Segmenting inside the task's support windows and warping the labels back
+    inside their reach gives the bytes of the whole-grid pipeline."""
+
+    @given(
+        name=st.sampled_from([(17, 13, 11), (40, 40, 23), (33, 47, 29), "gentle"]),
+        vec=st.lists(st.floats(-0.3, 0.3), min_size=9, max_size=9),
+        post=st.booleans(),
+    )
+    @settings(max_examples=30)
+    def test_drawn_parameters_match_the_whole_grid_pipeline(self, name, vec, post):
+        pair, task = _windowed_case(name)
+        params = RigidParams.from_vector(np.asarray(vec))
+        got = apply_task(pair.i, params, task, post=post)
+        assert got.data.tobytes() == oracles.apply_task(pair.i, params, task, post=post).data.tobytes()
+
+    @pytest.mark.parametrize("shape", [(16, 16, 20), (14, 16, 12), (18, 16, 12)])
+    def test_task_on_another_grid_is_rejected(self, shape):
+        """A deeper, narrower or wider grid than the task's; the narrower one once
+        ran silently, because the task's windows fit inside it."""
+        spec = PhantomSpec(noise_sigma=0.0).scaled(0.3)
+        task = AnalyticSegmenter(spec, GridGeometry.isotropic((16, 16, 12), 1.5))
+        vol, _ = generate_phantom(spec, GridGeometry.isotropic(shape, 1.5))
+        with pytest.raises(ValidationError, match="task module built for grid"):
+            apply_task(vol, RigidParams(), task)
+
+    @pytest.mark.parametrize("name", sorted(_DRAWS))
+    def test_a_task_without_a_bound_gives_the_same_labels(self, name):
+        pair, _, task = _draw(name)
+        for params in (_exact_params(pair), _PARAMS):
+            whole = apply_task(pair.i, params, WholeSlices(task), post=False)
+            assert whole.data.tobytes() == apply_task(pair.i, params, task, post=False).data.tobytes()
+            assert whole.data.tobytes() == oracles.apply_task(pair.i, params, task, post=False).data.tobytes()
 
 
 def _task_outputs(pair, task, params) -> dict:

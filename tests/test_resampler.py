@@ -11,6 +11,7 @@ from rigidda.phantom import AnalyticSegmenter, PhantomSpec, generate_phantom, ma
 from rigidda.pipeline import apply_task
 from rigidda.resampler import (
     _source_samples,
+    label_windows,
     target_coords,
     transform_labels,
     transform_volume,
@@ -384,20 +385,23 @@ class TestChunkedWarpsAgainstWholeGrid:
     )
     @settings(max_examples=30)
     def test_slab_coordinates_and_samples_are_whole_grid_columns(self, seed, target_shape, start, depth):
-        # the slabs of slab_bounds (a short last one; W x H > SLAB_VOXELS at 300 x 60)
-        # and one more run of whole slices, as short as one
+        # the slabs of slab_bounds (a short last one; W x H > SLAB_VOXELS at 300 x 60),
+        # one more run of whole slices, as short as one, and a random in-plane window of it
         rng, src, target, m = self._case(seed, target_shape)
-        d = target.shape[2]
+        w, h, d = target.shape
         run = (start % d, min(start % d + depth, d))
+        x0, y0 = rng.integers(w), rng.integers(h)
+        window = (x0, rng.integers(x0 + 1, w + 1), y0, rng.integers(y0 + 1, h + 1))
         whole = np.stack([*target.normalized_grid(), np.ones(target.shape)])
         idx, valid = _source_samples(src.shape, m, whole.reshape(4, -1))
         idx, valid = idx.reshape(3, *target.shape), valid.reshape(target.shape)
-        for z0, z1 in slab_bounds(target.shape) + [run]:
-            coords = target_coords(target, z0, z1)
-            assert coords.tobytes() == whole[..., z0:z1].reshape(4, -1).tobytes()
+        for z0, z1, (x0, x1, y0, y1) in [(*b, (0, w, 0, h)) for b in slab_bounds(target.shape)] + [(*run, window)]:
+            coords = target_coords(target, z0, z1, (x0, x1, y0, y1))
+            box = (slice(x0, x1), slice(y0, y1), slice(z0, z1))
+            assert coords.tobytes() == whole[(slice(None), *box)].reshape(4, -1).tobytes()
             got_idx, got_valid = _source_samples(src.shape, m, coords)
-            assert got_idx.tobytes() == idx[..., z0:z1].reshape(3, -1).tobytes()
-            assert got_valid.tobytes() == valid[..., z0:z1].reshape(-1).tobytes()
+            assert got_idx.tobytes() == idx[(slice(None), *box)].reshape(3, -1).tobytes()
+            assert got_valid.tobytes() == valid[box].reshape(-1).tobytes()
         assert target_coords(target).tobytes() == whole.reshape(4, -1).tobytes()
 
     @given(seed=st.integers(0, 2**31 - 1), target_shape=_target_shapes)
@@ -454,6 +458,70 @@ class TestChunkedWarpsAgainstWholeGrid:
             transform_volume(Volume(g, rng.normal(size=g.shape)), np.eye(4), flat)
         with pytest.raises(ValidationError):
             transform_labels(LabelVolume(g, rng.integers(0, 4, size=g.shape)), np.eye(4), flat)
+
+
+class TestLabelWindows:
+    """The label warp samples only the windows where a cell can reach the source's
+    foreground bounding box grown by one voxel, and gives the bytes of the
+    whole-grid label warp."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        # one-slab targets, one whose slabs end short, and one-slice slabs above SLAB_VOXELS
+        target_shape=st.sampled_from([(9, 4, 3), (17, 13, 11), (40, 40, 23), (130, 140, 3)]),
+        faces=st.sets(st.sampled_from(range(6))),
+        reach=st.sampled_from([0.1, 0.6, 3.0]),
+        zoom=st.sampled_from([1.0, 1.6]),
+        scale=st.sampled_from([0.0, 1.0, 100.0]),
+    )
+    @settings(max_examples=80)
+    def test_small_foreground_box_matches_whole_grid(self, seed, target_shape, faces, reach, zoom, scale):
+        # faces k = 2 * axis + side pull the box onto the source grid's faces; a
+        # reach of 3 maps most boxes entirely outside the target's view
+        rng = np.random.default_rng(seed)
+        src = GridGeometry(tuple(rng.integers(3, 16, 3)), rng.choice([0.75, 1.0, 1.5], 3), rng.normal(size=3), np.eye(3))
+        n = np.asarray(src.shape)
+        lo = rng.integers(0, n)
+        hi = np.minimum(lo + rng.integers(1, 4, 3), n)
+        for k in faces:
+            (lo if k % 2 == 0 else hi)[k // 2] = 0 if k % 2 == 0 else n[k // 2]
+        data = np.zeros(src.shape, dtype=np.int16)
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        data[box] = rng.integers(0, 4, size=tuple(hi - lo))
+        labels = LabelVolume(src, data)
+        target = GridGeometry(target_shape, rng.choice([0.75, 1.0, 1.5], 3), rng.normal(size=3), np.eye(3))
+        params = RigidParams.from_vector(np.concatenate([rng.uniform(-np.pi, np.pi, 3), rng.uniform(-reach, reach, 6)]))
+        m = euler_to_affine(params).m
+        m[:3, :3] *= zoom
+        got = transform_labels(labels, m, target, scale)
+        assert got.data.tobytes() == oracles.whole_grid_transform_labels(labels, m, target, scale).data.tobytes()
+
+    def test_windows_are_the_reachable_part(self):
+        """A one-voxel foreground under a shift: each slab's window is the 2 x 2
+        block of targets whose cells hold that voxel, and a shift out of view,
+        an empty label map or a scale of 0 leaves nothing to sample."""
+        g = GridGeometry.isotropic((9, 9, 9), 1.0)
+        data = np.zeros(g.shape, dtype=np.int16)
+        data[4, 4, 4] = 2
+        labels = LabelVolume(g, data)
+        # a quarter-voxel shift along every axis puts the voxel in the cells of targets 3 and 4
+        m = _translation_matrix([0.25 * 2.0 / 8.0] * 3)
+        assert label_windows(labels, m, g) == [(3, 5, 3, 5)]
+        out = transform_labels(labels, m, g)
+        assert out.data.tobytes() == oracles.whole_grid_transform_labels(labels, m, g).data.tobytes()
+        assert set(zip(*np.nonzero(out.data))) <= {(x, y, z) for x in (3, 4) for y in (3, 4) for z in (3, 4)}
+        assert label_windows(labels, _translation_matrix([3.0, 0.0, 0.0]), g) == [None]
+        assert label_windows(LabelVolume(g, np.zeros(g.shape, dtype=np.int16)), np.eye(4), g) == [None]
+        assert label_windows(labels, np.eye(4), g, scale=0.0) == [None]
+
+    def test_singular_map_samples_whole_slices(self):
+        g = GridGeometry.isotropic((6, 5, 4), 1.0)
+        labels = LabelVolume(g, np.ones(g.shape, dtype=np.int16))
+        m = np.eye(4)
+        m[2, 2] = 0.0
+        assert label_windows(labels, m, g) == [(0, 6, 0, 5)]
+        got = transform_labels(labels, m, g)
+        assert got.data.tobytes() == oracles.whole_grid_transform_labels(labels, m, g).data.tobytes()
 
 
 class TestWholeGridWarpMemory:
