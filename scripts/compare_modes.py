@@ -7,7 +7,8 @@ slices, so the three optimization modes see strictly increasing amounts of
 information: forward MSE only (baseline), both cycle directions (cycle),
 and cycle plus the probability-guided focus term (full). The script prints,
 over ``rigidda.experiments.ablate``, mean Dice per class and the mean exact
-focus loss per mode. With the default flags the family is criterion 5's.
+focus loss per mode. With the default flags the family is criterion 5's;
+``--first`` starts at a later draw.
 """
 
 import argparse
@@ -22,6 +23,7 @@ CLASS_LABELS = ("LV", "MYO", "RV")
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=5)
+    parser.add_argument("--first", type=int, default=0, help="index of the first draw")
     parser.add_argument("--grid", type=int, default=48)
     parser.add_argument("--iso", type=float, default=2.0)
     parser.add_argument("--slice-mm", type=float, default=12.0, help="first-view slice thickness")
@@ -29,11 +31,13 @@ def main():
     args = parser.parse_args()
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    if args.first < 0:
+        parser.error(f"--first must be at least 0, got {args.first}")
 
     runs = []
     start = time.perf_counter()
     try:
-        for seed in range(args.seeds):
+        for seed in range(args.first, args.first + args.seeds):
             runs.append(ablate(seed, args.max_steps, grid=args.grid, iso=args.iso, slice_mm=args.slice_mm))
             for mode, run in runs[-1].items():
                 print(

@@ -190,16 +190,18 @@ class RegistrationTrace:
 
 @dataclass(frozen=True)
 class _Slab:
-    """Whole target slices z0:z1 and the parts of the objective that do not change.
+    """A box of target voxels and the parts of the objective on it that do not change.
 
-    ``cycle`` has one (fixed image, mask) pair per cycle branch: forward, then
-    backward unless baseline. ``task`` is None without a focus branch.
+    A cycle slab is the whole slices z0:z1, and ``cycle`` has one (fixed
+    image, mask) pair per cycle branch: forward, then backward unless
+    baseline. A focus slab is the focus term's box of those slices, and
+    ``task`` is the task module restricted to it.
     """
 
     geometry: GridGeometry
     coords: np.ndarray  # (4, n) homogeneous normalized coordinates in the whole grid
-    cycle: list[tuple[np.ndarray, np.ndarray]]
-    task: TaskModule | None
+    cycle: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    task: TaskModule | None = None
 
 
 _FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -292,7 +294,14 @@ class PairObjective:
     unless baseline, the focus term in ``FOCUS_MODES``. A step runs slab by
     slab over whole target slices along z, the axis the in-plane weight and
     the task module treat slice-wise, so every temporary is slab-sized and
-    the reported terms equal the whole-grid values.
+    the cycle terms equal the whole-grid values.
+
+    A slab's focus term covers only the task's ``support`` box of its
+    slices, and a slab without support has none. Outside the box no
+    foreground probability passes 0.5, so for r >= 0.5 ``focus_exact``
+    counts what the whole grid counts; for r < 0.5 the box is the whole
+    slices. The smooth mean still divides by the whole grid and leaves out
+    the outside voxels' sigmoids, each at most sigmoid((0.5 - r) / tau).
 
     ``terms`` lists the step's work in the serial loop's order: each slab's
     forward and backward cycle terms, then its focus term. A cycle term
@@ -341,26 +350,35 @@ class PairObjective:
         def cut(a, z0, z1):
             return np.ascontiguousarray(a[..., z0:z1])
 
-        self.slabs = [
-            _Slab(
-                geometry=target.z_slab(z0, z1),
-                coords=target_coords(target, z0, z1),
-                cycle=[(cut(image, z0, z1), cut(mask, z0, z1)) for image, mask in fixed],
-                task=task.restrict(z0, z1) if mode in FOCUS_MODES else None,
-            )
-            for z0, z1 in slab_bounds(target.shape)
-        ]
+        self.slabs = []
         # (slab, cycle branch index, or None for the focus term)
         self.terms = []
         self.outside = [0] * len(self.branches)
-        for slab in self.slabs:
+        for z0, z1 in slab_bounds(target.shape):
+            slab = _Slab(
+                target.z_slab(z0, z1),
+                target_coords(target, z0, z1),
+                [(cut(image, z0, z1), cut(mask, z0, z1)) for image, mask in fixed],
+            )
+            self.slabs.append(slab)
             for b, (_, mask) in enumerate(slab.cycle):
                 if np.any(mask):
                     self.terms.append((slab, b))
                 else:
                     self.outside[b] += 1
-            if slab.task is not None:
-                self.terms.append((slab, None))
+            if mode not in FOCUS_MODES:
+                continue
+            # no foreground probability passes 0.5 outside the task's support, so
+            # the count above r >= 0.5 is exact on it; a lower r takes whole slices
+            box = task.support(z0, z1) if weights.r >= 0.5 else (0, target.shape[0], 0, target.shape[1])
+            if box is not None:
+                geometry, coords = target.z_slab(z0, z1, box), target_coords(target, z0, z1, box)
+                self.terms.append((_Slab(geometry, coords, task=task.restrict(z0, z1, box)), None))
+
+    @property
+    def focus_slabs(self) -> list[_Slab]:
+        """The slabs of the focus terms, in term order."""
+        return [slab for slab, b in self.terms if b is None]
 
     def _mse_term(self, src: Volume, m: np.ndarray, d_m: np.ndarray, slab: _Slab, fixed, mask):
         """Warp one slab; its sum of squared masked differences and its part of the half-mean gradient."""
@@ -480,7 +498,12 @@ def register_pair(
     objective = PairObjective(i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode)
     n_slabs = len(objective.slabs)
     outside = ", ".join(f"{name} {k}/{n_slabs}" for name, k in zip(("forward", "backward"), objective.outside))
-    log.info("%s objective: %s slabs outside the fixed view", mode, outside)
+    focus = ""
+    if mode in FOCUS_MODES:
+        boxes = objective.focus_slabs
+        share = 100.0 * sum(slab.geometry.num_voxels for slab in boxes) / objective.n
+        focus = f", focus on {len(boxes)}/{n_slabs} slabs, {share:.1f} % of the grid"
+    log.info("%s objective: %s slabs outside the fixed view%s", mode, outside, focus)
     with _worker_for(objective) as worker:
         return _optimize(objective, worker, cfg, mode)
 

@@ -21,8 +21,10 @@ from __future__ import annotations
 import copy
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Protocol
 
 import numpy as np
@@ -88,14 +90,14 @@ _TISSUES = ("background", "LV", "MYO", "RV")
 class PhantomSpec:
     """Nested-ellipsoid phantom description, all lengths in mm. The fields are
     the layout of its JSON, and ``__post_init__`` checks each of them. A spec
-    is frozen, its pose read-only, so no field can change after the checks
-    or under a segmenter built from it; ``dataclasses.replace`` makes a
-    changed copy."""
+    is frozen, its levels a read-only mapping and its pose a read-only array,
+    so no field can change after the checks or under a segmenter built from
+    it; ``dataclasses.replace`` makes a changed copy."""
 
     lv: Ellipsoid = field(default_factory=lambda: Ellipsoid((0.0, 0.0, 0.0), (18.0, 18.0, 30.0)))
     myo_outer: Ellipsoid = field(default_factory=lambda: Ellipsoid((0.0, 0.0, 0.0), (26.0, 26.0, 38.0)))
     rv: Ellipsoid = field(default_factory=lambda: Ellipsoid((-24.0, 0.0, 0.0), (16.0, 20.0, 26.0)))
-    levels: dict = field(default_factory=lambda: {"background": 0.0, "LV": 1.0, "MYO": 0.55, "RV": 0.75})
+    levels: Mapping = field(default_factory=lambda: {"background": 0.0, "LV": 1.0, "MYO": 0.55, "RV": 0.75})
     sigma_mm: float = 1.0
     noise_sigma: float = 0.01
     logit_scale: float = 40.0
@@ -117,10 +119,10 @@ class PhantomSpec:
                 raise ValidationError(f"phantom spec {name} must be above 0, got {getattr(self, name)}")
         if self.noise_sigma < 0:
             raise ValidationError(f"phantom spec noise_sigma must be at least 0, got {self.noise_sigma}")
-        if not isinstance(self.levels, dict) or sorted(self.levels, key=str) != sorted(_TISSUES):
+        if not isinstance(self.levels, Mapping) or sorted(self.levels, key=str) != sorted(_TISSUES):
             raise ValidationError(f"phantom spec levels must give exactly {', '.join(_TISSUES)}")
         json_numbers(list(self.levels.values()), ((4,),), "phantom spec levels")
-        object.__setattr__(self, "levels", dict(self.levels))
+        object.__setattr__(self, "levels", MappingProxyType(dict(self.levels)))
         pose = check_rigid(np.array(self.pose, dtype=float), "phantom spec pose")
         pose.flags.writeable = False
         object.__setattr__(self, "pose", pose)
@@ -135,7 +137,16 @@ class PhantomSpec:
         return replace(self, lv=scale(self.lv), myo_outer=scale(self.myo_outer), rv=scale(self.rv), **lengths)
 
     def to_json(self) -> str:
-        return json.dumps({**asdict(self), "pose": self.pose.reshape(16).tolist()}, indent=2)
+        def plain(value):
+            if isinstance(value, Ellipsoid):
+                return asdict(value)
+            if isinstance(value, Mapping):
+                return dict(value)
+            if isinstance(value, np.ndarray):
+                return value.reshape(16).tolist()
+            return value
+
+        return json.dumps({f.name: plain(getattr(self, f.name)) for f in fields(self)}, indent=2)
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "PhantomSpec":
@@ -155,7 +166,7 @@ class PhantomSpec:
                 keys = [k.name for k in fields(Ellipsoid)]
                 known_names(value, keys, f"{what} entry")
                 value = Ellipsoid(*(tuple(json_numbers(value.get(k), ((3,),), f"{what}.{k}").tolist()) for k in keys))
-            elif f.type == "dict":
+            elif f.type == "Mapping":
                 if isinstance(value, dict):
                     value = {k: float(json_numbers(v, ((),), f"{what}.{k}")) for k, v in value.items()}
             elif f.type == "np.ndarray":
@@ -261,18 +272,22 @@ class TaskModule(Protocol):
     returns the module for the whole slices ``z0:z1`` of its grid, or for
     their in-plane window ``(x0, x1, y0, y1)``: its ``evaluate`` and
     ``gradient`` take volumes on ``geometry.z_slab(z0, z1, window)`` and give
-    exactly the values the whole-grid module gives there. The registration
-    objective builds one restricted module per slab, once, and evaluates the
-    focus term slab by slab. It passes each slab's ``evaluate`` output to
-    ``gradient`` as ``q``, so the forward pass is not repeated.
+    exactly the values the whole-grid module gives there.
 
     Label bound: ``support(z0, z1)`` is an in-plane window ``(x0, x1, y0,
     y1)`` of the slices ``z0:z1`` outside which the argmax of ``evaluate``
     is class 0 for every input, or None if it is class 0 on all of them.
-    Task application segments only inside it. A module that cannot bound
-    its labels returns the whole slices, ``(0, W, 0, H)``: a per-slice
-    network's receptive field sees the whole slice, so its labels can
-    appear anywhere in it.
+    A module that cannot bound its labels returns the whole slices, ``(0,
+    W, 0, H)``: a per-slice network's receptive field sees the whole slice,
+    so its labels can appear anywhere in it.
+
+    Both uses work only inside the support. Task application segments
+    there. The registration objective builds one module restricted to each
+    slab's support, once, and evaluates the focus term there: where class 0
+    is the argmax no foreground probability exceeds 0.5, so a count above a
+    threshold r >= 0.5 misses nothing (for r < 0.5 it takes whole slices).
+    It passes ``evaluate``'s output to ``gradient`` as ``q``, so the
+    forward pass is not repeated.
     """
 
     geometry: GridGeometry  # the grid it labels
@@ -317,18 +332,16 @@ class AnalyticSegmenter:
     def restrict(self, z0: int, z1: int, window: tuple[int, int, int, int] | None = None) -> "AnalyticSegmenter":
         """This segmenter on the slices ``z0:z1``, or on their in-plane window ``(x0, x1, y0, y1)``.
 
-        With a window, as task application asks for one per call, the fields
-        are views of this one's. Whole slices, as the registration objective
-        asks for once per slab and then reads on every step, get contiguous
-        copies: a full-mode 64³ step reading strided views took 15 % longer.
+        The prior and the template are contiguous copies of this one's: the
+        registration objective reads them on every step, and a full-mode 64³
+        step reading strided views took 15 % longer.
         """
         w, h, _ = self.geometry.shape
         x0, x1, y0, y1 = (0, w, 0, h) if window is None else window
-        keep = np.ascontiguousarray if window is None else np.asarray
         part = copy.copy(self)
         part.geometry = self.geometry.z_slab(z0, z1, window)
-        part._prior = keep(self._prior[:, x0:x1, y0:y1, z0:z1])
-        part._template = keep(self._template[x0:x1, y0:y1, z0:z1])
+        part._prior = np.ascontiguousarray(self._prior[:, x0:x1, y0:y1, z0:z1])
+        part._template = np.ascontiguousarray(self._template[x0:x1, y0:y1, z0:z1])
         part._live_x, part._live_y = self._live_x[x0:x1, z0:z1], self._live_y[y0:y1, z0:z1]
         return part
 

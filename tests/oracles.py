@@ -20,7 +20,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from rigidda.interp import argmax_channels, trilinear
+from rigidda.interp import argmax_channels, slab_bounds, trilinear
 from rigidda.losses import _sigmoid
 from rigidda.metrics import ClassMetrics, MetricReport, dice3d
 from rigidda.resampler import SampleResult, _source_samples, target_coords
@@ -153,6 +153,32 @@ def apply_task(ax: Volume, params, task, post: bool = True) -> LabelVolume:
     hard = np.argmax(task.evaluate(i_t.image).q, axis=0).astype(np.int16)
     back = LabelVolume(ax.geometry, transform_labels(LabelVolume(ax.geometry, hard), mats.m_t_inv, ax.geometry))
     return postprocess_labels(back) if post else back
+
+
+def focus_boxes(task, shape, r: float) -> list:
+    """Each slab of ``slab_bounds`` with the in-plane box its focus term covers:
+    the task's support for r >= 0.5, None where it has none, and whole slices below."""
+    whole = (0, shape[0], 0, shape[1])
+    return [((z0, z1), task.support(z0, z1) if r >= 0.5 else whole) for z0, z1 in slab_bounds(shape)]
+
+
+def focus_mask(task, shape, r: float) -> np.ndarray:
+    """The (W, H, D) mask of the voxels that the focus term covers."""
+    inside = np.zeros(shape, dtype=bool)
+    for (z0, z1), box in focus_boxes(task, shape, r):
+        if box is not None:
+            x0, x1, y0, y1 = box
+            inside[x0:x1, y0:y1, z0:z1] = True
+    return inside
+
+
+def focus_terms(q, r: float, tau: float, inside: np.ndarray) -> tuple[float, float]:
+    """``focus_exact`` and ``focus_smooth`` of the whole grid's probabilities with only the
+    voxels in ``inside`` counted and summed; both still divide by the whole grid's entries."""
+    fg = q.q[1:]
+    exact = 1.0 - np.count_nonzero((fg > r) & inside) / fg.size
+    smooth = 1.0 - float(np.sum(_sigmoid((fg - r) / tau) * inside)) / fg.size
+    return exact, smooth
 
 
 def resample_isotropic(data: np.ndarray, g: GridGeometry, iso: float) -> tuple[np.ndarray, GridGeometry]:

@@ -5,6 +5,7 @@ import functools
 import json
 import importlib.util
 import logging
+import math
 import os
 import signal
 import subprocess
@@ -51,6 +52,7 @@ from rigidda.resampler import target_coords, transform_volume, transform_volume_
 from rigidda.rigid import N_PARAMS, RigidParams, affine_jacobian, euler_to_affine
 from rigidda import engine, interp, pipeline
 from rigidda.volume import FOREGROUND_CLASSES, Volume
+import oracles
 from conftest import (
     FailingTask,
     central_difference,
@@ -69,9 +71,10 @@ def _small_pair(seed=0):
 
 
 class WholeGridObjective:
-    """Reference objective: every term evaluated over the whole grid at once."""
+    """Reference objective: every term evaluated over the whole grid at once, the focus
+    terms counted and summed inside ``oracles.focus_boxes``, or everywhere with ``whole_slices``."""
 
-    def __init__(self, i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode):
+    def __init__(self, i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode, whole_slices=False):
         self.mode = mode
         self.i_vol = i_vol
         self.j_vol = j_vol
@@ -80,6 +83,9 @@ class WholeGridObjective:
         self.target = i_vol.geometry
         self.coords = target_coords(self.target)
         self.use_focus = mode in FOCUS_MODES
+        if self.use_focus:
+            shape = self.target.shape
+            self.inside = np.ones(shape, dtype=bool) if whole_slices else oracles.focus_mask(task, shape, weights.r)
         self.use_cycle_bwd = mode != "baseline"
         w_field = in_plane_weight(self.target) if mode == "full" else None
         self.fixed_fwd = transform_volume(i_vol, gt_m, self.target)
@@ -124,9 +130,8 @@ class WholeGridObjective:
         if self.use_focus:
             tape_t = transform_volume_with_tape(self.i_vol, mats.m_t, self.target, self.coords)
             q = self.task.evaluate(tape_t.result.image)
-            f_exact = focus_exact(q, w.r)
-            f_smooth = focus_smooth(q, w.r, w.tau)
-            up_q = focus_smooth_upstream(q, w.r, w.tau)
+            f_exact, f_smooth = oracles.focus_terms(q, w.r, w.tau, self.inside)
+            up_q = focus_smooth_upstream(q, w.r, w.tau) * self.inside
             up_img = self.task.gradient(tape_t.result.image, up_q)
             grad += a2 * tape_t.vjp(jac.d_m_t, up_img)
 
@@ -142,7 +147,18 @@ class WholeGridObjective:
 
 
 class SerialSlabObjective(PairObjective):
-    """Reference objective: the slabs one after another on the calling thread."""
+    """Reference objective: the slabs one after another on the calling thread, every
+    cycle term of each, then its focus term on its box of ``oracles.focus_boxes``."""
+
+    def __init__(self, i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode="full"):
+        super().__init__(i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode)
+        target = i_vol.geometry
+        self.focus_parts = [None] * len(self.slabs)
+        if mode in FOCUS_MODES:
+            for k, ((z0, z1), box) in enumerate(oracles.focus_boxes(task, target.shape, weights.r)):
+                if box is not None:
+                    geometry, coords = target.z_slab(z0, z1, box), target_coords(target, z0, z1, box)
+                    self.focus_parts[k] = (geometry, coords, task.restrict(z0, z1, box))
 
     def __call__(self, vec, worker=None):
         params = RigidParams.from_vector(vec)
@@ -162,7 +178,7 @@ class SerialSlabObjective(PairObjective):
             part = tape.vjp(d_m, diff * mask / self.n)
             return float(np.sum(diff * diff)), part
 
-        for slab in self.slabs:
+        for slab, focus in zip(self.slabs, self.focus_parts):
             tape = transform_volume_with_tape(self.i_vol, mats.m, slab.geometry, slab.coords)
             sq, part = mse_term(tape, *slab.cycle[0], jac.d_m)
             sq_fwd += sq
@@ -173,16 +189,17 @@ class SerialSlabObjective(PairObjective):
                 sq, part = mse_term(tape, *slab.cycle[1], jac.d_m_inv)
                 sq_bwd += sq
                 grad += w.alpha1 * part
-            if use_focus:
-                tape = transform_volume_with_tape(self.i_vol, mats.m_t, slab.geometry, slab.coords)
+            if focus is not None:
+                geometry, coords, task = focus
+                tape = transform_volume_with_tape(self.i_vol, mats.m_t, geometry, coords)
                 image = tape.result.image
-                q = slab.task.evaluate(image)
-                n = slab.geometry.num_voxels
+                q = task.evaluate(image)
+                n = geometry.num_voxels
                 share = n / self.n
                 above += round((1.0 - focus_exact(q, w.r)) * n_fg * n)
                 smooth_mean += share * (1.0 - focus_smooth(q, w.r, w.tau))
                 up_q = share * focus_smooth_upstream(q, w.r, w.tau)
-                grad += a2 * tape.vjp(jac.d_m_t, slab.task.gradient(image, up_q, q))
+                grad += a2 * tape.vjp(jac.d_m_t, task.gradient(image, up_q, q))
 
         report = LossReport(
             cycle_fwd=0.5 * sq_fwd / self.n,
@@ -435,8 +452,11 @@ class TestRegisterPair:
         pair, seg = pair_on((40, 40, 23))
 
         class NanOnSlab1:
-            def restrict(self, z0, z1):
-                part = seg.restrict(z0, z1)
+            geometry = seg.geometry
+            support = staticmethod(seg.support)
+
+            def restrict(self, z0, z1, window=None):
+                part = seg.restrict(z0, z1, window)
                 if z0 == 10:
                     evaluate = part.evaluate
                     part.evaluate = lambda vol: ProbabilityVolume.trusted(vol.geometry, evaluate(vol).q * np.nan)
@@ -539,6 +559,93 @@ class TestSlabObjective:
             tracemalloc.stop()
         # one float64 array over the 64^3 grid alone is 2 MiB
         assert peak < 8 * 2**20
+
+
+@functools.cache
+def _focus_pair(name):
+    """A pair and its segmenter: the gentle pair, or ``pair_on`` a grid; at 64^3 two
+    of the 16 slabs have no support."""
+    if name == "gentle":
+        spec, pair = _small_pair()
+        return pair, AnalyticSegmenter(spec, pair.i.geometry)
+    return pair_on(name)
+
+
+FOCUS_PAIRS = st.sampled_from(["gentle", (17, 13, 11), (40, 40, 23), (48, 48, 48), (64, 64, 64)])
+VECS = st.tuples(*[st.floats(-0.3, 0.3)] * 3, *[st.floats(-0.15, 0.15)] * 6).map(np.array)
+
+
+def _whole_grid_q(pair, task, vec):
+    """The task's probabilities on the whole grid, warped under M_t as the objective warps."""
+    m_t = euler_to_affine(RigidParams.from_vector(vec)).m_t
+    return task.evaluate(transform_volume_with_tape(pair.i, m_t, pair.i.geometry).result.image)
+
+
+class TestFocusOnTheSupport:
+    """Each focus term covers only its slab's support box, or whole slices for r < 0.5."""
+
+    @given(name=FOCUS_PAIRS, vec=VECS, r=st.sampled_from([0.5, 0.9]), tau=st.sampled_from([0.02, 0.1]))
+    @settings(max_examples=12)
+    def test_exact_count_is_the_whole_grids(self, name, vec, r, tau):
+        pair, task = _focus_pair(name)
+        w = LossWeights(r=r, tau=tau)
+        report, _ = PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, w, "full")(vec)
+        assert report.focus_exact == focus_exact(_whole_grid_q(pair, task, vec), r)
+
+    @given(name=FOCUS_PAIRS, vec=VECS, r=st.sampled_from([0.5, 0.9]), tau=st.sampled_from([0.02, 0.1]))
+    @settings(max_examples=12)
+    def test_smooth_mean_leaves_out_at_most_the_outside_bound(self, name, vec, r, tau):
+        """Outside the support every foreground probability is at most 0.5, so each
+        of the 3 entries of an outside voxel adds at most sigmoid((0.5 - r) / tau)."""
+        pair, task = _focus_pair(name)
+        w = LossWeights(r=r, tau=tau)
+        report, _ = PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, w, "full")(vec)
+        whole = focus_smooth(_whole_grid_q(pair, task, vec), r, tau)
+        n = pair.i.geometry.num_voxels
+        outside = n - np.count_nonzero(oracles.focus_mask(task, pair.i.geometry.shape, r))
+        bound = outside * 3 / (1.0 + math.exp((r - 0.5) / tau)) / (3 * n)
+        # the sums run in another order: a few ulps of the mean beside the bound
+        assert abs(report.focus_smooth - whole) <= bound + 1e-13
+        assert report.focus_smooth >= whole - 1e-13
+
+    @given(name=FOCUS_PAIRS, vec=VECS)
+    @settings(max_examples=8)
+    def test_below_one_half_the_focus_term_takes_whole_slices(self, name, vec):
+        pair, task = _focus_pair(name)
+        args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(r=0.3, tau=0.1), "full")
+        rep, grad = PairObjective(*args)(vec)
+        ref, ref_grad = WholeGridObjective(*args, whole_slices=True)(vec)
+        for term in ("cycle_fwd", "cycle_bwd", "focus_smooth", "total"):
+            assert getattr(rep, term) == pytest.approx(getattr(ref, term), rel=1e-12, abs=0.0)
+        assert rep.focus_exact == ref.focus_exact
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+    @given(name=FOCUS_PAIRS, r=st.sampled_from([0.3, 0.5, 0.9]))
+    @settings(max_examples=10)
+    def test_samples_per_step_are_the_boxes_voxels(self, name, r):
+        """The focus warp samples each box once per step and nothing else."""
+        pair, task = _focus_pair(name)
+        vec = np.array([0.1, -0.05, 0.08, 0.02, -0.03, 0.01, -0.04, 0.05, 0.03])
+        m_t = euler_to_affine(RigidParams.from_vector(vec)).m_t
+        samples = []
+
+        def counted(src, m, target, coords):
+            if np.array_equal(m, m_t):
+                samples.append(coords.shape[1])
+            return transform_volume_with_tape(src, m, target, coords)
+
+        obj = PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(r=r, tau=0.1), "full")
+        with pytest.MonkeyPatch.context() as mp:
+            force_one_cpu(mp)
+            mp.setattr(engine, "transform_volume_with_tape", counted)
+            obj(vec)
+        expected = []
+        for (z0, z1), box in oracles.focus_boxes(task, pair.i.geometry.shape, r):
+            if box is not None:
+                x0, x1, y0, y1 = box
+                expected.append((x1 - x0) * (y1 - y0) * (z1 - z0))
+        assert samples == expected
+        assert sum(slab.geometry.num_voxels for slab in obj.focus_slabs) == sum(expected)
 
 
 class TestTwoThreadObjective:
@@ -768,7 +875,11 @@ class TestTermsOutsideTheFixedView:
         "mode, line",
         [
             ("baseline", "baseline objective: forward 2/7 slabs outside the fixed view"),
-            ("full", "full objective: forward 2/7, backward 2/7 slabs outside the fixed view"),
+            (
+                "full",
+                "full objective: forward 2/7, backward 2/7 slabs outside the fixed view, "
+                "focus on 7/7 slabs, 24.1 % of the grid",
+            ),
         ],
         ids=["baseline", "full"],
     )
@@ -1047,6 +1158,17 @@ class TestProgressLog:
         assert lines[1] == f"epoch 1: mean loss {first:.6g}, lr {0.02:.3g}"
         best = min(r.report.total for r in trace.rows)
         assert lines[-1] == f"cycle registration: 15 steps, stopped by max_steps, best loss {best:.6g}"
+
+    def test_register_pair_names_the_focus_slabs(self, caplog):
+        pair, task = pair_on((64, 64, 64))
+        cfg = OptimConfig(lr0=0.02, epoch_steps=2, max_steps=2)
+        with caplog.at_level(logging.INFO, logger="rigidda"):
+            register_pair(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), cfg, mode="full")
+        lines = [r.getMessage() for r in caplog.records if r.name == "rigidda.engine"]
+        assert lines[0] == (
+            "full objective: forward 0/16, backward 0/16 slabs outside the fixed view, "
+            "focus on 14/16 slabs, 22.4 % of the grid"
+        )
 
     def test_early_stop_is_named(self, caplog):
         spec, pair = _small_pair()

@@ -28,6 +28,7 @@ from rigidda.resampler import SampleResult, transform_volume
 from rigidda.rigid import RigidParams, euler_to_affine
 from rigidda.volume import GridGeometry, Volume
 from conftest import gentle_task_spec, smooth_field
+import oracles
 
 EPS = 1e-7
 
@@ -82,16 +83,18 @@ def cycle_loss(i_vol, j_vol, m, m_inv, gt_m, gt_m_inv, target, weight=None):
 
 
 def total_loss(i_vol, j_vol, params, gt_m, gt_m_inv, task, weights):
-    """Full-mode loss report: in-plane weighted cycle, focus on the task-branch image."""
+    """Full-mode loss report: in-plane weighted cycle, focus on the task-branch image
+    inside the boxes of ``oracles.focus_boxes``."""
     target = i_vol.geometry
     mats = euler_to_affine(params)
     fwd, bwd = cycle_loss(i_vol, j_vol, mats.m, mats.m_inv, gt_m, gt_m_inv, target, in_plane_weight(target))
     q = task.evaluate(transform_volume(i_vol, mats.m_t, target).image)
+    exact, smooth = oracles.focus_terms(q, weights.r, weights.tau, oracles.focus_mask(task, target.shape, weights.r))
     return LossReport(
         cycle_fwd=fwd,
         cycle_bwd=bwd,
-        focus_exact=focus_exact(q, weights.r),
-        focus_smooth=focus_smooth(q, weights.r, weights.tau),
+        focus_exact=exact,
+        focus_smooth=smooth,
         alpha1=weights.alpha1,
         alpha2=weights.alpha2,
     )

@@ -141,6 +141,40 @@ class TestPhantomSpec:
             assert getattr(back, name) == getattr(spec, name)
         np.testing.assert_allclose(back.pose, spec.pose)
 
+    def test_levels_are_read_only(self):
+        given = {"background": 0.0, "LV": 1.0, "MYO": 0.5, "RV": 0.7}
+        spec = PhantomSpec(levels=given)
+        AnalyticSegmenter(spec, GridGeometry.isotropic((16, 16, 12), 3.0))
+        with pytest.raises(TypeError):
+            spec.levels["LV"] = 7.0
+        with pytest.raises(TypeError):
+            del spec.levels["RV"]
+        given["LV"] = 7.0  # the spec keeps its own copy
+        assert spec.levels["LV"] == 1.0
+        assert replace(spec, sigma_mm=2.0).levels == spec.levels
+
+    def test_to_json_writes_every_field_in_order(self):
+        spec = replace(_default_spec().scaled(0.7), pose=world_rigid((0.1, -0.2, 0.3), (1.0, 2.0, -3.0)))
+        expected = {
+            "lv": {"center": list(spec.lv.center), "semi_axes": list(spec.lv.semi_axes)},
+            "myo_outer": {"center": list(spec.myo_outer.center), "semi_axes": list(spec.myo_outer.semi_axes)},
+            "rv": {"center": list(spec.rv.center), "semi_axes": list(spec.rv.semi_axes)},
+            "levels": {"background": 0.0, "LV": 1.0, "MYO": 0.55, "RV": 0.75},
+            **{name: getattr(spec, name) for name in (
+                "sigma_mm", "noise_sigma", "logit_scale", "prior_sigma_mm", "prior_bias_mm", "intensity_sigma"
+            )},
+            "pose": spec.pose.reshape(16).tolist(),
+        }
+        assert spec.to_json() == json.dumps(expected, indent=2)
+
+    def test_from_json_and_scaled_round_trip_the_text(self):
+        spec = replace(_default_spec().scaled(0.7), pose=world_rigid((0.1, -0.2, 0.3), (1.0, 2.0, -3.0)))
+        back = PhantomSpec.from_json(spec.to_json())
+        assert back.to_json() == spec.to_json()
+        with pytest.raises(TypeError):
+            back.levels["LV"] = 7.0
+        assert PhantomSpec.from_json(spec.scaled(2.0).to_json()).to_json() == spec.scaled(2.0).to_json()
+
     @pytest.mark.parametrize(
         "text, known",
         [
@@ -248,8 +282,9 @@ class TestSpecValues:
     def test_scaled_copy_shares_no_mutable_field(self):
         spec = PhantomSpec()
         copy = spec.scaled(0.5)
-        copy.levels["LV"] = 0.3
-        assert spec.levels["LV"] == 1.0
+        with pytest.raises(TypeError):
+            copy.levels["LV"] = 0.3
+        assert copy.levels == spec.levels and spec.levels["LV"] == 1.0
         assert not copy.pose.flags.writeable and not np.shares_memory(copy.pose, spec.pose)
         with pytest.raises(ValidationError, match="ellipsoid"):
             spec.scaled(0.0)

@@ -27,6 +27,13 @@ def test_recovery_benchmark(monkeypatch, capsys):
     assert "/1 pairs within 2 deg and 1 voxel" in out
 
 
+def test_recovery_benchmark_starts_at_first(monkeypatch, capsys):
+    args = ("--first", "10", "--pairs", "2", "--grid", "16", "--iso", "6", "--max-steps", "2")
+    out = _run(monkeypatch, capsys, "recovery_benchmark", *args)
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("pair ")] == ["pair 10", "pair 11"]
+    assert "/2 pairs within 2 deg and 1 voxel" in out
+
+
 def test_recovery_benchmark_rejects_rotation_bound(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exit_info:
         _run(monkeypatch, capsys, "recovery_benchmark", "--pairs", "1", "--max-rot-deg", "120")
@@ -53,6 +60,8 @@ def test_recovery_benchmark_rejects_rotation_bound(monkeypatch, capsys):
         ("run_demo", ["--grid", "1"], "resampling needs >= 2 voxels per axis"),
         ("run_demo", ["--grid", "16", "--iso", "0"], "spacing must be 3 finite positive values"),
         ("run_demo", ["--seed", "-1"], "optimizer seed must be non-negative"),
+        ("recovery_benchmark", ["--first", "-1"], "--first must be at least 0"),
+        ("compare_modes", ["--first", "-1"], "--first must be at least 0"),
     ],
 )
 def test_bad_argument_exits_2(monkeypatch, capsys, tmp_path, name, args, message):
@@ -69,6 +78,15 @@ def test_compare_modes(monkeypatch, capsys):
     assert "means over 1 seeds" in out
     for mode in ("baseline", "cycle", "full"):
         assert f"seed 0 {mode:8s} dice LV=" in out
+
+
+def test_compare_modes_starts_at_first(monkeypatch, capsys):
+    args = ("--first", "10", "--seeds", "1", "--grid", "16", "--iso", "6", "--max-steps", "2")
+    out = _run(monkeypatch, capsys, "compare_modes", *args)
+    assert "means over 1 seeds" in out
+    for mode in ("baseline", "cycle", "full"):
+        assert f"seed 10 {mode:8s} dice LV=" in out
+    assert "seed 0 " not in out
 
 
 @pytest.mark.parametrize("mode", ["cycle", "full"])
