@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: phantom-gen, register, resample, eval, losses-check, apply,
-end2end. Exit codes: 0 success, 2 validation error, 3 numerical failure
-(a numpy overflow, division by zero or invalid value among them), 4 I/O
-error. Set RIGIDDA_LOG=debug|info|warning for verbosity.
+end2end, and the experiments of ``rigidda.experiments``: recover (the
+transform-recovery sweep), ablate (the baseline/cycle/full ablation) and
+demo (one drawn pair end to end). Exit codes: 0 success, 2 validation
+error, 3 numerical failure (a numpy overflow, division by zero or invalid
+value among them), 4 I/O error. Set RIGIDDA_LOG=debug|info|warning for
+verbosity.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import logging
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +25,7 @@ import numpy as np
 from .config import PipelineConfig, replace_settings
 from .engine import FOCUS_MODES, MODES, PairObjective, register_pair
 from .errors import NumericalError, RigiddaError, ValidationError
+from .experiments import ABLATION_MODES, ablate, demo_case, demo_offset, fast_config, recover
 from .io import read_volume, write_volume
 from .losses import LossWeights
 from .metrics import evaluate_labels, postprocess_labels
@@ -28,7 +33,7 @@ from .phantom import AnalyticSegmenter, PhantomSpec, make_pair
 from .pipeline import apply_task, load_pair_dir, run_end2end, save_pair_dir
 from .resampler import transform_labels, transform_volume
 from .rigid import RigidParams, check_rigid, euler_to_affine, parse_matrix, read_transform, write_transform
-from .volume import LabelVolume, Volume
+from .volume import CLASS_NAMES, FOREGROUND_CLASSES, LabelVolume, Volume
 
 log = logging.getLogger("rigidda")
 
@@ -199,6 +204,75 @@ def cmd_end2end(args) -> int:
     return 0
 
 
+def _draws(args) -> range:
+    """The draw indices ``--first`` to ``--first + --count - 1``."""
+    if args.count < 1:
+        raise ValidationError(f"--count must be at least 1, got {args.count}")
+    if args.first < 0:
+        raise ValidationError(f"--first must be at least 0, got {args.first}")
+    return range(args.first, args.first + args.count)
+
+
+def _draw_flags(args) -> dict:
+    """The sweep's flags given on the command line other than ``--count`` and ``--first``; a flag
+    not given keeps its default in the signatures of ``rigidda.experiments``."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "count", "first")}
+
+
+def cmd_recover(args) -> int:
+    results = []
+    for seed in _draws(args):
+        run = recover(seed, **_draw_flags(args))
+        ang_err, t_err = run.ang_err.max(), run.t_err.max()
+        results.append((ang_err, t_err, run.seconds))
+        print(
+            f"pair {seed}: rot err {ang_err:6.3f} deg, trans err {t_err:6.3f} vox, "
+            f"{run.steps} steps, {run.seconds:5.1f}s"
+        )
+    ang, tr, times = map(np.asarray, zip(*results))
+    print(
+        f"\nworst: {ang.max():.3f} deg / {tr.max():.3f} vox; "
+        f"median time {np.median(times):.1f}s, max {times.max():.1f}s"
+    )
+    ok = int(np.sum((ang < 2.0) & (tr < 1.0)))
+    print(f"{ok}/{args.count} pairs within 2 deg and 1 voxel")
+    return 0
+
+
+def cmd_ablate(args) -> int:
+    names = [CLASS_NAMES[c] for c in FOREGROUND_CLASSES]
+    runs = []
+    start = time.perf_counter()
+    for seed in _draws(args):
+        runs.append(ablate(seed, **_draw_flags(args)))
+        for mode, run in runs[-1].items():
+            print(f"seed {seed} {mode:8s} dice " + " ".join(f"{n}={d:.3f}" for n, d in zip(names, run.dice)))
+    print(f"\nmeans over {args.count} seeds ({time.perf_counter() - start:.0f}s):")
+    header = " ".join(f"{n:>7s}" for n in names)
+    print(f"{'mode':10s} {header} {'focus':>8s}")
+    for mode in ABLATION_MODES:
+        dice = sum(run[mode].dice for run in runs) / args.count
+        focus = sum(run[mode].focus for run in runs) / args.count
+        print(f"{mode:10s} " + " ".join(f"{d:7.4f}" for d in dice) + f" {focus:8.4f}")
+    return 0
+
+
+def cmd_demo(args) -> int:
+    config = fast_config(args.mode, args.seed, args.max_steps)
+    angles, trans = demo_offset(args.seed)
+    print(f"generating pair: angles {np.degrees(angles).round(1)} deg, translation {trans.round(1)} mm")
+    pair, spec, task = demo_case(args.seed, args.grid, args.iso)
+    start = time.perf_counter()
+    result = run_end2end(pair, task, config)
+    elapsed = time.perf_counter() - start
+    save_pair_dir(pair, spec, args.out_dir)
+    result.save(args.out_dir)
+    print(f"mode {args.mode}: {len(result.trace.rows)} steps in {elapsed:.1f}s")
+    print(result.report.to_json())
+    print(f"artifacts in {Path(args.out_dir)}/")
+    return 0
+
+
 CONFIG_HELP = "pipeline config JSON with seed, mode, weights and optim; other keys are rejected"
 
 
@@ -277,7 +351,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_end2end)
 
+    # a draw flag not given is left out of the namespace, so the draw keeps its default in
+    # rigidda.experiments: with no flags the sweeps run the gate's draws
+    p = _sweep_parser(sub, "recover", "full-mode transform recovery on draws of criterion 4's kind", 10, cmd_recover)
+    p.add_argument("--max-rot-deg", type=float, help="per Euler angle, in [0, 90)")
+    p.add_argument("--max-trans-mm", type=float, help="per axis, at least 0")
+
+    p = _sweep_parser(sub, "ablate", "baseline, cycle and full mode on criterion 5's apex draws", 5, cmd_ablate)
+    p.add_argument("--slice-mm", type=float, help="first-view slice thickness")
+
+    p = sub.add_parser("demo", help="draw a pair, run it end to end, write the pair and the run")
+    p.add_argument("--out-dir", required=True, help="gets the pair directory and end2end's four files")
+    p.add_argument("--mode", choices=MODES, default="full")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid", type=int, default=48, help="cubic grid side")
+    p.add_argument("--iso", type=float, default=2.0, help="isotropic spacing in mm")
+    p.add_argument("--max-steps", type=int, default=150)
+    p.set_defaults(func=cmd_demo)
+
     return parser
+
+
+def _sweep_parser(sub, name: str, help: str, count: int, func) -> argparse.ArgumentParser:
+    """A sweep over draws ``--first`` to ``--first + --count - 1`` with the flags both sweeps take."""
+    p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+    p.add_argument("--count", type=int, default=count, help="number of draws")
+    p.add_argument("--first", type=int, default=0, help="index of the first draw")
+    p.add_argument("--grid", type=int, help="cubic grid side")
+    p.add_argument("--iso", type=float, help="isotropic spacing in mm")
+    p.add_argument("--max-steps", type=int)
+    p.set_defaults(func=func)
+    return p
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,9 @@
-"""The experiments of criteria 4 and 5 and of ``scripts/``: the case draws, the
-preset, and one per-case function per sweep (``recover``, ``ablate``).
+"""The experiments of criteria 4 and 5 and of ``rigidda recover``, ``rigidda ablate``
+and ``rigidda demo``: the case draws, the preset, and one per-case function per
+sweep (``recover``, ``ablate``).
 
 Each draw is seeded by its index alone and defaults to the gate's geometry,
-so a script run with default flags meets the gate's pairs.
+so a sweep run with default flags meets the gate's pairs.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ def recovery_case(
 
     ``max_rot_deg`` must lie in [0, 90): a larger theta leaves the range of
     ``euler_from_rotation``, and ``recovery_error`` would misread the exact
-    transform as a 180 degree error. ``max_trans_mm`` must be finite and at
-    least 0.
+    transform as a 180 degree error. ``max_trans_mm`` must be at least 0, and
+    the width of its draw range, ``2 * max_trans_mm``, finite.
     """
     if not 0.0 <= max_rot_deg < 90.0:
         raise ValidationError(f"max_rot_deg must be in [0, 90), got {max_rot_deg}")
-    if not 0.0 <= max_trans_mm < np.inf:
-        raise ValidationError(f"max_trans_mm must be finite and >= 0, got {max_trans_mm}")
+    if not 0.0 <= 2.0 * max_trans_mm < np.inf:
+        raise ValidationError(f"max_trans_mm must be finite and >= 0, and 2 * max_trans_mm finite, got {max_trans_mm}")
     rng = np.random.default_rng(500 + seed)
     bound = np.radians(max_rot_deg)
     angles = rng.uniform(-bound, bound, 3)
@@ -71,6 +72,20 @@ def apex_case(
     spec = PhantomSpec(noise_sigma=0.05)
     rel = world_rigid(tuple(angles), (tx, ty, tz))
     pair = make_pair(spec, rel, grid=(grid,) * 3, iso=iso, seed=seed, ax_spacing=(iso, iso, slice_mm))
+    return pair, spec, AnalyticSegmenter(spec, pair.i.geometry)
+
+
+def demo_offset(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The demo draw's world offset: Euler angles of up to 0.3 rad and a translation of up to 8 mm."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-0.3, 0.3, 3), rng.uniform(-8.0, 8.0, 3)
+
+
+def demo_case(seed: int, grid: int, iso: float) -> tuple[PhantomPair, PhantomSpec, AnalyticSegmenter]:
+    """``rigidda demo``'s draw: two views of the default phantom offset by ``demo_offset(seed)``."""
+    angles, trans = demo_offset(seed)
+    spec = PhantomSpec()
+    pair = make_pair(spec, world_rigid(tuple(angles), tuple(trans)), grid=(grid,) * 3, iso=iso, seed=seed)
     return pair, spec, AnalyticSegmenter(spec, pair.i.geometry)
 
 

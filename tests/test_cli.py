@@ -6,6 +6,7 @@ argument wiring, file I/O and exit codes are all covered.
 
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -18,11 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rigidda
-from rigidda import engine
+from rigidda import cli, engine
 from rigidda.cli import _parse_floats, _parse_weights_arg, main
 from rigidda.config import PipelineConfig
 from rigidda.engine import MODES, OptimConfig
 from rigidda.errors import ValidationError
+from rigidda.experiments import ABLATION_MODES, Ablation, Recovery, ablate, apex_case, recover, recovery_case
 from rigidda.io import read_volume, write_volume
 from rigidda.losses import LossWeights
 from rigidda.phantom import PhantomSpec, world_rigid
@@ -248,26 +250,30 @@ class TestLogLevel:
 
     @pytest.mark.parametrize("value", ["info", "WARN", "basic_format", "root", "20", ""])
     def test_any_value_reaches_the_command(self, tmp_path, value):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
-            "RIGIDDA_LOG": value,
-        }
         missing = [str(tmp_path / "pred.nii"), "--truth", str(tmp_path / "truth.nii")]
-        run = subprocess.run(
-            [sys.executable, "-m", "rigidda.cli", "eval", "--pred", *missing],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        run = _run_cli(["eval", "--pred", *missing], RIGIDDA_LOG=value)
         assert run.returncode == 4, run.stderr
         assert "Traceback" not in run.stderr
+
+    def test_sweep_reports_progress(self):
+        run = _run_cli(["recover", "--count", "1", "--grid", "16", "--max-steps", "20"], RIGIDDA_LOG="info")
+        assert run.returncode == 0, run.stderr
+        assert "INFO full objective: " in run.stderr
+        assert "INFO epoch 1: mean loss " in run.stderr and "INFO epoch 2: mean loss " in run.stderr
+        assert "INFO full registration: 20 steps, stopped by max_steps" in run.stderr
+
+
+def _run_cli(args, **env):
+    """``python -m rigidda`` with ``args`` in a subprocess, this checkout's ``src`` on the path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run([sys.executable, "-m", "rigidda", *args], env=env, capture_output=True, text=True, timeout=300)
 
 
 def test_package_runs_as_a_module():
     """``python -m rigidda`` is the ``rigidda`` command."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-m", "rigidda", "--help"], env=env, capture_output=True, text=True, timeout=120)
+    run = _run_cli(["--help"])
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("usage: rigidda")
 
@@ -392,6 +398,131 @@ class TestEnd2End:
         assert main(["end2end", "--pair-dir", str(pair_dir), "--out-dir", str(out)]) == 2
         assert "I.nii must be an intensity volume" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestExperimentCommands:
+    """``recover``, ``ablate`` and ``demo`` run the experiments of ``rigidda.experiments``."""
+
+    def test_recover(self, capsys):
+        assert main(["recover", "--count", "1", "--max-steps", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "pair 0: rot err" in out and ", 2 steps," in out
+        assert "/1 pairs within 2 deg and 1 voxel" in out
+
+    def test_recover_starts_at_first(self, capsys):
+        args = ["recover", "--first", "10", "--count", "2", "--grid", "16", "--iso", "6", "--max-steps", "2"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert [line.split(":")[0] for line in out.splitlines() if line.startswith("pair ")] == ["pair 10", "pair 11"]
+        assert "/2 pairs within 2 deg and 1 voxel" in out
+
+    def test_ablate(self, capsys):
+        assert main(["ablate", "--count", "1", "--max-steps", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "means over 1 seeds" in out
+        for mode in ABLATION_MODES:
+            assert f"seed 0 {mode:8s} dice LV=" in out
+
+    def test_ablate_starts_at_first(self, capsys):
+        args = ["ablate", "--first", "10", "--count", "1", "--grid", "16", "--iso", "6", "--max-steps", "2"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "means over 1 seeds" in out
+        for mode in ABLATION_MODES:
+            assert f"seed 10 {mode:8s} dice LV=" in out
+        assert "seed 0 " not in out
+
+    @pytest.mark.parametrize("mode", ["cycle", "full"])
+    def test_demo(self, capsys, tmp_path, mode):
+        out_dir = tmp_path / "demo"
+        assert main(["demo", "--grid", "16", "--max-steps", "2", "--mode", mode, "--out-dir", str(out_dir)]) == 0
+        assert f"mode {mode}: 2 steps in" in capsys.readouterr().out
+        for name in ("trace.csv", "transform.json", "pred_labels.nii", "metrics.json"):
+            assert (out_dir / name).exists(), name
+        # the demo's output is a pair directory that end2end reads back
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode": mode, "optim": {"lr0": 0.02, "epoch_steps": 2, "max_steps": 2}}))
+        run = ["end2end", "--pair-dir", str(out_dir), "--config", str(config), "--out-dir", str(tmp_path / "run")]
+        assert main(run) == 0
+
+    @pytest.mark.parametrize(
+        "command, args, message",
+        [
+            ("recover", ["--count", "0"], "--count must be at least 1"),
+            ("recover", ["--count", "-1"], "--count must be at least 1"),
+            ("recover", ["--max-steps", "0"], "step counts must be positive"),
+            ("recover", ["--max-trans-mm", "nan"], "max_trans_mm must be finite and >= 0"),
+            ("recover", ["--max-trans-mm", "inf"], "max_trans_mm must be finite and >= 0"),
+            ("recover", ["--max-trans-mm", "-1"], "max_trans_mm must be finite and >= 0"),
+            ("recover", ["--grid", "1"], "resampling needs >= 2 voxels per axis"),
+            ("ablate", ["--count", "0"], "--count must be at least 1"),
+            ("ablate", ["--grid", "16", "--max-steps", "0"], "step counts must be positive"),
+            ("ablate", ["--grid", "16", "--slice-mm", "-1"], "ax spacing must be 3 finite positive values"),
+            ("ablate", ["--grid", "16", "--slice-mm", "0"], "ax spacing must be 3 finite positive values"),
+            ("ablate", ["--grid", "16", "--iso", "0"], "iso spacing must be 3 finite positive values"),
+            ("demo", ["--max-steps", "0"], "step counts must be positive"),
+            ("demo", ["--grid", "1"], "resampling needs >= 2 voxels per axis"),
+            ("demo", ["--grid", "16", "--iso", "0"], "spacing must be 3 finite positive values"),
+            ("demo", ["--seed", "-1"], "optimizer seed must be non-negative"),
+            ("recover", ["--first", "-1"], "--first must be at least 0"),
+            ("ablate", ["--first", "-1"], "--first must be at least 0"),
+            ("recover", ["--max-rot-deg", "120"], "max_rot_deg must be in [0, 90)"),
+            ("recover", ["--max-trans-mm", "1e308"], "max_trans_mm must be finite and >= 0, and 2 * max_trans_mm finite"),
+        ],
+    )
+    def test_bad_argument_exits_2(self, monkeypatch, capsys, tmp_path, command, args, message):
+        monkeypatch.chdir(tmp_path)
+        out_dir = ["--out-dir", str(tmp_path / "demo")] if command == "demo" else []
+        assert main([command, *args, *out_dir]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["recover", "ablate", "demo"])
+    def test_overflowing_spacing_exit_3(self, monkeypatch, capsys, tmp_path, command):
+        monkeypatch.chdir(tmp_path)
+        out_dir = ["--out-dir", str(tmp_path / "demo")] if command == "demo" else []
+        assert main([command, "--grid", "16", "--iso", "1e308", *out_dir]) == 3
+        assert "overflow" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+def _resolved(func, case, *args, **kwargs) -> dict:
+    """The arguments of the call ``func(*args, **kwargs)`` and of the draw ``case`` it makes,
+    each with its defaults filled in."""
+    call = inspect.signature(func).bind(*args, **kwargs)
+    call.apply_defaults()
+    draw = call.arguments.pop("draw")
+    drawn = inspect.signature(case).bind(call.arguments["seed"], **draw)
+    drawn.apply_defaults()
+    return {**call.arguments, **drawn.arguments}
+
+
+class TestSweepDefaults:
+    """With no draw flags the sweeps run the gate's draws: criterion 4's and criterion 5's
+    seeds, geometry and step caps, written once in the signatures of ``rigidda.experiments``."""
+
+    def test_recover_runs_criterion_4(self, monkeypatch, capsys):
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(_resolved(recover, recovery_case, *args, **kwargs))
+            return Recovery(np.zeros(3), np.zeros(3), 1, 0.0)
+
+        monkeypatch.setattr(cli, "recover", record)
+        assert main(["recover", "--count", "1"]) == 0
+        gate = {"seed": 0, "max_steps": 350, "grid": 64, "iso": 1.5, "max_rot_deg": 30.0, "max_trans_mm": 15.0}
+        assert calls == [gate]
+
+    def test_ablate_runs_criterion_5(self, monkeypatch, capsys):
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(_resolved(ablate, apex_case, *args, **kwargs))
+            return {mode: Ablation(np.zeros(3), 0.0, 1) for mode in ABLATION_MODES}
+
+        monkeypatch.setattr(cli, "ablate", record)
+        assert main(["ablate", "--count", "1"]) == 0
+        assert calls == [{"seed": 0, "max_steps": 100, "grid": 48, "iso": 2.0, "slice_mm": 12.0}]
 
 
 class TestPipelineConfig:
@@ -980,7 +1111,7 @@ def _numbers(n, bound=None):
 
 
 class TestArgumentStringFuzz:
-    """Any --weights, --params or --transform string ends in an exit code, never an exception."""
+    """Any --weights, --params, --transform or draw-bound string ends in an exit code, never an exception."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1006,6 +1137,21 @@ class TestArgumentStringFuzz:
         pair_dir, _ = fuzz_pair
         args = ["resample", "--input", str(pair_dir / "I.nii"), f"--transform={transform}"]
         assert main(args + ["--output", str(pair_dir / "fuzz_out.nii")]) in (0, 2, 3, 4)
+
+    # --slice-mm and --grid stay fixed: a tiny slice thickness or a large grid asks for billions of voxels
+    @settings(max_examples=60, deadline=None)
+    @given(
+        max_rot_deg=st.one_of(st.floats(0.0, 90.0, exclude_max=True).map(repr), _FLOAT_TEXT),
+        max_trans_mm=st.one_of(st.floats(0.0, 50.0).map(repr), _FLOAT_TEXT),
+        iso=st.one_of(st.floats(0.5, 10.0).map(repr), _FLOAT_TEXT),
+    )
+    def test_recover(self, max_rot_deg, max_trans_mm, iso):
+        args = ["recover", "--count", "1", "--grid", "8", "--max-steps", "1", f"--max-rot-deg={max_rot_deg}"]
+        try:
+            code = main(args + [f"--max-trans-mm={max_trans_mm}", f"--iso={iso}"])
+        except SystemExit as exc:  # argparse's exit for a string its float type rejects
+            code = exc.code
+        assert code in (0, 2, 3, 4)
 
 
 @pytest.fixture(scope="module")

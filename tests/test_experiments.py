@@ -45,7 +45,7 @@ def test_rotation_bound_outside_euler_range_rejected(max_rot_deg):
         recovery_case(0, max_rot_deg=max_rot_deg, **SMALL)
 
 
-@pytest.mark.parametrize("max_trans_mm", [-1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("max_trans_mm", [-1.0, math.nan, math.inf, -math.inf, 1e308])
 def test_translation_bound_not_finite_or_negative_rejected(max_trans_mm):
     with pytest.raises(ValidationError, match="max_trans_mm"):
         recovery_case(0, max_trans_mm=max_trans_mm, **SMALL)
