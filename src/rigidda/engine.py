@@ -165,42 +165,33 @@ class TraceRow:
 class RegistrationTrace:
     rows: list[TraceRow] = field(default_factory=list)
 
-    def append(self, row: TraceRow):
-        self.rows.append(row)
-
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRACE_COLUMNS)
             for row in self.rows:
                 rep = row.report
-                writer.writerow(
-                    [
-                        row.step,
-                        repr(row.lr),
-                        repr(rep.total),
-                        repr(rep.cycle_fwd),
-                        repr(rep.cycle_bwd),
-                        repr(rep.focus_exact),
-                        repr(rep.focus_smooth),
-                    ]
-                    + [repr(v) for v in row.params]
-                )
+                losses = (rep.total, rep.cycle_fwd, rep.cycle_bwd, rep.focus_exact, rep.focus_smooth)
+                writer.writerow([row.step] + [repr(float(v)) for v in (row.lr, *losses, *row.params)])
 
 
 @dataclass(frozen=True)
-class _Slab:
-    """A box of target voxels and the parts of the objective on it that do not change.
+class _Term:
+    """One term of the objective: a box of target voxels, the volume warped onto it,
+    and the name of the warp's matrix, ``"m"``, ``"m_inv"`` or ``"m_t"`` in
+    ``euler_to_affine``'s set, whose Jacobian is ``"d_" + matrix``.
 
-    A cycle slab is the whole slices z0:z1, and ``cycle`` has one (fixed
-    image, mask) pair per cycle branch: forward, then backward unless
-    baseline. A focus slab is the focus term's box of those slices, and
-    ``task`` is the task module restricted to it.
+    A cycle term has the box's cut of its fixed image and mask; the box is
+    the whole slices z0:z1. A focus term has ``task``, the task module
+    restricted to its box.
     """
 
     geometry: GridGeometry
     coords: np.ndarray  # (4, n) homogeneous normalized coordinates in the whole grid
-    cycle: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    source: Volume
+    matrix: str
+    fixed: np.ndarray | None = None
+    mask: np.ndarray | None = None
     task: TaskModule | None = None
 
 
@@ -215,12 +206,13 @@ def _worker_can_run() -> bool:
 class _SlabWorker:
     """A forked process that computes the odd terms of one objective, one step per request.
 
-    It inherits the objective's frozen slabs, terms, volumes and task parts
-    by copy-on-write, so a request is the step's matrices and a reply is the
-    terms' loss sums, gradient parts and focus counts, a few kilobytes. It
-    lives for one ``with`` block: leaving the block, by return or raise,
-    stops and reaps it. A worker that died is reaped at once, and the caller
-    computes its terms for the rest of the block.
+    It inherits the objective's frozen terms, with their boxes, volumes,
+    fixed data and task parts, by copy-on-write, so a request is the step's
+    matrices and a reply is the terms' loss sums, gradient parts and focus
+    counts, a few kilobytes. It lives for one ``with`` block: leaving the
+    block, by return or raise, stops and reaps it. A worker that died is
+    reaped at once, and the caller computes its terms for the rest of the
+    block.
     """
 
     def __init__(self, objective: "PairObjective"):
@@ -271,7 +263,7 @@ class _SlabWorker:
 def _worker_for(objective: "PairObjective"):
     """A ``_SlabWorker`` for ``objective``, or a context that gives None where one
     cannot help: one slab, one usable CPU, no ``fork`` or a daemonic process."""
-    if len(objective.slabs) >= 2 and _worker_can_run():
+    if objective.n_slabs >= 2 and _worker_can_run():
         return _SlabWorker(objective)
     return contextlib.nullcontext()
 
@@ -303,13 +295,14 @@ class PairObjective:
     slices. The smooth mean still divides by the whole grid and leaves out
     the outside voxels' sigmoids, each at most sigmoid((0.5 - r) / tau).
 
-    ``terms`` lists the step's work in the serial loop's order: each slab's
-    forward and backward cycle terms, then its focus term. A cycle term
-    whose slab of the fixed mask is all zero is left off: it would add +0.0
-    to its sum of squares and ±0.0 to each gradient entry, which changes no
-    bit of a sum that starts at +0.0, and the finite data of every ``Volume``
-    rules out a NaN that the zero mask would have carried. ``outside``
-    counts those slabs per cycle branch.
+    ``terms`` lists the step's work in the serial loop's order, one
+    ``_Term`` each: each slab's forward and backward cycle terms, then its
+    focus term. A slab's cycle terms share its coordinates. A cycle term
+    whose slab of the fixed mask is all zero is left off and keeps nothing:
+    it would add +0.0 to its sum of squares and ±0.0 to each gradient entry,
+    which changes no bit of a sum that starts at +0.0, and the finite data of
+    every ``Volume`` rules out a NaN that the zero mask would have carried.
+    ``outside`` counts those slabs per cycle branch, of ``n_slabs``.
 
     A call given a ``_SlabWorker`` computes the even terms on the calling
     thread while the worker process computes the odd ones, so the focus
@@ -336,36 +329,29 @@ class PairObjective:
         if mode in FOCUS_MODES and task is None:
             raise ValidationError("focus modes need a task module")
         self.mode = mode
-        self.i_vol = i_vol
         self.weights = weights
-        # per cycle branch: the moving volume, its ground truth and the name of its
-        # transform, M or M^-1, in euler_to_affine's set; its Jacobian is "d_" + name
-        self.branches = [(i_vol, gt_m, "m"), (j_vol, gt_m_inv, "m_inv")][: 1 if mode == "baseline" else 2]
+        # per cycle branch: the moving volume, its ground truth and the name of its matrix
+        branches = [(i_vol, gt_m, "m"), (j_vol, gt_m_inv, "m_inv")][: 1 if mode == "baseline" else 2]
         target = i_vol.geometry
         self.n = target.num_voxels
         w_field = in_plane_weight(target) if mode == "full" else None
-        fixed = [transform_volume(vol, gt, target) for vol, gt, _ in self.branches]
+        fixed = [transform_volume(vol, gt, target) for vol, gt, _ in branches]
         fixed = [(f.image.data, f.validity if w_field is None else f.validity * w_field) for f in fixed]
 
-        def cut(a, z0, z1):
-            return np.ascontiguousarray(a[..., z0:z1])
-
-        self.slabs = []
-        # (slab, cycle branch index, or None for the focus term)
-        self.terms = []
-        self.outside = [0] * len(self.branches)
-        for z0, z1 in slab_bounds(target.shape):
-            slab = _Slab(
-                target.z_slab(z0, z1),
-                target_coords(target, z0, z1),
-                [(cut(image, z0, z1), cut(mask, z0, z1)) for image, mask in fixed],
-            )
-            self.slabs.append(slab)
-            for b, (_, mask) in enumerate(slab.cycle):
-                if np.any(mask):
-                    self.terms.append((slab, b))
-                else:
+        bounds = slab_bounds(target.shape)
+        self.n_slabs = len(bounds)
+        self.terms: list[_Term] = []
+        self.outside = [0] * len(branches)
+        for z0, z1 in bounds:
+            geometry, coords = target.z_slab(z0, z1), None
+            for b, ((vol, _, name), (image, mask)) in enumerate(zip(branches, fixed)):
+                if not np.any(mask[..., z0:z1]):
                     self.outside[b] += 1
+                    continue
+                if coords is None:
+                    coords = target_coords(target, z0, z1)
+                image, mask = (np.ascontiguousarray(a[..., z0:z1]) for a in (image, mask))
+                self.terms.append(_Term(geometry, coords, vol, name, image, mask))
             if mode not in FOCUS_MODES:
                 continue
             # no foreground probability passes 0.5 outside the task's support, so
@@ -373,46 +359,33 @@ class PairObjective:
             box = task.support(z0, z1) if weights.r >= 0.5 else (0, target.shape[0], 0, target.shape[1])
             if box is not None:
                 geometry, coords = target.z_slab(z0, z1, box), target_coords(target, z0, z1, box)
-                self.terms.append((_Slab(geometry, coords, task=task.restrict(z0, z1, box)), None))
+                self.terms.append(_Term(geometry, coords, i_vol, "m_t", task=task.restrict(z0, z1, box)))
 
-    @property
-    def focus_slabs(self) -> list[_Slab]:
-        """The slabs of the focus terms, in term order."""
-        return [slab for slab, b in self.terms if b is None]
-
-    def _mse_term(self, src: Volume, m: np.ndarray, d_m: np.ndarray, slab: _Slab, fixed, mask):
-        """Warp one slab; its sum of squared masked differences and its part of the half-mean gradient."""
-        tape = transform_volume_with_tape(src, m, slab.geometry, slab.coords)
-        diff = tape.result.image.data - fixed
-        diff *= mask
-        sq = float(np.sum(diff * diff))
-        diff *= mask
-        diff /= self.n
-        return sq, tape.vjp(d_m, diff)
-
-    def _focus_term(self, slab: _Slab, mats, jac) -> tuple:
-        """One slab's foreground count above r, its share of the smooth mean, and its focus gradient."""
+    def _term(self, term: _Term, mats, jac) -> tuple:
+        """One warp of ``term.source`` onto the term's box; a cycle term's sum of squared
+        masked differences and its part of the half-mean gradient, or a focus term's
+        foreground count above r, its share of the smooth mean and its focus gradient."""
+        tape = transform_volume_with_tape(term.source, getattr(mats, term.matrix), term.geometry, term.coords)
+        d_m = getattr(jac, "d_" + term.matrix)
+        if term.task is None:
+            diff = tape.result.image.data - term.fixed
+            diff *= term.mask
+            sq = float(np.sum(diff * diff))
+            diff *= term.mask
+            diff /= self.n
+            return sq, tape.vjp(d_m, diff)
         w = self.weights
-        tape = transform_volume_with_tape(self.i_vol, mats.m_t, slab.geometry, slab.coords)
         image = tape.result.image
-        q = slab.task.evaluate(image)
-        n = slab.geometry.num_voxels
+        q = term.task.evaluate(image)
+        n = term.geometry.num_voxels
         share = n / self.n
-        # focus_exact is 1 - count / size; the slab's count is recovered
+        # focus_exact is 1 - count / size; the box's count is recovered
         # exactly, so the whole-grid value is not an average of averages
         above = round((1.0 - focus_exact(q, w.r)) * len(FOREGROUND_CLASSES) * n)
         smooth = share * (1.0 - focus_smooth(q, w.r, w.tau))
         up_q = focus_smooth_upstream(q, w.r, w.tau)
         up_q *= share
-        return above, smooth, tape.vjp(jac.d_m_t, slab.task.gradient(image, up_q, q))
-
-    def _term(self, term, mats, jac) -> tuple:
-        """A cycle term's ``(sum of squares, gradient)``, or a focus term's ``(count, smooth share, gradient)``."""
-        slab, b = term
-        if b is None:
-            return self._focus_term(slab, mats, jac)
-        vol, _, name = self.branches[b]
-        return self._mse_term(vol, getattr(mats, name), getattr(jac, "d_" + name), slab, *slab.cycle[b])
+        return above, smooth, tape.vjp(d_m, term.task.gradient(image, up_q, q))
 
     def _share(self, first: int, mats, jac) -> tuple[list, tuple | None]:
         """The results of every second term from ``first`` on, and the index and
@@ -452,24 +425,24 @@ class PairObjective:
         jac = affine_jacobian(params)
         w = self.weights
         grad = np.zeros(N_PARAMS)
-        sq = [0.0, 0.0]  # forward, backward; a baseline objective leaves the backward sum 0
+        sq = {"m": 0.0, "m_inv": 0.0}  # forward, backward; a baseline objective leaves the backward sum 0
         above = 0  # foreground entries above r, counted over the whole grid
-        smooth = []  # each slab's share of the smooth focus mean
+        smooth = []  # each focus term's share of the smooth focus mean
 
         # the serial sums, in term order: the bits do not depend on which process ran a term
-        for (_, b), result in zip(self.terms, self._all_terms(mats, jac, worker)):
-            if b is None:
+        for term, result in zip(self.terms, self._all_terms(mats, jac, worker)):
+            if term.task is None:
+                sq_k, g_k = result
+                sq[term.matrix] += sq_k
+                grad += w.alpha1 * g_k
+            else:
                 above_k, smooth_k, g_t = result
                 above += above_k
                 smooth.append(smooth_k)
                 grad += w.alpha2 * g_t
-            else:
-                sq_k, g_k = result
-                sq[b] += sq_k
-                grad += w.alpha1 * g_k
 
         report = LossReport(
-            cycle_fwd=0.5 * sq[0] / self.n, cycle_bwd=0.5 * sq[1] / self.n, alpha1=w.alpha1, alpha2=0.0
+            cycle_fwd=0.5 * sq["m"] / self.n, cycle_bwd=0.5 * sq["m_inv"] / self.n, alpha1=w.alpha1, alpha2=0.0
         )
         if smooth:
             report.focus_exact = 1.0 - above / (len(FOREGROUND_CLASSES) * self.n)
@@ -496,12 +469,12 @@ def register_pair(
     transform M_t is the registration transform M.
     """
     objective = PairObjective(i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode)
-    n_slabs = len(objective.slabs)
+    n_slabs = objective.n_slabs
     outside = ", ".join(f"{name} {k}/{n_slabs}" for name, k in zip(("forward", "backward"), objective.outside))
     focus = ""
     if mode in FOCUS_MODES:
-        boxes = objective.focus_slabs
-        share = 100.0 * sum(slab.geometry.num_voxels for slab in boxes) / objective.n
+        boxes = [term.geometry.num_voxels for term in objective.terms if term.task is not None]
+        share = 100.0 * sum(boxes) / objective.n
         focus = f", focus on {len(boxes)}/{n_slabs} slabs, {share:.1f} % of the grid"
     log.info("%s objective: %s slabs outside the fixed view%s", mode, outside, focus)
     with _worker_for(objective) as worker:
@@ -530,7 +503,7 @@ def _optimize(
         total = report.total
         if not np.isfinite(total):
             raise NumericalError(f"loss diverged at step {step}")
-        trace.append(TraceRow(step, lr, report, vec.copy()))
+        trace.rows.append(TraceRow(step, lr, report, vec.copy()))
         if total < best_loss:
             best_loss = total
             best_vec = vec.copy()

@@ -148,12 +148,24 @@ class WholeGridObjective:
 
 class SerialSlabObjective(PairObjective):
     """Reference objective: the slabs one after another on the calling thread, every
-    cycle term of each, then its focus term on its box of ``oracles.focus_boxes``."""
+    cycle term of each, outside the fixed view too, then its focus term on its box of
+    ``oracles.focus_boxes``. Its fixed images and masks are its own whole-grid warps,
+    as ``WholeGridObjective`` makes them, so it checks the objective's set-up too; the
+    objective it derives from gives ``register_pair`` its counts and its worker only."""
 
     def __init__(self, i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode="full"):
         super().__init__(i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode)
+        self.i_vol = i_vol
         target = i_vol.geometry
-        self.focus_parts = [None] * len(self.slabs)
+        w_field = in_plane_weight(target) if mode == "full" else None
+        self.cycle = []  # per cycle branch: moving volume, name of its matrix, fixed image, mask
+        for vol, gt, name in [(i_vol, gt_m, "m"), (j_vol, gt_m_inv, "m_inv")][: 1 if mode == "baseline" else 2]:
+            fixed = transform_volume(vol, gt, target)
+            mask = fixed.validity if w_field is None else fixed.validity * w_field
+            self.cycle.append((vol, name, fixed.image.data, mask))
+        bounds = slab_bounds(target.shape)
+        self.slab_parts = [(z0, z1, target.z_slab(z0, z1), target_coords(target, z0, z1)) for z0, z1 in bounds]
+        self.focus_parts = [None] * len(bounds)
         if mode in FOCUS_MODES:
             for k, ((z0, z1), box) in enumerate(oracles.focus_boxes(task, target.shape, weights.r)):
                 if box is not None:
@@ -166,11 +178,11 @@ class SerialSlabObjective(PairObjective):
         jac = affine_jacobian(params)
         w = self.weights
         use_focus = self.mode in FOCUS_MODES
-        use_cycle_bwd = self.mode != "baseline"
         a2 = w.alpha2 if use_focus else 0.0
         n_fg = len(FOREGROUND_CLASSES)
         grad = np.zeros(N_PARAMS)
-        sq_fwd = sq_bwd = smooth_mean = 0.0
+        sq = {"m": 0.0, "m_inv": 0.0}
+        smooth_mean = 0.0
         above = 0
 
         def mse_term(tape, fixed, mask, d_m):
@@ -178,16 +190,11 @@ class SerialSlabObjective(PairObjective):
             part = tape.vjp(d_m, diff * mask / self.n)
             return float(np.sum(diff * diff)), part
 
-        for slab, focus in zip(self.slabs, self.focus_parts):
-            tape = transform_volume_with_tape(self.i_vol, mats.m, slab.geometry, slab.coords)
-            sq, part = mse_term(tape, *slab.cycle[0], jac.d_m)
-            sq_fwd += sq
-            grad += w.alpha1 * part
-            if use_cycle_bwd:
-                j_vol = self.branches[1][0]
-                tape = transform_volume_with_tape(j_vol, mats.m_inv, slab.geometry, slab.coords)
-                sq, part = mse_term(tape, *slab.cycle[1], jac.d_m_inv)
-                sq_bwd += sq
+        for (z0, z1, geometry, coords), focus in zip(self.slab_parts, self.focus_parts):
+            for vol, name, fixed, mask in self.cycle:
+                tape = transform_volume_with_tape(vol, getattr(mats, name), geometry, coords)
+                sq_k, part = mse_term(tape, fixed[..., z0:z1], mask[..., z0:z1], getattr(jac, "d_" + name))
+                sq[name] += sq_k
                 grad += w.alpha1 * part
             if focus is not None:
                 geometry, coords, task = focus
@@ -202,8 +209,8 @@ class SerialSlabObjective(PairObjective):
                 grad += a2 * tape.vjp(jac.d_m_t, task.gradient(image, up_q, q))
 
         report = LossReport(
-            cycle_fwd=0.5 * sq_fwd / self.n,
-            cycle_bwd=0.5 * sq_bwd / self.n,
+            cycle_fwd=0.5 * sq["m"] / self.n,
+            cycle_bwd=0.5 * sq["m_inv"] / self.n,
             focus_exact=1.0 - above / (n_fg * self.n) if use_focus else 0.0,
             focus_smooth=1.0 - smooth_mean if use_focus else 0.0,
             alpha1=w.alpha1,
@@ -480,6 +487,21 @@ class TestRegisterPair:
         # repr round trip keeps full float precision
         assert float(rows[1][2]) == trace.rows[0].report.total
 
+    def test_end2end_trace_csv_reads_back_as_floats(self, tmp_path):
+        """Every cell of an ``end2end`` trace.csv after the header is a number, and the
+        parameter columns read back each row's parameters bit for bit."""
+        spec, pair = _small_pair()
+        optim = OptimConfig(lr0=0.02, epoch_steps=5, max_steps=10)
+        result = run_end2end(pair, AnalyticSegmenter(spec, pair.i.geometry), PipelineConfig(optim=optim))
+        result.save(tmp_path)
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(result.trace.rows) == 10
+        first = TRACE_COLUMNS.index("phi")
+        for row, traced in zip(rows, result.trace.rows):
+            values = [float(cell) for cell in row]
+            assert np.array_equal(values[first:], traced.params)
+
 
 class TestSlabObjective:
     def test_slab_bounds_cover_the_depth(self):
@@ -645,7 +667,7 @@ class TestFocusOnTheSupport:
                 x0, x1, y0, y1 = box
                 expected.append((x1 - x0) * (y1 - y0) * (z1 - z0))
         assert samples == expected
-        assert sum(slab.geometry.num_voxels for slab in obj.focus_slabs) == sum(expected)
+        assert sum(term.geometry.num_voxels for term in obj.terms if term.task is not None) == sum(expected)
 
 
 class TestTwoThreadObjective:
@@ -844,14 +866,30 @@ class TestTermsOutsideTheFixedView:
         pair, task = _apex_pair()
         args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), mode)
         obj, serial = PairObjective(*args), SerialSlabObjective(*args)
-        assert len(obj.slabs) == 7
-        assert obj.outside == [2, 2][: len(obj.branches)]
+        assert obj.n_slabs == 7
+        assert obj.outside == [2, 2][: 1 if mode == "baseline" else 2]
         rng = np.random.default_rng(3)
         vecs = [np.zeros(9)] + [np.concatenate([rng.uniform(-0.2, 0.2, 3), rng.uniform(-0.1, 0.1, 6)]) for _ in range(2)]
         with engine._worker_for(obj) as slab_worker:
             for vec in vecs:
                 _assert_same_bits(obj(vec, slab_worker), serial(vec))
         assert (slab_worker is not None) == worker
+
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_terms_hold_only_work(self, mode):
+        """No cycle term is kept outside the fixed view, and a slab's forward and
+        backward terms share one coordinate array, which is not copied per term."""
+        pair, task = _apex_pair()
+        obj = PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), mode)
+        branches = 1 if mode == "baseline" else 2
+        cycle = [term for term in obj.terms if term.task is None]
+        assert all(np.any(term.mask) for term in cycle)
+        assert len(cycle) == obj.n_slabs * branches - sum(obj.outside)
+        # slabs 2-4 have both cycle terms; 0-1 only the backward one, 5-6 only the forward one
+        pairs = [(a, b) for a, b in zip(obj.terms, obj.terms[1:]) if (a.matrix, b.matrix) == ("m", "m_inv")]
+        assert len(pairs) == (0 if mode == "baseline" else 3)
+        assert all(a.coords is b.coords for a, b in pairs)
+        assert len({id(term.coords) for term in cycle}) == (5 if mode == "baseline" else 7)
 
     @pytest.mark.parametrize("mode, warps", [("baseline", 5), ("cycle", 10), ("full", 17)])
     def test_warps_per_step(self, mode, warps, one_cpu, monkeypatch):
@@ -869,7 +907,7 @@ class TestTermsOutsideTheFixedView:
             calls.clear()
             obj(vec)
             assert sum(calls.values()) == warps
-            assert sorted(calls.values()) == sorted([5] * len(obj.branches) + [7] * (mode == "full"))
+            assert sorted(calls.values()) == sorted([5] * len(obj.outside) + [7] * (mode == "full"))
 
     @pytest.mark.parametrize(
         "mode, line",
@@ -1073,7 +1111,7 @@ class TestTracedLookupSites:
         tracer_mod = _load_benchmark_tracer()
         pair, task = pair_on((17, 13, 11))
         obj = PairObjective(pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), "full")
-        n_slabs = len(obj.slabs)
+        n_slabs = obj.n_slabs
         tracer = tracer_mod.Tracer()
         tracer.install()
         try:
