@@ -133,7 +133,10 @@ def cmd_register(args) -> int:
         trace.write_csv(args.trace)
     if args.dump_transform:
         write_transform(args.dump_transform, params)
-    print(json.dumps({"params": params.to_vector().tolist(), "final_loss": trace.rows[-1].report.total}))
+    losses = [row.report.total for row in trace.rows]
+    # params are the first step of least loss, with t_t = t in baseline and cycle mode
+    summary = {"final_loss": losses[-1], "best_loss": min(losses), "stop": trace.stop}
+    print(json.dumps({"params": params.to_vector().tolist(), **summary}))
     return 0
 
 

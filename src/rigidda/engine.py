@@ -115,42 +115,42 @@ def adam_step(p: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> n
     return p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-class PlateauScheduler:
-    """Reduce-on-plateau with a floor; fed once per epoch with the epoch loss."""
+class _PlateauCount:
+    """The best epoch loss so far and the epochs since it last fell by more than ``min_delta``."""
 
     def __init__(self, cfg: OptimConfig):
         self.cfg = cfg
-        self.lr = cfg.lr0
         self.best = np.inf
         self.bad_epochs = 0
 
-    def epoch_end(self, loss: float) -> float:
+    def _count(self, loss: float) -> int:
         if loss < self.best - self.cfg.min_delta:
             self.best = loss
             self.bad_epochs = 0
         else:
             self.bad_epochs += 1
-            if self.bad_epochs >= self.cfg.plateau_patience:
-                self.lr = max(self.cfg.lr_min, self.lr * self.cfg.plateau_factor)
-                self.bad_epochs = 0
+        return self.bad_epochs
+
+
+class PlateauScheduler(_PlateauCount):
+    """Reduce-on-plateau with a floor; fed once per epoch with the epoch loss."""
+
+    def __init__(self, cfg: OptimConfig):
+        super().__init__(cfg)
+        self.lr = cfg.lr0
+
+    def epoch_end(self, loss: float) -> float:
+        if self._count(loss) >= self.cfg.plateau_patience:
+            self.lr = max(self.cfg.lr_min, self.lr * self.cfg.plateau_factor)
+            self.bad_epochs = 0
         return self.lr
 
 
-class EarlyStopper:
+class EarlyStopper(_PlateauCount):
     """Stops after ``stop_patience`` epochs without best-loss improvement."""
 
-    def __init__(self, cfg: OptimConfig):
-        self.cfg = cfg
-        self.best = np.inf
-        self.bad_epochs = 0
-
     def epoch_end(self, loss: float) -> bool:
-        if loss < self.best - self.cfg.min_delta:
-            self.best = loss
-            self.bad_epochs = 0
-            return False
-        self.bad_epochs += 1
-        return self.bad_epochs >= self.cfg.stop_patience
+        return self._count(loss) >= self.cfg.stop_patience
 
 
 @dataclass
@@ -164,6 +164,7 @@ class TraceRow:
 @dataclass
 class RegistrationTrace:
     rows: list[TraceRow] = field(default_factory=list)
+    stop: str = "max_steps"  # or "early stop"; not a CSV column
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -477,48 +478,38 @@ def register_pair(
         share = 100.0 * sum(boxes) / objective.n
         focus = f", focus on {len(boxes)}/{n_slabs} slabs, {share:.1f} % of the grid"
     log.info("%s objective: %s slabs outside the fixed view%s", mode, outside, focus)
+    start = RigidParams.random_init(np.random.default_rng(cfg.seed)).to_vector()
     with _worker_for(objective) as worker:
-        return _optimize(objective, worker, cfg, mode)
+        best, trace = _optimize(objective, worker, cfg, start)
+    steps, loss = len(trace.rows), best.report.total
+    log.info("%s registration: %d steps, stopped by %s, best loss %.6g", mode, steps, trace.stop, loss)
+    vec = best.params.copy()  # the fallback must not write into the trace's row
+    if mode not in FOCUS_MODES:
+        vec[6:] = vec[3:6]
+    return RigidParams.from_vector(vec), trace
 
 
 def _optimize(
-    objective: PairObjective, worker: _SlabWorker | None, cfg: OptimConfig, mode: str
-) -> tuple[RigidParams, RegistrationTrace]:
-    """``register_pair``'s Adam loop on a built objective, stepped with ``worker`` if one is given."""
-    rng = np.random.default_rng(cfg.seed)
-    vec = RigidParams.random_init(rng).to_vector()
-
+    objective, worker: _SlabWorker | None, cfg: OptimConfig, start: np.ndarray
+) -> tuple[TraceRow, RegistrationTrace]:
+    """Adam from ``start`` on ``objective(vec, worker)``: the trace's first row of least
+    ``loss_total``, and the trace, which records why the run stopped."""
+    vec = np.array(start, dtype=float)  # each step makes a new array, so a row may keep it
     state = AdamState.zeros(N_PARAMS)
     scheduler = PlateauScheduler(cfg)
     stopper = EarlyStopper(cfg)
     trace = RegistrationTrace()
-    lr = cfg.lr0
-    best_vec = vec.copy()
-    best_loss = np.inf
-    epoch_losses: list[float] = []
-    stop = "max_steps"
-
     for step in range(cfg.max_steps):
         report, grad = objective(vec, worker)
-        total = report.total
-        if not np.isfinite(total):
+        if not np.isfinite(report.total):
             raise NumericalError(f"loss diverged at step {step}")
-        trace.rows.append(TraceRow(step, lr, report, vec.copy()))
-        if total < best_loss:
-            best_loss = total
-            best_vec = vec.copy()
-        vec = adam_step(vec, grad, state, lr)
-        epoch_losses.append(total)
-        if len(epoch_losses) == cfg.epoch_steps:
-            epoch_loss = float(np.mean(epoch_losses))
-            epoch_losses.clear()
-            log.info("epoch %d: mean loss %.6g, lr %.3g", (step + 1) // cfg.epoch_steps, epoch_loss, lr)
-            lr = scheduler.epoch_end(epoch_loss)
+        trace.rows.append(TraceRow(step, scheduler.lr, report, vec))
+        vec = adam_step(vec, grad, state, scheduler.lr)
+        if len(trace.rows) % cfg.epoch_steps == 0:
+            epoch_loss = float(np.mean([row.report.total for row in trace.rows[-cfg.epoch_steps :]]))
+            log.info("epoch %d: mean loss %.6g, lr %.3g", len(trace.rows) // cfg.epoch_steps, epoch_loss, scheduler.lr)
+            scheduler.epoch_end(epoch_loss)
             if stopper.epoch_end(epoch_loss):
-                stop = "early stop"
+                trace.stop = "early stop"
                 break
-    log.info("%s registration: %d steps, stopped by %s, best loss %.6g", mode, len(trace.rows), stop, best_loss)
-
-    if mode not in FOCUS_MODES:
-        best_vec[6:] = best_vec[3:6]
-    return RigidParams.from_vector(best_vec), trace
+    return min(trace.rows, key=lambda row: row.report.total), trace

@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -22,12 +23,13 @@ import rigidda
 from rigidda import cli, engine
 from rigidda.cli import _parse_floats, _parse_weights_arg, main
 from rigidda.config import PipelineConfig
-from rigidda.engine import MODES, OptimConfig
+from rigidda.engine import MODES, OptimConfig, PairObjective
 from rigidda.errors import ValidationError
 from rigidda.experiments import ABLATION_MODES, Ablation, Recovery, ablate, apex_case, recover, recovery_case
 from rigidda.io import read_volume, write_volume
 from rigidda.losses import LossWeights
-from rigidda.phantom import PhantomSpec, world_rigid
+from rigidda.phantom import AnalyticSegmenter, PhantomSpec, world_rigid
+from rigidda.rigid import RigidParams, read_transform
 from rigidda.volume import GridGeometry, LabelVolume, Volume
 from conftest import BAD_SPEC_VALUES, gentle_task_spec
 
@@ -137,6 +139,56 @@ class TestRegister:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["baseline", "cycle", "full"])
+    def test_prints_the_best_loss_and_the_stop(self, tmp_path, capsys, caplog, mode):
+        """``best_loss`` is the loss of the printed params, the least of the trace; ``final_loss`` the last step's."""
+        pair = tmp_path / "pair"
+        assert main(["phantom-gen", "--grid", "24", "24", "24", "--iso", "4", "--seed", "3", "--out-dir", str(pair)]) == 0
+        config, trace = tmp_path / "config.json", tmp_path / "trace.csv"
+        config.write_text(json.dumps({"optim": {"max_steps": 80, "epoch_steps": 10, "lr0": 0.02}}))
+        args = ["register", "--ax", str(pair / "I.nii"), "--sax", str(pair / "J.nii"), "--gt-transform"]
+        args += [str(pair / "gtM.json"), "--mode", mode, "--spec", str(pair / "spec.json"), "--config", str(config)]
+        capsys.readouterr()
+        with caplog.at_level(logging.INFO, logger="rigidda"):
+            assert main(args + ["--trace", str(trace)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        with open(trace, newline="") as fh:
+            totals = [float(row["loss_total"]) for row in csv.DictReader(fh)]
+        assert out["final_loss"] == totals[-1]
+        assert out["best_loss"] == min(totals)
+        task = AnalyticSegmenter(PhantomSpec.from_file(pair / "spec.json"), read_volume(pair / "I.nii").geometry)
+        gt_m, gt_m_inv = read_transform(pair / "gtM.json")
+        objective = PairObjective(
+            read_volume(pair / "I.nii"), read_volume(pair / "J.nii"), gt_m, gt_m_inv, task, LossWeights(), mode
+        )
+        assert objective(np.array(out["params"]))[0].total == out["best_loss"]
+        [line] = [r.getMessage() for r in caplog.records if "registration:" in r.getMessage()]
+        assert f"{len(totals)} steps, stopped by {out['stop']}, " in line
+
+    @pytest.mark.parametrize("mode", ["baseline", "full"])
+    @pytest.mark.parametrize("value", [0.0, 0.7], ids=["zero", "constant"])
+    def test_flat_views_stop_early(self, pair_dir, spec_path, tmp_path, capsys, mode, value):
+        """An all-zero or constant copy of the first view, given as both views, makes a flat
+        objective, which the stopper ends; in baseline mode its gradient is exactly 0, so the
+        angles and t stay at the start's draw."""
+        ax = read_volume(pair_dir / "I.nii")
+        flat = tmp_path / "flat.nii"
+        write_volume(Volume(ax.geometry, np.full(ax.data.shape, value)), flat)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"optim": {"max_steps": 60, "epoch_steps": 5, "stop_patience": 2}}))
+        args = ["register", "--ax", str(flat), "--sax", str(flat), "--gt-transform"]
+        args += [str(pair_dir / "gtM.json"), "--mode", mode, "--spec", str(spec_path), "--config", str(config)]
+        capsys.readouterr()
+        assert main(args + ["--trace", str(tmp_path / "trace.csv")]) == 0
+        out = json.loads(capsys.readouterr().out)
+        # the first epoch sets the best, and the next stop_patience = 2 epochs gain nothing
+        assert out["stop"] == "early stop"
+        assert len((tmp_path / "trace.csv").read_text().splitlines()) == 1 + 15
+        if mode == "baseline":
+            start = RigidParams.random_init(np.random.default_rng(OptimConfig().seed)).to_vector()
+            np.testing.assert_array_equal(out["params"][:6], start[:6])
+            np.testing.assert_array_equal(out["params"][6:], start[3:6])
 
     def test_missing_file_is_io_error(self, pair_dir):
         code = main(

@@ -146,17 +146,18 @@ class WholeGridObjective:
         return report, grad
 
 
-class SerialSlabObjective(PairObjective):
+class SerialSlabObjective:
     """Reference objective: the slabs one after another on the calling thread, every
     cycle term of each, outside the fixed view too, then its focus term on its box of
     ``oracles.focus_boxes``. Its fixed images and masks are its own whole-grid warps,
-    as ``WholeGridObjective`` makes them, so it checks the objective's set-up too; the
-    objective it derives from gives ``register_pair`` its counts and its worker only."""
+    as ``WholeGridObjective`` makes them, so it checks the objective's set-up too."""
 
     def __init__(self, i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode="full"):
-        super().__init__(i_vol, j_vol, gt_m, gt_m_inv, task, weights, mode)
         self.i_vol = i_vol
+        self.weights = weights
+        self.mode = mode
         target = i_vol.geometry
+        self.n = target.num_voxels
         w_field = in_plane_weight(target) if mode == "full" else None
         self.cycle = []  # per cycle branch: moving volume, name of its matrix, fixed image, mask
         for vol, gt, name in [(i_vol, gt_m, "m"), (j_vol, gt_m_inv, "m_inv")][: 1 if mode == "baseline" else 2]:
@@ -331,6 +332,65 @@ class TestEarlyStopper:
         stop = EarlyStopper(cfg)
         stop.epoch_end(1.0)
         assert stop.epoch_end(1.0 - 1e-6)
+
+
+class ScriptedObjective:
+    """An objective whose losses are given in advance, one per call, and whose gradient is fixed."""
+
+    GRAD = np.linspace(-1.0, 1.0, N_PARAMS)
+
+    def __init__(self, losses):
+        self.losses = iter(losses)
+
+    def __call__(self, vec, worker):
+        return LossReport(cycle_fwd=next(self.losses), alpha1=1.0, alpha2=0.0), self.GRAD
+
+
+class TestOptimizeLoop:
+    """``_optimize`` wires Adam, the scheduler and the stopper to the trace as fresh ones would run."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        epoch_steps=st.integers(1, 4),
+        max_steps=st.integers(1, 30),
+        plateau_patience=st.integers(1, 3),
+        stop_patience=st.integers(1, 3),
+        min_delta=st.sampled_from([0.0, 0.1]),
+        losses=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]) | st.floats(0.0, 3.0), min_size=30, max_size=30),
+    )
+    def test_trace_follows_fresh_scheduler_and_stopper(
+        self, epoch_steps, max_steps, plateau_patience, stop_patience, min_delta, losses
+    ):
+        cfg = OptimConfig(
+            lr0=0.1, epoch_steps=epoch_steps, max_steps=max_steps, plateau_patience=plateau_patience,
+            stop_patience=stop_patience, min_delta=min_delta,
+        )
+        start = np.linspace(0.0, 0.8, N_PARAMS)
+        best, trace = engine._optimize(ScriptedObjective(losses), None, cfg, start)
+
+        scheduler, stopper = PlateauScheduler(cfg), EarlyStopper(cfg)
+        lrs, stop = [], "max_steps"
+        for first in range(0, max_steps, epoch_steps):
+            epoch = losses[first : min(first + epoch_steps, max_steps)]
+            lrs += [scheduler.lr] * len(epoch)
+            if len(epoch) < epoch_steps:
+                break
+            mean = float(np.mean(epoch))
+            scheduler.epoch_end(mean)
+            if stopper.epoch_end(mean):
+                stop = "early stop"
+                break
+        assert trace.stop == stop
+        assert [row.step for row in trace.rows] == list(range(len(lrs)))
+        assert [row.lr for row in trace.rows] == lrs
+        totals = [row.report.total for row in trace.rows]
+        assert totals == losses[: len(lrs)]
+        assert best is trace.rows[totals.index(min(totals))]
+
+        state, vec = AdamState.zeros(N_PARAMS), start
+        for row in trace.rows:
+            np.testing.assert_array_equal(row.params, vec)
+            vec = adam_step(vec, ScriptedObjective.GRAD, state, row.lr)
 
 
 class TestOptimConfig:
@@ -688,15 +748,16 @@ class TestTwoThreadObjective:
                 for vec in vecs:
                     _assert_same_bits(threaded(vec, worker), serial(vec))
 
-    def test_register_pair_trace_equals_the_serial_loop(self, monkeypatch):
+    def test_register_pair_trace_equals_the_serial_loop(self):
         pair, task = pair_on((40, 40, 23))
         cfg = OptimConfig(lr0=0.02, epoch_steps=5, plateau_patience=1, max_steps=25, seed=4)
-        args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1), cfg)
-        params, trace = register_pair(*args, mode="full")
-        monkeypatch.setattr(engine, "PairObjective", SerialSlabObjective)
-        ref_params, ref_trace = register_pair(*args, mode="full")
-        np.testing.assert_array_equal(params.to_vector(), ref_params.to_vector())
+        args = (pair.i, pair.j, pair.gt_m, pair.gt_m_inv, task, LossWeights(tau=0.1))
+        params, trace = register_pair(*args, cfg, mode="full")
+        start = RigidParams.random_init(np.random.default_rng(cfg.seed)).to_vector()
+        best, ref_trace = engine._optimize(SerialSlabObjective(*args, "full"), None, cfg, start)
+        np.testing.assert_array_equal(params.to_vector(), best.params)
         assert len(trace.rows) == len(ref_trace.rows) == 25
+        assert trace.stop == ref_trace.stop
         for row, ref in zip(trace.rows, ref_trace.rows):
             assert (row.step, row.lr) == (ref.step, ref.lr)
             assert row.report == ref.report
